@@ -1,0 +1,116 @@
+"""Pinned behaviour fingerprint of the seeded toy pipeline.
+
+Runs C11's toy configuration once through synth -> train-prompts ->
+finetune --prompts -> enhance --prompts -> eval and compares summary numbers
+against committed constants. C11 only checks that two reruns agree, so a
+refactor that shifts every number consistently would pass it; this test does
+not. Only a change that alters outputs on purpose re-pins these constants, and
+says so with the old and new values.
+"""
+
+import math
+import os
+
+import numpy as np
+
+from uwdiff.checkpoint import read_checkpoint
+from uwdiff.cli import main as cli_main
+from uwdiff.imageio import load_image, save_image
+from uwdiff.images import RgbImage
+from uwdiff.synthesis import DatasetManifest
+
+from test_acceptance import TOY_CONFIG, toy_scene
+
+# loose enough for last-bit float differences, tight enough to catch a change
+# as small as Adam's eps going from 1e-8 to 1e-9 (a ~5e-7 relative shift in
+# the trained prompt norms)
+RTOL = 1e-9
+
+EXPECTED = {
+    "template_indices": [0, 1, 1, 1],
+    "prompts.ckpt:attn.bias": 0.0,
+    "prompts.ckpt:attn.weight": 1.1876661093193561,
+    "prompts.ckpt:conv1.bias": 0.0,
+    "prompts.ckpt:conv1.weight": 1.873711212091529,
+    "prompts.ckpt:conv2.bias": 0.0,
+    "prompts.ckpt:conv2.weight": 2.829907844893714,
+    "prompts.ckpt:conv3.bias": 0.0,
+    "prompts.ckpt:conv3.weight": 4.07413203166701,
+    "prompts.ckpt:proj.bias": 0.0,
+    "prompts.ckpt:proj.weight": 2.8348784281656982,
+    "prompts.ckpt:prompt.natural": 2.81537257175181,
+    "prompts.ckpt:prompt.underwater": 2.7955062187712545,
+    "prompts.ckpt:text.bias": 0.0,
+    "prompts.ckpt:text.weight": 2.7864837395681987,
+    "prompts.ckpt:token.bias": 0.0,
+    "prompts.ckpt:token.weight": 5.651190909711493,
+    "model.ckpt:denoiser.b1": 0.029071497538975526,
+    "model.ckpt:denoiser.b2": 0.015482849706903197,
+    "model.ckpt:denoiser.w1": 2.858513888533689,
+    "model.ckpt:denoiser.w2": 1.5390252361596994,
+    "training.log:total": 0.2610718095719,
+    "enhanced:mean": 0.5240681168300654,
+    "enhanced:std": 0.08777498937300449,
+    "eval:PSNR": 12.119,
+    "eval:SSIM": 0.2173,
+    "eval:UIQM": 2.5945,
+    "eval:UCIQE": 4.9228,
+}
+
+
+def run_pipeline(tmp_path) -> dict:
+    gen = np.random.default_rng(111)
+    clean_dir, tpl_dir = tmp_path / "clean", tmp_path / "tpl"
+    os.makedirs(clean_dir)
+    os.makedirs(tpl_dir)
+    for i in range(4):
+        save_image(toy_scene(gen, 16), clean_dir / f"c{i}.png")
+    for i in range(2):
+        img = toy_scene(gen, 16)
+        save_image(RgbImage.from_array(np.clip(img.data * [0.3, 0.6, 0.9], 0, 1)), tpl_dir / f"t{i}.png")
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(TOY_CONFIG)
+    synth, prompts, model, enhanced, scores = (
+        tmp_path / name for name in ("synth", "prompts", "model", "enhanced", "eval")
+    )
+    for argv in (
+        ["synth", "--clean", clean_dir, "--templates", tpl_dir, "--out", synth],
+        ["train-prompts", "--natural", clean_dir, "--underwater", synth / "degraded", "--out", prompts],
+        ["finetune", "--manifest", synth / "manifest.tsv", "--prompts", prompts / "prompts.ckpt", "--out", model],
+        ["enhance", "--input", synth / "degraded", "--model", model / "model.ckpt",
+         "--prompts", prompts / "prompts.ckpt", "--out", enhanced],
+        ["eval", "--enhanced", enhanced, "--reference", clean_dir, "--out", scores],
+    ):
+        assert cli_main([str(a) for a in argv] + ["--config", str(cfg)]) == 0, argv[0]
+
+    found = {}
+    manifest = DatasetManifest.read(synth / "manifest.tsv")
+    found["template_indices"] = [e.template_index for e in manifest.entries]
+    for ckpt in (prompts / "prompts.ckpt", model / "model.ckpt"):
+        tensors, _ = read_checkpoint(ckpt)
+        for name, values in sorted(tensors.items()):
+            found[f"{ckpt.name}:{name}"] = float(np.linalg.norm(values))
+    last = (model / "training.log").read_text().splitlines()[-1].split("\t")
+    found["training.log:total"] = float(last[4])
+    pixels = np.stack([load_image(enhanced / n).data for n in sorted(os.listdir(enhanced))])
+    found["enhanced:mean"] = float(pixels.mean())
+    found["enhanced:std"] = float(pixels.std())
+    header, *_, means = [row.split("\t") for row in (scores / "metrics.tsv").read_text().splitlines()]
+    for column, value in zip(header[1:], means[1:]):
+        found[f"eval:{column}"] = float(value)
+    return found
+
+
+def test_toy_pipeline_matches_pinned_fingerprint(tmp_path):
+    found = run_pipeline(tmp_path)
+    assert found.keys() == EXPECTED.keys(), sorted(found.keys() ^ EXPECTED.keys())
+    off = {}
+    for key, want in EXPECTED.items():
+        got = found[key]
+        if isinstance(want, list):
+            same = got == want
+        else:
+            same = math.isclose(got, want, rel_tol=RTOL)
+        if not same:
+            off[key] = (got, want)
+    assert not off, f"fingerprint moved (got, pinned): {off}"
