@@ -14,7 +14,7 @@ from uwdiff.diffusion import (
     GuidanceConfig,
     default_schedule,
     sample_terminal,
-    trajectory_rng,
+    stream_rng,
 )
 
 
@@ -23,12 +23,12 @@ def main() -> None:
     sched = default_schedule(200)
     world = AnalyticGaussianWorld(mu0=0.0, var0=1.0, var_y=0.5)
 
-    prior = sample_terminal(world, sched, n, trajectory_rng(0, 0))
+    prior = sample_terminal(world, sched, n, stream_rng(0, 0))
     print(f"unguided:      mean {prior.mean():+.4f}  var {prior.var():.4f}   (prior: +0.0000, 1.0000)")
 
     y = 2.0
     guided = sample_terminal(
-        world, sched, n, trajectory_rng(0, 1), observations=(y,),
+        world, sched, n, stream_rng(0, 1), observations=(y,),
         cfg=GuidanceConfig(mode="lambda_blend", lam=1.0),
     )
     mean, var = world.posterior(y)
@@ -37,7 +37,7 @@ def main() -> None:
     print("\nlambda sweep with observations y1=+2, y2=-2:")
     for lam in (0.9, 0.7, 0.5, 0.3, 0.1):
         samples = sample_terminal(
-            world, sched, n, trajectory_rng(1, int(lam * 10)), observations=(2.0, -2.0),
+            world, sched, n, stream_rng(1, int(lam * 10)), observations=(2.0, -2.0),
             cfg=GuidanceConfig(mode="lambda_blend", lam=lam),
         )
         target, _ = world.blended_posterior(2.0, -2.0, lam)

@@ -2,8 +2,9 @@
 
 Covers exactly the operator set the toolkit trains with: broadcast
 arithmetic, matmul, 2-D convolution, smooth pointwise nonlinearities,
-reductions, reshape, and concatenation. Every gradient is validated against
-central finite differences in the test suite.
+reductions, reshape, and concatenation, plus the Adam optimizer that every
+training loop uses. Every gradient is validated against central finite
+differences in the test suite.
 """
 
 from __future__ import annotations
@@ -357,3 +358,32 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 
 def dot(a, b) -> Tensor:
     return tsum(mul(a, b))
+
+
+# ---------------------------------------------------------------------------
+# Optimizer
+# ---------------------------------------------------------------------------
+
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
+
+class Adam:
+    """Adam with the conventional (0.9, 0.999, 1e-8) moment constants."""
+
+    def __init__(self, params: list[Tensor]):
+        self.params = params
+        self.step_count = 0
+        self._m = [np.zeros_like(p.data) for p in params]
+        self._v = [np.zeros_like(p.data) for p in params]
+
+    def step(self, lr: float) -> None:
+        self.step_count += 1
+        for i, p in enumerate(self.params):
+            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
+            self._m[i] = _ADAM_BETA1 * self._m[i] + (1 - _ADAM_BETA1) * grad
+            self._v[i] = _ADAM_BETA2 * self._v[i] + (1 - _ADAM_BETA2) * grad**2
+            m_hat = self._m[i] / (1 - _ADAM_BETA1**self.step_count)
+            v_hat = self._v[i] / (1 - _ADAM_BETA2**self.step_count)
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)

@@ -17,7 +17,7 @@ import sys
 from .config import RunConfig, load_config, resolve_text
 from .denoiser import ConditionalDenoiser
 from .errors import TrainingDivergedError, UwdiffError
-from .imageio import load_image
+from .imageio import list_images, load_image
 from .images import RgbImage
 from .jointnet import init_params, train_prompts
 from .metrics import MetricReport, evaluate
@@ -59,11 +59,7 @@ def _load_config(args) -> RunConfig:
 
 
 def _labeled_dir(directory, label: int) -> list[tuple[RgbImage, int]]:
-    names = sorted(
-        n for n in os.listdir(os.fspath(directory)) if n.lower().endswith((".png", ".ppm"))
-    )
-    if not names:
-        raise UwdiffError(f"no images (.png/.ppm) found in {os.fspath(directory)!r}")
+    names = list_images(directory)
     return [(load_image(os.path.join(os.fspath(directory), n)), label) for n in names]
 
 
@@ -189,11 +185,7 @@ def _metric_columns(config: RunConfig, with_reference: bool) -> list[str]:
 def cmd_eval(args) -> int:
     config = _load_config(args)
     out = _resolve_out(args)
-    names = sorted(
-        n for n in os.listdir(os.fspath(args.enhanced)) if n.lower().endswith((".png", ".ppm"))
-    )
-    if not names:
-        raise UwdiffError(f"no images (.png/.ppm) found in {args.enhanced!r}")
+    names = list_images(args.enhanced)
     columns = _metric_columns(config, args.reference is not None)
     rows: list[tuple[str, MetricReport]] = []
     for name in names:

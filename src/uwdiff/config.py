@@ -7,6 +7,7 @@ merged configuration, which every CLI subcommand prints before running.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .diffusion import GUIDANCE_MODES, VARIANCE_MODES, GuidanceConfig, NoiseSchedule, make_linear_schedule
@@ -89,12 +90,12 @@ class RunConfig:
     def loss_weights(self) -> LossWeights:
         return LossWeights(lambda1=self.lambda1, lambda2=self.lambda2)
 
-    def optimizer(self, seed: int | None = None) -> OptimizerConfig:
+    def optimizer(self) -> OptimizerConfig:
         return OptimizerConfig(
             learning_rate=self.learning_rate,
             total_steps=self.train_steps,
             linear_decay=self.linear_decay,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
         )
 
     def augmentation(self) -> AugmentationConfig:
@@ -132,6 +133,13 @@ class RunConfig:
 
 
 # (section, key) -> (attribute, parser)
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
 def _bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "yes", "1", "on"):
@@ -154,24 +162,24 @@ _SCHEMA: dict[str, dict[str, tuple[str, callable]]] = {
     "run": {"seed": ("seed", int)},
     "schedule": {
         "steps": ("schedule_steps", int),
-        "beta_start": ("beta_start", float),
-        "beta_end": ("beta_end", float),
+        "beta_start": ("beta_start", _float),
+        "beta_end": ("beta_end", _float),
     },
     "guidance": {
         "mode": ("guidance_mode", _choice(GUIDANCE_MODES)),
-        "lambda": ("guidance_lambda", float),
-        "gamma1": ("gamma1", float),
-        "gamma2": ("gamma2", float),
+        "lambda": ("guidance_lambda", _float),
+        "gamma1": ("gamma1", _float),
+        "gamma2": ("gamma2", _float),
         "grad2_source": ("grad2_source", _choice(ALIGNMENT_KINDS)),
         "reverse_variance": ("reverse_variance", _choice(VARIANCE_MODES)),
     },
     "loss": {
-        "lambda1": ("lambda1", float),
-        "lambda2": ("lambda2", float),
+        "lambda1": ("lambda1", _float),
+        "lambda2": ("lambda2", _float),
         "embed_source": ("embed_source", _choice(EMBED_SOURCES)),
     },
     "optimizer": {
-        "learning_rate": ("learning_rate", float),
+        "learning_rate": ("learning_rate", _float),
         "steps": ("train_steps", int),
         "linear_decay": ("linear_decay", _bool),
         "t_min": ("train_t_min", int),
@@ -179,18 +187,18 @@ _SCHEMA: dict[str, dict[str, tuple[str, callable]]] = {
     "augment": {
         "rotation": ("rotation", _bool),
         "hflip": ("hflip", _bool),
-        "probability": ("augment_probability", float),
+        "probability": ("augment_probability", _float),
     },
     "synthesis": {
         "method": ("synth_method", _choice(METHODS)),
-        "beta_direct_min": ("beta_direct_min", float),
-        "beta_direct_max": ("beta_direct_max", float),
-        "beta_backscatter_min": ("beta_backscatter_min", float),
-        "beta_backscatter_max": ("beta_backscatter_max", float),
-        "veil_min": ("veil_min", float),
-        "veil_max": ("veil_max", float),
-        "depth_min": ("depth_min", float),
-        "depth_max": ("depth_max", float),
+        "beta_direct_min": ("beta_direct_min", _float),
+        "beta_direct_max": ("beta_direct_max", _float),
+        "beta_backscatter_min": ("beta_backscatter_min", _float),
+        "beta_backscatter_max": ("beta_backscatter_max", _float),
+        "veil_min": ("veil_min", _float),
+        "veil_max": ("veil_max", _float),
+        "depth_min": ("depth_min", _float),
+        "depth_max": ("depth_max", _float),
         "wavelength_realistic": ("wavelength_realistic", _bool),
     },
     "classifier": {
@@ -200,8 +208,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, callable]]] = {
         "token_width": ("token_width", int),
         "text_hidden": ("text_hidden", int),
         "epochs": ("prompt_epochs", int),
-        "learning_rate": ("prompt_learning_rate", float),
-        "holdout_fraction": ("holdout_fraction", float),
+        "learning_rate": ("prompt_learning_rate", _float),
+        "holdout_fraction": ("holdout_fraction", _float),
     },
     "denoiser": {"width": ("denoiser_width", int)},
     "metrics": {

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .diffusion import NoiseSchedule
+from .diffusion import NoiseSchedule, stream_rng
 from .errors import ParameterError
 
 
@@ -26,7 +26,7 @@ class ConditionalDenoiser:
         if width < 1:
             raise ParameterError(f"width must be >= 1, got {width}")
         self.width = width
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), 77])))
+        rng = stream_rng(seed, 77)
         in_ch = 8  # x_t (3) + condition (3) + timestep features (2)
         self.w1 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(in_ch * 9), (width, in_ch, 3, 3)), requires_grad=True)
         self.b1 = Tensor(np.zeros(width), requires_grad=True)

@@ -197,11 +197,13 @@ def diffusion_loss(eps: np.ndarray, eps_hat: np.ndarray) -> float:
     return float(np.mean((eps - eps_hat) ** 2))
 
 
-def trajectory_rng(seed: int, trajectory_index: int) -> np.random.Generator:
-    """Counter-based per-trajectory generator; (seed, index) fixes the stream."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([int(seed), int(trajectory_index)]))
-    )
+def stream_rng(seed: int, key: int) -> np.random.Generator:
+    """Counter-based Philox generator for stream `key` of run `seed`.
+
+    The (seed, key) pair alone fixes every draw, so results do not depend on
+    the order in which images, trajectories or models are processed.
+    """
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), int(key)])))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DimensionLimitError,
+    ParameterError,
     TruncatedFileError,
     UnsupportedFormatError,
 )
@@ -22,6 +23,7 @@ from .images import RgbImage
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _MAX_DIMENSION = 1 << 24
+_IMAGE_EXTENSIONS = (".png", ".ppm")
 
 
 def _check_dimensions(width: int, height: int) -> None:
@@ -250,6 +252,22 @@ def load_image(path) -> RgbImage:
     if blob.startswith(b"P6"):
         return decode_ppm(blob)
     raise UnsupportedFormatError(f"{os.fspath(path)!r}: unrecognized image format")
+
+
+def list_images(directory) -> list[str]:
+    """Sorted names of the .png/.ppm files in directory.
+
+    A missing path, a non-directory and a directory without images each raise
+    ParameterError naming the directory.
+    """
+    directory = os.fspath(directory)
+    if not os.path.isdir(directory):
+        reason = "not a directory" if os.path.exists(directory) else "no such directory"
+        raise ParameterError(f"{reason}: {directory!r}")
+    names = sorted(n for n in os.listdir(directory) if n.lower().endswith(_IMAGE_EXTENSIONS))
+    if not names:
+        raise ParameterError(f"no images (.png/.ppm) found in {directory!r}")
+    return names
 
 
 def save_image(img: RgbImage, path, bit_depth: int = 8) -> None:

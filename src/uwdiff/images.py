@@ -41,53 +41,36 @@ def _as_pixels(data, width: int, height: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RgbImage:
+class _Raster:
+    """H x W x 3 float64 raster; the subclasses say which color space it holds."""
+
+    width: int
+    height: int
+    data: np.ndarray
+
+    def __post_init__(self):
+        if self.width <= 0 or self.height <= 0:
+            raise EmptyImageError(f"image size {self.width}x{self.height}")
+        object.__setattr__(self, "data", _as_pixels(self.data, self.width, self.height))
+
+    @classmethod
+    def from_array(cls, data):
+        arr = np.asarray(data, dtype=np.float64)
+        if arr.ndim != 3 or arr.shape[2] != 3 or arr.shape[0] == 0 or arr.shape[1] == 0:
+            raise EmptyImageError(f"expected a nonempty HxWx3 array, got shape {arr.shape}")
+        return cls(width=arr.shape[1], height=arr.shape[0], data=arr)
+
+    @property
+    def pixel_count(self) -> int:
+        return self.width * self.height
+
+
+class RgbImage(_Raster):
     """H x W x 3 sRGB raster, float64, nominal range [0, 1]."""
 
-    width: int
-    height: int
-    data: np.ndarray
 
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise EmptyImageError(f"image size {self.width}x{self.height}")
-        object.__setattr__(self, "data", _as_pixels(self.data, self.width, self.height))
-
-    @classmethod
-    def from_array(cls, data) -> "RgbImage":
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[2] != 3 or arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise EmptyImageError(f"expected a nonempty HxWx3 array, got shape {arr.shape}")
-        return cls(width=arr.shape[1], height=arr.shape[0], data=arr)
-
-    @property
-    def pixel_count(self) -> int:
-        return self.width * self.height
-
-
-@dataclass(frozen=True)
-class LabImage:
+class LabImage(_Raster):
     """H x W x 3 CIELAB raster (L*, a*, b*), float64."""
-
-    width: int
-    height: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise EmptyImageError(f"image size {self.width}x{self.height}")
-        object.__setattr__(self, "data", _as_pixels(self.data, self.width, self.height))
-
-    @classmethod
-    def from_array(cls, data) -> "LabImage":
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[2] != 3 or arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise EmptyImageError(f"expected a nonempty HxWx3 array, got shape {arr.shape}")
-        return cls(width=arr.shape[1], height=arr.shape[0], data=arr)
-
-    @property
-    def pixel_count(self) -> int:
-        return self.width * self.height
 
 
 @dataclass(frozen=True)

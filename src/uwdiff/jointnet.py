@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .diffusion import stream_rng
 from .errors import ParameterError, ShapeMismatchError, TrainingDivergedError
 from .images import RgbImage
 
@@ -40,42 +41,6 @@ class PromptTensor:
         if not np.all(np.isfinite(arr)):
             raise ParameterError("prompt tokens must be finite")
         object.__setattr__(self, "tokens", arr)
-
-
-@dataclass(frozen=True)
-class FeatureMap:
-    values: np.ndarray  # (C, H', W')
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 3 or min(arr.shape) < 1:
-            raise ParameterError(f"feature map must be (C, H, W), got shape {arr.shape}")
-        object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True)
-class AttentionMask:
-    values: np.ndarray  # (1, H', W') in [0, 1]
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[0] != 1:
-            raise ParameterError(f"attention mask must be (1, H, W), got shape {arr.shape}")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ParameterError("attention mask values must lie in [0, 1]")
-        object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True)
-class Embedding:
-    vector: np.ndarray
-    normalized: bool = True
-
-    def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=np.float64).reshape(-1)
-        if self.normalized and abs(np.linalg.norm(vec) - 1.0) > 1e-6:
-            raise ParameterError("embedding flagged normalized must have unit L2 norm")
-        object.__setattr__(self, "vector", vec)
 
 
 @dataclass(frozen=True)
@@ -130,7 +95,7 @@ class JointNetParams:
 
 def init_params(config: JointNetConfig, seed: int) -> JointNetParams:
     """Deterministic random initialization; weights scale like 1/sqrt(fan_in)."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), 74])))
+    rng = stream_rng(seed, 74)
     params = JointNetParams(config=config)
     in_ch = 3
     for out_ch in config.conv_channels():
@@ -156,7 +121,7 @@ def init_params(config: JointNetConfig, seed: int) -> JointNetParams:
 
 def init_prompts(config: JointNetConfig, seed: int) -> tuple[PromptTensor, PromptTensor]:
     """Prompt pair initialized with small uniform noise from the run seed."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), 75])))
+    rng = stream_rng(seed, 75)
     shape = (config.token_count, config.token_width)
     return (
         PromptTensor(rng.uniform(-0.01, 0.01, shape)),
@@ -165,7 +130,7 @@ def init_prompts(config: JointNetConfig, seed: int) -> tuple[PromptTensor, Promp
 
 
 # ---------------------------------------------------------------------------
-# Graph builders (autodiff); public wrappers below return plain containers
+# Graph builders (autodiff); the entry points below return plain unit vectors
 # ---------------------------------------------------------------------------
 
 
@@ -203,6 +168,14 @@ def embed_image_graph(x: Tensor, params: JointNetParams) -> Tensor:
     return pool_graph(features * mask, params)
 
 
+def prompt_graph(tokens: Tensor, params: JointNetParams) -> Tensor:
+    """Token-wise linear map, mean over positions, projection, normalization."""
+    mixed = ad.tanh(ad.matmul(tokens, Tensor(params.token_weight.data.T)) + params.token_bias)
+    pooled = ad.tmean(mixed, axis=0)
+    projected = ad.matmul(params.text_weight, pooled) + params.text_bias
+    return normalize_graph(projected)
+
+
 def _chw(img: RgbImage) -> np.ndarray:
     return np.ascontiguousarray(img.data.transpose(2, 0, 1))
 
@@ -213,89 +186,46 @@ def _require_min_size(height: int, width: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Public operations
+# Validated entry points: inputs from outside the program, unit vectors out
 # ---------------------------------------------------------------------------
 
 
-def encode_image(img: RgbImage, params: JointNetParams) -> FeatureMap:
-    """Deterministic forward pass of the strided conv encoder."""
-    _require_min_size(img.height, img.width)
-    return FeatureMap(encode_graph(Tensor(_chw(img)), params).data)
-
-
-def attention_mask(features: FeatureMap, params: JointNetParams) -> AttentionMask:
-    """1x1 convolution over channels squashed through a logistic, so in [0, 1]."""
-    if features.values.shape[0] != params.config.width:
-        raise ShapeMismatchError(
-            f"feature channels {features.values.shape[0]} != configured width {params.config.width}"
-        )
-    return AttentionMask(attention_graph(Tensor(features.values), params).data)
-
-
-def apply_attention(features: FeatureMap, mask: AttentionMask) -> FeatureMap:
-    """Broadcast the 1-channel mask across feature channels, elementwise."""
-    if features.values.shape[1:] != mask.values.shape[1:]:
-        raise ShapeMismatchError(
-            f"spatial dims differ: {features.values.shape[1:]} vs {mask.values.shape[1:]}"
-        )
-    return FeatureMap(features.values * mask.values)
-
-
-def global_average(features: FeatureMap) -> np.ndarray:
-    """Spatial mean per channel (the pooled vector before projection)."""
-    return features.values.mean(axis=(1, 2))
-
-
-def attention_pool(attended: FeatureMap, params: JointNetParams) -> Embedding:
-    """Average pool, project to the joint dimension, L2-normalize."""
-    return Embedding(pool_graph(Tensor(attended.values), params).data)
-
-
-def prompt_graph(tokens: Tensor, params: JointNetParams) -> Tensor:
-    """Token-wise linear map, mean over positions, projection, normalization."""
-    mixed = ad.tanh(ad.matmul(tokens, Tensor(params.token_weight.data.T)) + params.token_bias)
-    pooled = ad.tmean(mixed, axis=0)
-    projected = ad.matmul(params.text_weight, pooled) + params.text_bias
-    return normalize_graph(projected)
-
-
-def encode_prompt(prompt: PromptTensor, params: JointNetParams) -> Embedding:
+def encode_prompt(prompt: PromptTensor, params: JointNetParams) -> np.ndarray:
+    """Unit text embedding of a prompt whose token width must match the classifier."""
     if prompt.tokens.shape[1] != params.config.token_width:
         raise ShapeMismatchError(
             f"prompt width {prompt.tokens.shape[1]} != configured {params.config.token_width}"
         )
-    return Embedding(prompt_graph(Tensor(prompt.tokens), params).data)
+    return prompt_graph(Tensor(prompt.tokens), params).data
 
 
-def embed_image(img: RgbImage, params: JointNetParams) -> Embedding:
+def embed_image(img: RgbImage, params: JointNetParams) -> np.ndarray:
+    """Unit image embedding; the strided encoder needs at least 8x8 pixels."""
     _require_min_size(img.height, img.width)
-    return Embedding(embed_image_graph(Tensor(_chw(img)), params).data)
+    return embed_image_graph(Tensor(_chw(img)), params).data
 
 
-def _require_normalized(*embeddings: Embedding) -> None:
-    for emb in embeddings:
-        if not emb.normalized or abs(np.linalg.norm(emb.vector) - 1.0) > 1e-6:
-            raise ParameterError("embeddings must be L2-normalized")
+# ---------------------------------------------------------------------------
+# Classifier scores and the prompt loss
+# ---------------------------------------------------------------------------
 
 
-def predict_prob(phi: Embedding, theta_n: Embedding, theta_u: Embedding) -> tuple[float, float]:
-    """(P_natural, P_underwater): softmax over exp(cosine) against both prompts."""
-    _require_normalized(phi, theta_n, theta_u)
-    cos_n = float(theta_n.vector @ phi.vector)
-    cos_u = float(theta_u.vector @ phi.vector)
-    p_n = 1.0 / (1.0 + np.exp(cos_u - cos_n))
-    return p_n, 1.0 - p_n
+def prompt_logits(phis: Tensor, theta_n: Tensor, theta_u: Tensor) -> Tensor:
+    """Natural-vs-underwater logit per embedding row: cos(phi, theta_n) - cos(phi, theta_u).
+
+    Its sigmoid is P_natural, the two-way softmax over exp(cosine) scores.
+    """
+    return ad.matmul(phis, theta_n) - ad.matmul(phis, theta_u)
 
 
-def prompt_loss(p_natural: float, label: int) -> float:
-    """Binary cross-entropy against label 1 = in-air natural, 0 = underwater."""
-    p = min(max(p_natural, _PROB_EPS), 1.0 - _PROB_EPS)
-    return -(label * np.log(p) + (1 - label) * np.log(1.0 - p))
+def prompt_bce_graph(p_natural: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy against label 1 = in-air natural, 0 = underwater.
 
-
-def classifier_alignment(phi_g: Embedding, theta_n: Embedding, theta_u: Embedding) -> float:
-    """Softmax mass on the underwater prompt; equals P_u from predict_prob."""
-    return predict_prob(phi_g, theta_n, theta_u)[1]
+    Probabilities are clamped to [1e-7, 1 - 1e-7] so the loss stays finite.
+    """
+    p_n = ad.clip(p_natural, _PROB_EPS, 1.0 - _PROB_EPS)
+    q = np.asarray(labels, dtype=np.float64)
+    return -ad.tmean(Tensor(q) * ad.log(p_n) + Tensor(1.0 - q) * ad.log(1.0 - p_n))
 
 
 def alignment_graph(
@@ -349,16 +279,6 @@ class PromptTrainResult:
     holdout_count: int
 
 
-def _adam_step(param: Tensor, state: dict, lr: float, step: int) -> None:
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    grad = param.grad if param.grad is not None else np.zeros_like(param.data)
-    state["m"] = beta1 * state["m"] + (1 - beta1) * grad
-    state["v"] = beta2 * state["v"] + (1 - beta2) * grad**2
-    m_hat = state["m"] / (1 - beta1**step)
-    v_hat = state["v"] / (1 - beta2**step)
-    param.data = param.data - lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
 def train_prompts(
     dataset, params: JointNetParams, config: PromptTrainConfig
 ) -> PromptTrainResult:
@@ -371,47 +291,38 @@ def train_prompts(
     labels = np.array([int(lbl) for _, lbl in dataset])
     if labels.size < 2 or len(set(labels.tolist())) < 2:
         raise ParameterError("prompt training needs samples from both classes")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(config.seed), 76])))
+    rng = stream_rng(config.seed, 76)
     order = rng.permutation(labels.size)
     n_holdout = max(1, int(round(config.holdout_fraction * labels.size)))
     holdout_idx, train_idx = order[:n_holdout], order[n_holdout:]
     if len(set(labels[train_idx].tolist())) < 2:
         raise ParameterError("training split lost one class; lower holdout_fraction")
 
-    phis = np.stack([embed_image(img, params).vector for img, _ in dataset])
+    phis = np.stack([embed_image(img, params) for img, _ in dataset])
     train_phi = Tensor(phis[train_idx])
     train_q = labels[train_idx].astype(np.float64)
 
     init_n, init_u = init_prompts(params.config, config.seed)
     t_n = Tensor(init_n.tokens.copy(), requires_grad=True)
     t_u = Tensor(init_u.tokens.copy(), requires_grad=True)
-    states = [{"m": np.zeros_like(t.data), "v": np.zeros_like(t.data)} for t in (t_n, t_u)]
+    adam = ad.Adam([t_n, t_u])
 
     losses: list[float] = []
     for epoch in range(1, config.epochs + 1):
-        theta_n = prompt_graph(t_n, params)
-        theta_u = prompt_graph(t_u, params)
-        logits = ad.matmul(train_phi, theta_n) - ad.matmul(train_phi, theta_u)
-        p_n = ad.clip(ad.sigmoid(logits), _PROB_EPS, 1.0 - _PROB_EPS)
-        loss = -ad.tmean(
-            Tensor(train_q) * ad.log(p_n) + Tensor(1.0 - train_q) * ad.log(1.0 - p_n)
-        )
+        logits = prompt_logits(train_phi, prompt_graph(t_n, params), prompt_graph(t_u, params))
+        loss = prompt_bce_graph(ad.sigmoid(logits), train_q)
         value = loss.item()
         if not np.isfinite(value) or (losses and value > config.divergence_factor * losses[0]):
             raise TrainingDivergedError(f"prompt training diverged at epoch {epoch}: loss {value}")
         losses.append(value)
         loss.backward()
-        for tensor, state in zip((t_n, t_u), states):
-            _adam_step(tensor, state, config.learning_rate, epoch)
+        adam.step(config.learning_rate)
 
     prompt_n = PromptTensor(t_n.data)
     prompt_u = PromptTensor(t_u.data)
-    theta_n = encode_prompt(prompt_n, params)
-    theta_u = encode_prompt(prompt_u, params)
-    correct = 0
-    for i in holdout_idx:
-        p_n, _ = predict_prob(Embedding(phis[i]), theta_n, theta_u)
-        correct += int((p_n >= 0.5) == bool(labels[i]))
+    theta_n, theta_u = (Tensor(encode_prompt(p, params)) for p in (prompt_n, prompt_u))
+    p_natural = ad.sigmoid(prompt_logits(Tensor(phis[holdout_idx]), theta_n, theta_u)).data
+    correct = int(np.sum((p_natural >= 0.5) == labels[holdout_idx].astype(bool)))
     accuracy = correct / len(holdout_idx)
 
     window = min(config.trend_window, max(len(losses) // 2, 1))

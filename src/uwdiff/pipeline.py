@@ -19,11 +19,11 @@ from .diffusion import (
     NoiseSchedule,
     guided_noise_prediction,
     reverse_step,
-    trajectory_rng,
+    stream_rng,
 )
 from .errors import ParameterError, ShapeMismatchError
 from .images import RgbImage
-from .imageio import load_image, save_image
+from .imageio import list_images, load_image, save_image
 from .jointnet import (
     JointNetParams,
     PromptTensor,
@@ -78,8 +78,8 @@ def joint_context_from_checkpoint(path, grad_kind: str = "alignment") -> JointCo
     params, prompt_n, prompt_u, _ = load_prompts_checkpoint(path)
     return JointContext(
         params=params,
-        theta_natural=encode_prompt(prompt_n, params).vector,
-        theta_underwater=encode_prompt(prompt_u, params).vector,
+        theta_natural=encode_prompt(prompt_n, params),
+        theta_underwater=encode_prompt(prompt_u, params),
         grad_kind=grad_kind,
     )
 
@@ -137,7 +137,7 @@ def enhance_image(
     variance: str = "beta",
 ) -> RgbImage:
     """Run the full conditional reverse chain for one degraded image."""
-    rng = rng if rng is not None else trajectory_rng(0, 0)
+    rng = rng if rng is not None else stream_rng(0, 0)
     condition = to_model_space(degraded)
     x = rng.standard_normal(condition.shape)
     zeros = np.zeros_like(x)
@@ -165,17 +165,13 @@ def enhance_directory(
     progress=None,
 ) -> list[str]:
     """Enhance every image in input_dir; per-image generators come from (seed, index)."""
-    names = sorted(
-        n for n in os.listdir(os.fspath(input_dir)) if n.lower().endswith((".png", ".ppm"))
-    )
-    if not names:
-        raise ParameterError(f"no images (.png/.ppm) found in {os.fspath(input_dir)!r}")
+    names = list_images(input_dir)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for index, name in enumerate(names):
         img = load_image(os.path.join(os.fspath(input_dir), name))
         enhanced = enhance_image(
-            img, model, sched, guidance, context, trajectory_rng(seed, index), variance
+            img, model, sched, guidance, context, stream_rng(seed, index), variance
         )
         out_path = os.path.join(os.fspath(out_dir), os.path.splitext(name)[0] + ".png")
         save_image(enhanced, out_path)

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diffusion import stream_rng
 from .errors import ParameterError, TruncatedFileError, UnsupportedFormatError
 from .images import ChannelStats, LabImage, RgbImage, channel_stats, lab_to_srgb, srgb_to_lab
-from .imageio import load_image, save_image
+from .imageio import list_images, load_image, save_image
 
 _SIGMA_FLOOR = 1e-8
-_IMAGE_EXTENSIONS = (".png", ".ppm")
 
 METHODS = ("color_transfer", "scatter")
 
@@ -111,7 +111,7 @@ class TemplatePool:
     @classmethod
     def from_dir(cls, template_dir) -> "TemplatePool":
         stats, sources, skipped = [], [], []
-        for name in _list_images(template_dir):
+        for name in list_images(template_dir):
             path = os.path.join(os.fspath(template_dir), name)
             try:
                 img = load_image(path)
@@ -229,23 +229,6 @@ class DatasetManifest:
         return manifest
 
 
-def _list_images(directory) -> list[str]:
-    directory = os.fspath(directory)
-    if not os.path.isdir(directory):
-        raise ParameterError(f"not a directory: {directory!r}")
-    names = sorted(
-        n for n in os.listdir(directory) if n.lower().endswith(_IMAGE_EXTENSIONS)
-    )
-    if not names:
-        raise ParameterError(f"no images (.png/.ppm) found in {directory!r}")
-    return names
-
-
-def image_rng(global_seed: int, image_index: int) -> np.random.Generator:
-    """Counter-based generator derived from (seed, index); order-independent."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(global_seed), int(image_index)])))
-
-
 def synthesize_dataset(
     clean_dir,
     template_dir,
@@ -258,15 +241,15 @@ def synthesize_dataset(
     """Degrade every image in clean_dir and write pairs plus a manifest.
 
     One template is drawn per clean image from a generator keyed by
-    (seed, image index), so reruns and parallel execution reproduce the same
-    assignments. Undecodable inputs are skipped and recorded in the manifest.
-    Returns the manifest, which is also written to out_dir/manifest.tsv.
+    (seed, image index), so reruns reproduce the same assignments whatever
+    order the images are processed in. Undecodable inputs are skipped and
+    recorded in the manifest. Returns the manifest, which is also written to out_dir/manifest.tsv.
     """
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
     ranges = ranges or ScatterRanges()
     pool = TemplatePool.from_dir(template_dir)
-    clean_names = _list_images(clean_dir)
+    clean_names = list_images(clean_dir)
     out_dir = os.fspath(out_dir)
     degraded_dir = os.path.join(out_dir, "degraded")
     os.makedirs(degraded_dir, exist_ok=True)
@@ -286,7 +269,7 @@ def synthesize_dataset(
                 warn(f"skipping {clean_path}: {exc}")
             manifest.skipped.append((clean_path, str(exc)))
             continue
-        rng = image_rng(seed, index)
+        rng = stream_rng(seed, index)
         template_index = int(rng.integers(0, len(pool)))
         if method == "color_transfer":
             degraded = lab_to_srgb(color_transfer(srgb_to_lab(clean), pool.stats[template_index]))

@@ -17,17 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-from .diffusion import GuidanceConfig, NoiseSchedule, forward_sample
+from .autodiff import Adam, Tensor
+from .diffusion import GuidanceConfig, NoiseSchedule, forward_sample, stream_rng
 from .errors import ParameterError, ShapeMismatchError, TrainingDivergedError
 from .images import RgbImage
-from .jointnet import Embedding, JointNetParams, alignment_pixel_grad, embed_image_graph
+from .jointnet import JointNetParams, alignment_pixel_grad, embed_image_graph
 
 EMBED_SOURCES = ("x0_hat", "x_t")
-
-_ADAM_BETA1 = 0.9
-_ADAM_BETA2 = 0.999
-_ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -44,15 +40,12 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = "adam"
     learning_rate: float = 1e-3
     total_steps: int = 200
     linear_decay: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if self.method != "adam":
-            raise ParameterError(f"unsupported optimizer method {self.method!r}")
         if self.learning_rate < 0:
             raise ParameterError("learning rate must be >= 0")
         if self.total_steps < 1:
@@ -77,35 +70,28 @@ def applied_lr(base: float, step: int, total_steps: int, linear_decay: bool = Tr
     return base * (1.0 - (step - 1) / total_steps)
 
 
-def scheduled_lr(base: float, step: int, total_steps: int) -> float:
-    """Scheduler state after `step` updates: base * (1 - step/total), 0 at the end."""
-    return base * (1.0 - step / total_steps)
-
-
-def embedding_distance(a: Embedding, b: Embedding) -> float:
-    """Cosine distance in the joint space: 1 - cos, in [0, 2] for unit vectors."""
-    return 1.0 - float(a.vector @ b.vector)
-
-
 def composite_loss(
     eps: np.ndarray,
-    eps_hat: np.ndarray,
-    emb_gen: Embedding,
-    emb_target: Embedding,
+    eps_prime: Tensor,
+    emb_gen: Tensor | None,
+    emb_target: np.ndarray | None,
     weights: LossWeights,
-) -> tuple[float, float, float]:
-    """(total, l1_term, semantic_term) with total = lambda1*l1 + lambda2*semantic."""
-    eps = np.asarray(eps, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    if eps.shape != eps_hat.shape:
-        raise ShapeMismatchError(f"noise shapes differ: {eps.shape} vs {eps_hat.shape}")
-    for emb in (emb_gen, emb_target):
-        if not emb.normalized or abs(np.linalg.norm(emb.vector) - 1.0) > 1e-6:
-            raise ParameterError("composite_loss expects normalized embeddings")
-    l1_term = float(np.mean(np.abs(eps - eps_hat)))
-    semantic_term = embedding_distance(emb_gen, emb_target)
-    total = weights.lambda1 * l1_term + weights.lambda2 * semantic_term
-    return total, l1_term, semantic_term
+) -> tuple[Tensor, Tensor, Tensor]:
+    """(total, l1_term, semantic_term) graphs, total = lambda1*l1 + lambda2*semantic.
+
+    l1 is the mean absolute noise error and semantic the cosine distance
+    1 - <emb_gen, emb_target> between unit embeddings. With lambda2 = 0 the
+    embeddings are not needed (pass None) and the semantic term is 0.
+    """
+    if np.shape(eps) != eps_prime.shape:
+        raise ShapeMismatchError(f"noise shapes differ: {np.shape(eps)} vs {eps_prime.shape}")
+    l1 = ad.tmean(ad.absolute(Tensor(eps) - eps_prime))
+    if weights.lambda2 > 0:
+        semantic = 1.0 - ad.dot(emb_gen, Tensor(emb_target))
+    else:
+        semantic = Tensor(np.array(0.0))
+    total = weights.lambda1 * l1 + weights.lambda2 * semantic
+    return total, l1, semantic
 
 
 # ---------------------------------------------------------------------------
@@ -136,31 +122,6 @@ def augment(img: RgbImage, cfg: AugmentationConfig, rng: np.random.Generator) ->
     flip, quarters = _draw_transform(cfg, rng)
     out = _apply_transform(img.data, flip, quarters)
     return RgbImage(out.shape[1], out.shape[0], out)
-
-
-# ---------------------------------------------------------------------------
-# Optimizer
-# ---------------------------------------------------------------------------
-
-
-class Adam:
-    """Adam with the conventional (0.9, 0.999, 1e-8) moment constants."""
-
-    def __init__(self, params: list[Tensor]):
-        self.params = params
-        self.step_count = 0
-        self._m = [np.zeros_like(p.data) for p in params]
-        self._v = [np.zeros_like(p.data) for p in params]
-
-    def step(self, lr: float) -> None:
-        self.step_count += 1
-        for i, p in enumerate(self.params):
-            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self._m[i] = _ADAM_BETA1 * self._m[i] + (1 - _ADAM_BETA1) * grad
-            self._v[i] = _ADAM_BETA2 * self._v[i] + (1 - _ADAM_BETA2) * grad**2
-            m_hat = self._m[i] / (1 - _ADAM_BETA1**self.step_count)
-            v_hat = self._v[i] / (1 - _ADAM_BETA2**self.step_count)
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +216,7 @@ def fine_tune(
     if not (1 <= t_lo <= t_hi <= sched.steps):
         raise ParameterError(f"t_range {t_range} outside 1..{sched.steps}")
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(optimizer.seed), 78])))
+    rng = stream_rng(optimizer.seed, 78)
     adam = Adam(model.parameters())
     result = FineTuneResult(model=model)
 
@@ -294,17 +255,15 @@ def fine_tune(
 
         x_t_tensor = Tensor(x_t)
         eps_prime = model.noise_graph(x_t_tensor, condition, t, sched) - Tensor(offset)
-        l1 = ad.tmean(ad.absolute(Tensor(eps) - eps_prime))
+        emb_gen = emb_target = None
         if weights.lambda2 > 0:
             if embed_source == "x0_hat":
                 source = (x_t_tensor - root * eps_prime) * (1.0 / math.sqrt(ab))
             else:
                 source = x_t_tensor
             emb_gen = embed_image_graph((source + 1.0) * 0.5, context.params)
-            semantic = 1.0 - ad.dot(emb_gen, Tensor(target_embedding(index, x0)))
-        else:
-            semantic = Tensor(np.array(0.0))
-        total = weights.lambda1 * l1 + weights.lambda2 * semantic
+            emb_target = target_embedding(index, x0)
+        total, l1, semantic = composite_loss(eps, eps_prime, emb_gen, emb_target, weights)
 
         value = total.item()
         if not math.isfinite(value):
@@ -359,7 +318,7 @@ def grad_check(
             continue
         grads[name] = grad.copy()
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), 79])))
+    rng = stream_rng(seed, 79)
     for name, tensor in params.items():
         if name not in grads:
             continue

@@ -25,8 +25,9 @@ from .diffusion import (
     reverse_step,
     sample_terminal,
     score_from_noise,
+    stream_rng,
 )
-from .jointnet import Embedding, JointNetConfig, embed_image_graph, init_params
+from .jointnet import JointNetConfig, embed_image_graph, init_params
 from .training import LossWeights, composite_loss, grad_check
 
 
@@ -35,10 +36,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), stream])))
 
 
 def check_schedule_shape(sched: NoiseSchedule) -> CheckResult:
@@ -57,7 +54,7 @@ def check_schedule_shape(sched: NoiseSchedule) -> CheckResult:
 
 
 def check_forward_marginal(sched: NoiseSchedule, seed: int) -> CheckResult:
-    rng = _rng(seed, 1)
+    rng = stream_rng(seed, 1)
     n = 100_000
     x0 = 0.7
     t = sched.steps // 2
@@ -79,7 +76,7 @@ def check_forward_marginal(sched: NoiseSchedule, seed: int) -> CheckResult:
 
 def check_score_identity(sched: NoiseSchedule, seed: int) -> CheckResult:
     world = AnalyticGaussianWorld(mu0=0.3, var0=1.7, var_y=0.5)
-    rng = _rng(seed, 2)
+    rng = stream_rng(seed, 2)
     worst = 0.0
     for t in (1, sched.steps // 3, sched.steps):
         x = rng.standard_normal(64) * 2.0
@@ -91,7 +88,7 @@ def check_score_identity(sched: NoiseSchedule, seed: int) -> CheckResult:
 
 
 def check_guidance_algebra(sched: NoiseSchedule, seed: int) -> CheckResult:
-    rng = _rng(seed, 3)
+    rng = stream_rng(seed, 3)
     worst = 0.0
     for _ in range(1000):
         t = int(rng.integers(1, sched.steps + 1))
@@ -106,7 +103,7 @@ def check_guidance_algebra(sched: NoiseSchedule, seed: int) -> CheckResult:
 
 
 def check_guidance_linearity(sched: NoiseSchedule, seed: int) -> CheckResult:
-    rng = _rng(seed, 4)
+    rng = stream_rng(seed, 4)
     t = max(sched.steps // 2, 1)
     cfg = GuidanceConfig(mode="gamma_pair", gamma1=0.7, gamma2=1.3)
     eps_theta = rng.standard_normal(8)
@@ -126,7 +123,7 @@ def check_posterior_recovery(sched: NoiseSchedule, seed: int) -> CheckResult:
     n = 10_000
     y = 2.0
     samples = sample_terminal(
-        world, sched, n, _rng(seed, 5), observations=(y,),
+        world, sched, n, stream_rng(seed, 5), observations=(y,),
         cfg=GuidanceConfig(mode="lambda_blend", lam=1.0),
     )
     want_mean, want_var = world.posterior(y)
@@ -146,7 +143,7 @@ def check_posterior_recovery(sched: NoiseSchedule, seed: int) -> CheckResult:
 def check_prior_recovery(sched: NoiseSchedule, seed: int) -> CheckResult:
     world = AnalyticGaussianWorld(mu0=0.0, var0=1.0, var_y=0.5)
     n = 10_000
-    samples = sample_terminal(world, sched, n, _rng(seed, 6))
+    samples = sample_terminal(world, sched, n, stream_rng(seed, 6))
     se_mean = math.sqrt(1.0 / n)
     se_var = math.sqrt(2.0 / (n - 1))
     mean_err = abs(float(samples.mean()))
@@ -166,7 +163,7 @@ def check_lambda_preference(sched: NoiseSchedule, seed: int) -> CheckResult:
     means = []
     for i, lam in enumerate((0.9, 0.7, 0.5, 0.3, 0.1)):
         cfg = GuidanceConfig(mode="lambda_blend", lam=lam)
-        samples = sample_terminal(world, sched, n, _rng(seed, 7 + i), observations=(y1, y2), cfg=cfg)
+        samples = sample_terminal(world, sched, n, stream_rng(seed, 7 + i), observations=(y1, y2), cfg=cfg)
         means.append(float(samples.mean()))
     target = world.posterior(y2)[0]
     gaps = [abs(m - target) for m in means]
@@ -179,27 +176,27 @@ def check_lambda_preference(sched: NoiseSchedule, seed: int) -> CheckResult:
 
 
 def check_terminal_step_deterministic(sched: NoiseSchedule, seed: int) -> CheckResult:
-    rng = _rng(seed, 12)
+    rng = stream_rng(seed, 12)
     x = rng.standard_normal(16)
     eps = rng.standard_normal(16)
-    a = reverse_step(x, eps, 1, sched, _rng(seed, 13))
-    b = reverse_step(x, eps, 1, sched, _rng(seed, 14))
+    a = reverse_step(x, eps, 1, sched, stream_rng(seed, 13))
+    b = reverse_step(x, eps, 1, sched, stream_rng(seed, 14))
     ok = bool(np.array_equal(a, b))
     return CheckResult("terminal_step_deterministic", ok, "t=1 adds no noise")
 
 
 def check_loss_decomposition(seed: int) -> CheckResult:
-    rng = _rng(seed, 15)
+    rng = stream_rng(seed, 15)
     worst = 0.0
     for _ in range(200):
         eps = rng.standard_normal(12)
         eps_hat = rng.standard_normal(12)
         va = rng.standard_normal(6)
         vb = rng.standard_normal(6)
-        emb_a = Embedding(va / np.linalg.norm(va))
-        emb_b = Embedding(vb / np.linalg.norm(vb))
+        emb_a = Tensor(va / np.linalg.norm(va))
+        emb_b = vb / np.linalg.norm(vb)
         w = LossWeights(lambda1=float(rng.uniform(0.1, 1)), lambda2=float(rng.uniform(0.1, 1)))
-        total, l1, semantic = composite_loss(eps, eps_hat, emb_a, emb_b, w)
+        total, l1, semantic = (term.item() for term in composite_loss(eps, Tensor(eps_hat), emb_a, emb_b, w))
         worst = max(worst, abs(total - (w.lambda1 * l1 + w.lambda2 * semantic)))
     return CheckResult("loss_decomposition", worst < 1e-12, f"max decomposition gap {worst:.2e}")
 
@@ -207,7 +204,7 @@ def check_loss_decomposition(seed: int) -> CheckResult:
 def check_gradients(seed: int) -> CheckResult:
     config = JointNetConfig(width=8, embed_dim=4, token_count=5, token_width=4, text_hidden=6)
     params = init_params(config, seed)
-    rng = _rng(seed, 16)
+    rng = stream_rng(seed, 16)
     x = Tensor(rng.uniform(0, 1, (3, 16, 16)), requires_grad=True)
     target = rng.standard_normal(4)
     target /= np.linalg.norm(target)

@@ -22,18 +22,19 @@ from uwdiff.diffusion import (
     guided_noise_prediction,
     sample_terminal,
     score_from_noise,
-    trajectory_rng,
+    stream_rng,
 )
 from uwdiff.images import LabImage, RgbImage, channel_stats, lab_to_srgb, srgb_to_lab
 from uwdiff.imageio import save_image
 from uwdiff.jointnet import (
-    Embedding,
     JointNetConfig,
     PromptTrainConfig,
     embed_image,
     embed_image_graph,
     init_params,
+    prompt_bce_graph,
     prompt_graph,
+    prompt_logits,
     train_prompts,
 )
 from uwdiff.metrics import cpbd, psnr, ssim, uciqe, uiqm
@@ -155,7 +156,7 @@ def test_c04_posterior_recovery():
     n = 10_000
 
     guided = sample_terminal(
-        world, sched, n, trajectory_rng(104, 0), observations=(2.0,),
+        world, sched, n, stream_rng(104, 0), observations=(2.0,),
         cfg=GuidanceConfig(mode="lambda_blend", lam=1.0),
     )
     want_mean, want_var = world.posterior(2.0)  # 4/3 and 1/3
@@ -164,7 +165,7 @@ def test_c04_posterior_recovery():
     guided_mean_err = abs(float(guided.mean()) - want_mean)
     guided_var_err = abs(float(guided.var()) - want_var)
 
-    prior = sample_terminal(world, sched, n, trajectory_rng(104, 1))
+    prior = sample_terminal(world, sched, n, stream_rng(104, 1))
     prior_mean_err = abs(float(prior.mean()))
     prior_var_err = abs(float(prior.var()) - 1.0)
     prior_se_mean = math.sqrt(1.0 / n)
@@ -224,7 +225,7 @@ def test_c06_lambda_preference_direction():
     means = []
     for i, lam in enumerate((0.9, 0.7, 0.5, 0.3, 0.1)):
         samples = sample_terminal(
-            world, sched, n, trajectory_rng(106, i), observations=(y1, y2),
+            world, sched, n, stream_rng(106, i), observations=(y1, y2),
             cfg=GuidanceConfig(mode="lambda_blend", lam=lam),
         )
         means.append(float(samples.mean()))
@@ -260,7 +261,7 @@ def test_c07_prompt_learning():
     params = init_params(config, 0)
     result = train_prompts(dataset, params, PromptTrainConfig(epochs=200, seed=0))
 
-    phis = np.stack([embed_image(img, params).vector for img, _ in dataset])
+    phis = np.stack([embed_image(img, params) for img, _ in dataset])
     labels = np.array([lbl for _, lbl in dataset])
     oracle_acc = logistic_accuracy(phis, labels)
     elapsed = time.time() - start
@@ -302,13 +303,11 @@ def test_c08_gradient_checks_every_path():
     # prompt softmax + BCE over both prompt tensors
     t_n = Tensor(gen.uniform(-0.5, 0.5, (5, 4)), requires_grad=True)
     t_u = Tensor(gen.uniform(-0.5, 0.5, (5, 4)), requires_grad=True)
-    phi_const = Tensor(target)
+    phi_const = Tensor(target[None, :])
 
     def bce_loss():
-        theta_n = prompt_graph(t_n, params)
-        theta_u = prompt_graph(t_u, params)
-        p_n = ad.sigmoid(ad.dot(phi_const, theta_n) - ad.dot(phi_const, theta_u))
-        return -ad.log(ad.clip(p_n, 1e-7, 1 - 1e-7))
+        logits = prompt_logits(phi_const, prompt_graph(t_n, params), prompt_graph(t_u, params))
+        return prompt_bce_graph(ad.sigmoid(logits), np.array([1.0]))
 
     report = grad_check(
         bce_loss, {"prompt_n": t_n, "prompt_u": t_u}, tolerance=1e-4, samples_per_group=12, seed=2
@@ -321,7 +320,7 @@ def test_c08_gradient_checks_every_path():
     model = ConditionalDenoiser(width=6, seed=3)
     condition = gen.uniform(-1, 1, (3, 16, 16))
     x_t_leaf = Tensor(gen.uniform(-1, 1, (3, 16, 16)), requires_grad=True)
-    eps_const = Tensor(gen.standard_normal((3, 16, 16)))
+    eps_const = gen.standard_normal((3, 16, 16))
     t_step = 120
     ab = sched.alpha_bar_at(t_step)
     emb_target = gen.standard_normal(4)
@@ -330,13 +329,11 @@ def test_c08_gradient_checks_every_path():
     def chain_loss(lambda1: float, lambda2: float):
         def loss():
             eps_prime = model.noise_graph(x_t_leaf, condition, t_step, sched)
-            l1 = ad.tmean(ad.absolute(eps_const - eps_prime))
-            if lambda2 == 0:
-                return lambda1 * l1
-            x0_hat = (x_t_leaf - math.sqrt(1 - ab) * eps_prime) * (1 / math.sqrt(ab))
-            emb_gen = embed_image_graph((x0_hat + 1.0) * 0.5, params)
-            semantic = 1.0 - ad.dot(emb_gen, Tensor(emb_target))
-            return lambda1 * l1 + lambda2 * semantic
+            emb_gen = None
+            if lambda2 > 0:
+                x0_hat = (x_t_leaf - math.sqrt(1 - ab) * eps_prime) * (1 / math.sqrt(ab))
+                emb_gen = embed_image_graph((x0_hat + 1.0) * 0.5, params)
+            return composite_loss(eps_const, eps_prime, emb_gen, emb_target, LossWeights(lambda1, lambda2))[0]
 
         return loss
 
@@ -376,13 +373,17 @@ def test_c09_composite_loss_decomposition():
         eps = gen.standard_normal(12)
         eps_hat = gen.standard_normal(12)
         va, vb = gen.standard_normal((2, 6))
-        emb_a = Embedding(va / np.linalg.norm(va))
-        emb_b = Embedding(vb / np.linalg.norm(vb))
-        total, l1, semantic = composite_loss(eps, eps_hat, emb_a, emb_b, LossWeights(0.6, 0.4))
+        emb_a = Tensor(va / np.linalg.norm(va))
+        emb_b = vb / np.linalg.norm(vb)
+
+        def terms(weights):
+            return [term.item() for term in composite_loss(eps, Tensor(eps_hat), emb_a, emb_b, weights)]
+
+        total, l1, semantic = terms(LossWeights(0.6, 0.4))
         worst = max(worst, abs(total - (0.6 * l1 + 0.4 * semantic)))
-        only_l1 = composite_loss(eps, eps_hat, emb_a, emb_b, LossWeights(0.7, 0.0))
+        only_l1 = terms(LossWeights(0.7, 0.0))
         worst = max(worst, abs(only_l1[0] - 0.7 * only_l1[1]))
-        only_sem = composite_loss(eps, eps_hat, emb_a, emb_b, LossWeights(0.0, 0.9))
+        only_sem = terms(LossWeights(0.0, 0.9))
         worst = max(worst, abs(only_sem[0] - 0.9 * only_sem[2]))
     ok = worst < 1e-12
     record_criterion("C9 loss decomposition", ok, f"max gap {worst:.2e} (weights 0.6/0.4)")
@@ -567,7 +568,7 @@ def test_c12_enhancement_improves_quality():
 
     psnr_degraded, psnr_enhanced, uciqe_degraded, uciqe_enhanced = [], [], [], []
     for i, (clean, degraded) in enumerate(test_pairs):
-        enhanced = enhance_image(degraded, model, sched, rng=trajectory_rng(112, i))
+        enhanced = enhance_image(degraded, model, sched, rng=stream_rng(112, i))
         psnr_degraded.append(psnr(degraded, clean))
         psnr_enhanced.append(psnr(enhanced, clean))
         uciqe_degraded.append(uciqe(degraded))

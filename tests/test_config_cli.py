@@ -7,9 +7,11 @@ import pytest
 from uwdiff.checkpoint import read_checkpoint, write_checkpoint
 from uwdiff.cli import main
 from uwdiff.config import RunConfig, load_config, parse_config_text, resolve_text
+from uwdiff.denoiser import ConditionalDenoiser
 from uwdiff.errors import ConfigError, TruncatedFileError, UnsupportedFormatError
 from uwdiff.images import RgbImage
 from uwdiff.imageio import save_image
+from uwdiff.pipeline import save_model_checkpoint
 
 
 class TestConfigParsing:
@@ -65,6 +67,17 @@ class TestConfigParsing:
         config = parse_config_text("# top\n\n[run]\n; note\nseed = 9\n")
         assert config.seed == 9
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "section, key", [("optimizer", "learning_rate"), ("guidance", "gamma2"), ("loss", "lambda1")]
+    )
+    def test_non_finite_float_exits_2_naming_file_line_and_key(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main(["verify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2" in err and f"{section}.{key}" in err
+
 
 class TestCheckpointFormat:
     def test_round_trip_preserves_tensors_and_echo(self, rng, tmp_path):
@@ -111,7 +124,40 @@ def _write_scene_dir(directory, count, seed, size=16):
         save_image(RgbImage.from_array(data), os.path.join(directory, f"s{i:02d}.png"))
 
 
+# every (subcommand, flag) that names a directory of images
+LISTED_DIRS = [
+    ("synth", "--clean"),
+    ("synth", "--templates"),
+    ("train-prompts", "--natural"),
+    ("train-prompts", "--underwater"),
+    ("enhance", "--input"),
+    ("eval", "--enhanced"),
+]
+
+
 class TestCliContract:
+    @pytest.mark.parametrize("bad", ["missing", "file", "empty"])
+    @pytest.mark.parametrize("command, flag", LISTED_DIRS)
+    def test_bad_image_directory_exits_2_naming_it(self, tmp_path, capsys, command, flag, bad):
+        imgs = tmp_path / "imgs"
+        _write_scene_dir(imgs, 2, 0)
+        model = tmp_path / "model.ckpt"
+        save_model_checkpoint(model, ConditionalDenoiser(width=RunConfig().denoiser_width), RunConfig())
+        inputs = {
+            "synth": {"--clean": imgs, "--templates": imgs},
+            "train-prompts": {"--natural": imgs, "--underwater": imgs},
+            "enhance": {"--input": imgs, "--model": model},
+            "eval": {"--enhanced": imgs},
+        }[command]
+        target = inputs[flag] = tmp_path / bad
+        if bad == "file":
+            target.write_bytes(b"not a directory")
+        elif bad == "empty":
+            os.makedirs(target)
+        args = [str(part) for pair in inputs.items() for part in pair]
+        assert main([command, *args, "--out", str(tmp_path / "out")]) == 2
+        assert str(target) in capsys.readouterr().err
+
     def test_synth_success_and_rerun_identical(self, tmp_path, capsys):
         _write_scene_dir(tmp_path / "clean", 3, 0)
         _write_scene_dir(tmp_path / "tpl", 1, 1)

@@ -17,7 +17,7 @@ from uwdiff.diffusion import (
     reverse_step,
     sample_terminal,
     score_from_noise,
-    trajectory_rng,
+    stream_rng,
 )
 from uwdiff.errors import ParameterError, ShapeMismatchError
 
@@ -87,7 +87,7 @@ class TestForwardSample:
     def test_marginal_matches_closed_form(self):
         sched = default_schedule(200)
         n = 100_000
-        gen = trajectory_rng(7, 0)
+        gen = stream_rng(7, 0)
         x0, t = 0.4, 120
         x_t = forward_sample(np.full(n, x0), t, gen.standard_normal(n), sched)
         ab = sched.alpha_bar_at(t)
@@ -175,7 +175,7 @@ class TestReverseStep:
         sched = default_schedule(30)
         x = rng.standard_normal(6)
         eps = rng.standard_normal(6)
-        outs = {reverse_step(x, eps, 1, sched, trajectory_rng(0, i)).tobytes() for i in range(3)}
+        outs = {reverse_step(x, eps, 1, sched, stream_rng(0, i)).tobytes() for i in range(3)}
         assert len(outs) == 1
 
     def test_posterior_variance_smaller_than_beta(self, rng):
@@ -183,9 +183,9 @@ class TestReverseStep:
         x = np.zeros(200_000)
         eps = np.zeros_like(x)
         t = 50
-        spread_beta = reverse_step(x, eps, t, sched, trajectory_rng(1, 0), variance="beta").std()
+        spread_beta = reverse_step(x, eps, t, sched, stream_rng(1, 0), variance="beta").std()
         spread_post = reverse_step(
-            x, eps, t, sched, trajectory_rng(1, 0), variance="posterior"
+            x, eps, t, sched, stream_rng(1, 0), variance="posterior"
         ).std()
         assert spread_post < spread_beta
 
@@ -193,7 +193,7 @@ class TestReverseStep:
         sched = default_schedule(200)
         world = AnalyticGaussianWorld(mu0=0.0, var0=1.0, var_y=1.0)
         n = 4000
-        samples = sample_terminal(world, sched, n, trajectory_rng(3, 0))
+        samples = sample_terminal(world, sched, n, stream_rng(3, 0))
         assert abs(samples.mean()) < 3 / math.sqrt(n)
         assert abs(samples.var() - 1.0) < 3 * math.sqrt(2 / (n - 1))
 
@@ -202,7 +202,7 @@ class TestReverseStep:
         world = AnalyticGaussianWorld(mu0=0.0, var0=1.0, var_y=0.5)
         n = 4000
         samples = sample_terminal(
-            world, sched, n, trajectory_rng(4, 0), observations=(2.0,),
+            world, sched, n, stream_rng(4, 0), observations=(2.0,),
             cfg=GuidanceConfig(mode="lambda_blend", lam=1.0),
         )
         mean, var = world.posterior(2.0)

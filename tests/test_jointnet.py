@@ -3,28 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from uwdiff import autodiff as ad
 from uwdiff.autodiff import Tensor
 from uwdiff.errors import ParameterError, TrainingDivergedError
 from uwdiff.images import RgbImage
 from uwdiff.jointnet import (
-    AttentionMask,
-    Embedding,
-    FeatureMap,
     JointNetConfig,
     PromptTensor,
     PromptTrainConfig,
+    alignment_graph,
     alignment_pixel_grad,
-    apply_attention,
-    attention_mask,
-    attention_pool,
-    classifier_alignment,
-    encode_image,
+    attention_graph,
+    embed_image,
+    embed_image_graph,
+    encode_graph,
     encode_prompt,
-    global_average,
     init_params,
     init_prompts,
-    predict_prob,
-    prompt_loss,
+    pool_graph,
+    prompt_bce_graph,
+    prompt_logits,
     train_prompts,
 )
 
@@ -41,27 +39,39 @@ def random_image(rng, size=16):
     return RgbImage.from_array(rng.uniform(0, 1, (size, size, 3)))
 
 
+def features_of(img, params):
+    return encode_graph(Tensor(img.data.transpose(2, 0, 1)), params)
+
+
+def unit(vec):
+    vec = np.asarray(vec, dtype=float)
+    return vec / np.linalg.norm(vec)
+
+
+def p_natural(phi, theta_n, theta_u) -> float:
+    """P_natural through the logit expression prompt training uses."""
+    return ad.sigmoid(prompt_logits(Tensor(np.atleast_2d(phi)), Tensor(theta_n), Tensor(theta_u))).data[0]
+
+
 class TestEncoder:
     def test_zero_weights_give_zero_features(self, rng):
         params = small_params()
         for w in params.conv_weights:
             w.data = np.zeros_like(w.data)
-        features = encode_image(random_image(rng), params)
-        assert np.allclose(features.values, 0.0)  # tanh(0) = 0 through every block
+        features = features_of(random_image(rng), params)
+        assert np.allclose(features.data, 0.0)  # tanh(0) = 0 through every block
 
     def test_deterministic(self, rng):
         params = small_params()
         img = random_image(rng)
-        a = encode_image(img, params)
-        b = encode_image(img, params)
-        assert np.array_equal(a.values, b.values)
+        a = features_of(img, params)
+        b = features_of(img, params)
+        assert np.array_equal(a.data, b.data)
 
     def test_single_layer_matches_loop_convolution(self, rng):
         # analytic configuration: run only the first conv block by hand
         params = small_params()
         x = rng.uniform(0, 1, (3, 8, 8))
-        from uwdiff import autodiff as ad
-
         out = ad.conv2d(
             Tensor(x), params.conv_weights[0], params.conv_biases[0], stride=2, padding=1
         )
@@ -70,7 +80,7 @@ class TestEncoder:
 
     def test_undersized_input_rejected(self, rng):
         with pytest.raises(ParameterError):
-            encode_image(RgbImage.from_array(rng.uniform(0, 1, (4, 4, 3))), small_params())
+            embed_image(RgbImage.from_array(rng.uniform(0, 1, (4, 4, 3))), small_params())
 
 
 class TestAttention:
@@ -78,58 +88,72 @@ class TestAttention:
         params = small_params()
         params.attn_weight.data = np.zeros_like(params.attn_weight.data)
         params.attn_bias.data = np.zeros_like(params.attn_bias.data)
-        features = encode_image(random_image(rng), params)
-        mask = attention_mask(features, params)
-        assert np.allclose(mask.values, 0.5)
+        mask = attention_graph(features_of(random_image(rng), params), params)
+        assert np.allclose(mask.data, 0.5)
 
     def test_large_bias_saturates(self, rng):
         params = small_params()
         params.attn_bias.data = np.full_like(params.attn_bias.data, 25.0)
-        mask = attention_mask(encode_image(random_image(rng), params), params)
-        assert np.all(mask.values > 1 - 1e-8)
+        mask = attention_graph(features_of(random_image(rng), params), params)
+        assert np.all(mask.data > 1 - 1e-8)
 
     def test_mask_range_contract(self, rng):
         params = small_params(seed=3)
         for _ in range(5):
-            mask = attention_mask(encode_image(random_image(rng), params), params)
-            assert mask.values.min() >= 0.0 and mask.values.max() <= 1.0
+            mask = attention_graph(features_of(random_image(rng), params), params)
+            assert mask.data.shape[0] == 1
+            assert mask.data.min() >= 0.0 and mask.data.max() <= 1.0
 
     def test_apply_attention_identity_and_zero(self, rng):
-        features = FeatureMap(rng.standard_normal((8, 3, 3)))
-        ones = AttentionMask(np.ones((1, 3, 3)))
-        zeros = AttentionMask(np.zeros((1, 3, 3)))
-        assert np.array_equal(apply_attention(features, ones).values, features.values)
-        assert np.all(apply_attention(features, zeros).values == 0.0)
+        # a saturated all-ones mask leaves the features as they are; an all-zero
+        # mask removes them, so the embedding falls back to the first basis vector
+        params = small_params()
+        img = random_image(rng)
+        x = Tensor(img.data.transpose(2, 0, 1))
+        params.attn_weight.data = np.zeros_like(params.attn_weight.data)
+        params.attn_bias.data = np.full_like(params.attn_bias.data, 50.0)
+        unmasked = pool_graph(features_of(img, params), params).data
+        assert np.array_equal(embed_image_graph(x, params).data, unmasked)
+        params.attn_bias.data = np.full_like(params.attn_bias.data, -800.0)
+        with np.errstate(over="ignore"):
+            assert np.array_equal(embed_image_graph(x, params).data, np.eye(4)[0])
 
     def test_apply_attention_matches_scalar_loop(self, rng):
-        features = FeatureMap(rng.standard_normal((4, 5, 6)))
-        mask = AttentionMask(rng.uniform(0, 1, (1, 5, 6)))
-        out = apply_attention(features, mask)
-        for c in range(4):
-            for i in range(5):
-                for j in range(6):
-                    assert out.values[c, i, j] == features.values[c, i, j] * mask.values[0, i, j]
+        params = small_params(seed=2)
+        img = random_image(rng)
+        features = features_of(img, params).data
+        mask = attention_graph(Tensor(features), params).data
+        attended = np.empty_like(features)
+        for c in range(features.shape[0]):
+            for i in range(features.shape[1]):
+                for j in range(features.shape[2]):
+                    attended[c, i, j] = features[c, i, j] * mask[0, i, j]
+        x = Tensor(img.data.transpose(2, 0, 1))
+        assert np.array_equal(embed_image_graph(x, params).data, pool_graph(Tensor(attended), params).data)
 
 
 class TestPooling:
     def test_constant_features_pool_to_constants(self):
+        # identity projection exposes the pooled vector (up to normalization)
+        params = init_params(JointNetConfig(width=8, embed_dim=8, token_count=5, token_width=4, text_hidden=6), 0)
+        params.proj_weight.data = np.eye(8)
         values = np.stack([np.full((3, 3), c + 1.0) for c in range(8)])
-        pooled = global_average(FeatureMap(values))
-        assert np.allclose(pooled, np.arange(1.0, 9.0))
+        pooled = pool_graph(Tensor(values), params).data
+        assert np.allclose(pooled, unit(np.arange(1.0, 9.0)))
 
     def test_embedding_normalized(self, rng):
         params = small_params()
-        emb = attention_pool(FeatureMap(rng.standard_normal((8, 4, 4))), params)
-        assert abs(np.linalg.norm(emb.vector) - 1.0) < 1e-6
+        emb = pool_graph(Tensor(rng.standard_normal((8, 4, 4))), params).data
+        assert abs(np.linalg.norm(emb) - 1.0) < 1e-6
 
     def test_spatial_permutation_invariance(self, rng):
         params = small_params()
         values = rng.standard_normal((8, 4, 4))
-        emb = attention_pool(FeatureMap(values), params)
+        emb = pool_graph(Tensor(values), params).data
         flat = values.reshape(8, -1)
         perm = rng.permutation(16)
-        emb_perm = attention_pool(FeatureMap(flat[:, perm].reshape(8, 4, 4)), params)
-        assert np.allclose(emb.vector, emb_perm.vector, atol=1e-12)
+        emb_perm = pool_graph(Tensor(flat[:, perm].reshape(8, 4, 4)), params).data
+        assert np.allclose(emb, emb_perm, atol=1e-12)
 
 
 class TestPromptEncoder:
@@ -140,12 +164,12 @@ class TestPromptEncoder:
         emb = encode_prompt(PromptTensor(np.zeros((5, 4))), params)
         basis = np.zeros(4)
         basis[0] = 1.0
-        assert np.array_equal(emb.vector, basis)
+        assert np.array_equal(emb, basis)
 
     def test_norm_contract(self, rng):
         params = small_params()
         emb = encode_prompt(PromptTensor(rng.standard_normal((5, 4))), params)
-        assert abs(np.linalg.norm(emb.vector) - 1.0) < 1e-6
+        assert abs(np.linalg.norm(emb) - 1.0) < 1e-6
 
     def test_single_token_matrix_vector_oracle(self, rng):
         config = JointNetConfig(width=8, embed_dim=4, token_count=1, token_width=4, text_hidden=6)
@@ -154,7 +178,7 @@ class TestPromptEncoder:
         emb = encode_prompt(PromptTensor(token), params)
         mixed = np.tanh(params.token_weight.data @ token[0] + params.token_bias.data)
         projected = params.text_weight.data @ mixed + params.text_bias.data
-        assert np.allclose(emb.vector, projected / np.linalg.norm(projected), atol=1e-12)
+        assert np.allclose(emb, projected / np.linalg.norm(projected), atol=1e-12)
 
     def test_width_mismatch(self):
         with pytest.raises(Exception):
@@ -162,37 +186,30 @@ class TestPromptEncoder:
 
 
 class TestPredictProb:
-    def _embedding(self, vec):
-        vec = np.asarray(vec, dtype=float)
-        return Embedding(vec / np.linalg.norm(vec))
-
     def test_equal_prompts_give_half(self):
-        phi = self._embedding([1.0, 0.0, 0.0, 0.0])
-        theta = self._embedding([0.0, 1.0, 0.0, 0.0])
-        p_n, p_u = predict_prob(phi, theta, theta)
-        assert p_n == pytest.approx(0.5) and p_u == pytest.approx(0.5)
+        phi = unit([1.0, 0.0, 0.0, 0.0])
+        theta = unit([0.0, 1.0, 0.0, 0.0])
+        assert p_natural(phi, theta, theta) == pytest.approx(0.5)
 
     def test_two_point_softmax_arithmetic(self):
-        phi = self._embedding([1.0, 0.0])
-        theta_n = self._embedding([1.0, 0.0])
-        theta_u = self._embedding([-1.0, 0.0])
-        p_n, _ = predict_prob(phi, theta_n, theta_u)
-        assert p_n == pytest.approx(math.e / (math.e + math.exp(-1)), abs=1e-12)
+        phi, theta_n, theta_u = unit([1.0, 0.0]), unit([1.0, 0.0]), unit([-1.0, 0.0])
+        assert p_natural(phi, theta_n, theta_u) == pytest.approx(math.e / (math.e + math.exp(-1)), abs=1e-12)
 
     def test_probabilities_sum_to_one(self, rng):
         for _ in range(20):
-            vecs = [self._embedding(rng.standard_normal(6)) for _ in range(3)]
-            p_n, p_u = predict_prob(*vecs)
-            assert p_n + p_u == pytest.approx(1.0, abs=1e-12)
+            phi, tn, tu = (unit(rng.standard_normal(6)) for _ in range(3))
+            # swapping the prompts gives the underwater-side probability
+            assert p_natural(phi, tn, tu) + p_natural(phi, tu, tn) == pytest.approx(1.0, abs=1e-12)
 
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ParameterError):
-            Embedding(np.array([2.0, 0.0]), normalized=True)
+
+def prompt_loss(p_natural: float, label: int) -> float:
+    return prompt_bce_graph(Tensor(np.array([p_natural])), np.array([label])).item()
 
 
 class TestPromptLoss:
     def test_perfect_prediction(self):
         assert prompt_loss(1.0, 1) <= 1e-6  # clamped at 1 - 1e-7
+        assert prompt_loss(0.0, 0) <= 1e-6
 
     def test_maximal_uncertainty(self):
         assert prompt_loss(0.5, 0) == pytest.approx(math.log(2))
@@ -204,33 +221,42 @@ class TestPromptLoss:
             fd = (prompt_loss(p + h, q) - prompt_loss(p - h, q)) / (2 * h)
             analytic = -(q / p) + (1 - q) / (1 - p)
             assert fd == pytest.approx(analytic, rel=1e-6)
+            p_leaf = Tensor(np.array([p]), requires_grad=True)
+            prompt_bce_graph(p_leaf, np.array([q])).backward()
+            assert p_leaf.grad[0] == pytest.approx(analytic, rel=1e-9)
+
+    def test_mean_over_the_batch(self):
+        p = np.array([0.3, 0.8, 0.5])
+        q = np.array([1, 0, 1])
+        batch = prompt_bce_graph(Tensor(p), q).item()
+        assert batch == pytest.approx(np.mean([prompt_loss(pi, qi) for pi, qi in zip(p, q)]), rel=1e-12)
 
 
 class TestAlignment:
     def test_equal_prompts_give_half(self, rng):
         params = small_params()
-        phi = attention_pool(FeatureMap(rng.standard_normal((8, 3, 3))), params)
+        x = Tensor(random_image(rng).data.transpose(2, 0, 1))
         theta = encode_prompt(PromptTensor(rng.standard_normal((5, 4))), params)
-        assert classifier_alignment(phi, theta, theta) == pytest.approx(0.5)
+        assert alignment_graph(x, params, theta, theta).item() == pytest.approx(0.5)
 
     def test_value_in_unit_interval_and_coherent(self, rng):
+        # guidance's alignment is the underwater-side probability of the
+        # classifier that prompt training fits
         params = small_params()
         for _ in range(10):
-            phi = attention_pool(FeatureMap(rng.standard_normal((8, 3, 3))), params)
+            img = random_image(rng)
             tn = encode_prompt(PromptTensor(rng.standard_normal((5, 4))), params)
             tu = encode_prompt(PromptTensor(rng.standard_normal((5, 4))), params)
-            value = classifier_alignment(phi, tn, tu)
+            value = alignment_graph(Tensor(img.data.transpose(2, 0, 1)), params, tn, tu).item()
             assert 0.0 < value < 1.0
-            assert value == pytest.approx(predict_prob(phi, tn, tu)[1], abs=1e-12)
+            assert value == pytest.approx(1.0 - p_natural(embed_image(img, params), tn, tu), abs=1e-12)
 
     def test_pixel_gradient_matches_finite_differences(self, rng):
         params = small_params()
-        tn = encode_prompt(PromptTensor(rng.standard_normal((5, 4))), params).vector
-        tu = encode_prompt(PromptTensor(rng.standard_normal((5, 4))), params).vector
+        tn = encode_prompt(PromptTensor(rng.standard_normal((5, 4))), params)
+        tu = encode_prompt(PromptTensor(rng.standard_normal((5, 4))), params)
         x = rng.uniform(0.2, 0.8, (3, 16, 16))
         grad = alignment_pixel_grad(x, params, tn, tu)
-
-        from uwdiff.jointnet import alignment_graph
 
         def value() -> float:
             return alignment_graph(Tensor(x), params, tn, tu).item()
@@ -273,9 +299,7 @@ class TestTrainPrompts:
         assert result.holdout_accuracy >= 0.95
         assert result.trend_monotone
 
-        from uwdiff.jointnet import embed_image
-
-        phis = np.stack([embed_image(img, params).vector for img, _ in dataset])
+        phis = np.stack([embed_image(img, params) for img, _ in dataset])
         labels = np.array([lbl for _, lbl in dataset])
         assert logistic_accuracy(phis, labels) >= 0.95
 

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from uwdiff.diffusion import stream_rng
 from uwdiff.errors import ParameterError
 from uwdiff.images import ChannelStats, LabImage, RgbImage, channel_stats
 from uwdiff.imageio import save_image
@@ -13,7 +14,6 @@ from uwdiff.synthesis import (
     ScatterRanges,
     TemplatePool,
     color_transfer,
-    image_rng,
     scatter_degrade,
     synthesize_dataset,
 )
@@ -100,7 +100,7 @@ class TestScatterDegrade:
     def test_wavelength_realistic_ordering(self):
         ranges = ScatterRanges()
         for i in range(50):
-            params = ranges.draw(image_rng(3, i))
+            params = ranges.draw(stream_rng(3, i))
             bd = params.beta_direct
             assert bd[0] >= bd[1] >= bd[2]
 

@@ -9,9 +9,8 @@ from uwdiff import autodiff as ad
 from uwdiff.autodiff import Tensor
 from uwdiff.denoiser import ConditionalDenoiser, LinearDenoiser
 from uwdiff.diffusion import default_schedule, make_linear_schedule
-from uwdiff.errors import ParameterError, TrainingDivergedError
+from uwdiff.errors import ParameterError, ShapeMismatchError, TrainingDivergedError
 from uwdiff.images import RgbImage
-from uwdiff.jointnet import Embedding
 from uwdiff.training import (
     Adam,
     AugmentationConfig,
@@ -20,23 +19,26 @@ from uwdiff.training import (
     applied_lr,
     augment,
     composite_loss,
-    embedding_distance,
     fine_tune,
     grad_check,
-    scheduled_lr,
 )
 
 
-def unit(vec) -> Embedding:
+def unit(vec) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
-    return Embedding(vec / np.linalg.norm(vec))
+    return vec / np.linalg.norm(vec)
+
+
+def loss_terms(eps, eps_hat, emb_gen, emb_target, weights) -> tuple[float, float, float]:
+    terms = composite_loss(eps, Tensor(eps_hat), Tensor(emb_gen), emb_target, weights)
+    return tuple(term.item() for term in terms)
 
 
 class TestCompositeLoss:
     def test_vanishes_on_perfect_match(self, rng):
         eps = rng.standard_normal((3, 4, 4))
         emb = unit(rng.standard_normal(8))
-        total, l1, semantic = composite_loss(eps, eps, emb, emb, LossWeights())
+        total, l1, semantic = loss_terms(eps, eps, emb, emb, LossWeights())
         assert l1 == 0.0
         assert semantic == pytest.approx(0.0, abs=1e-12)
         assert total == pytest.approx(0.0, abs=1e-12)
@@ -45,7 +47,7 @@ class TestCompositeLoss:
         eps = rng.standard_normal(10)
         eps_hat = rng.standard_normal(10)
         emb_a, emb_b = unit(rng.standard_normal(4)), unit(rng.standard_normal(4))
-        total, l1, _ = composite_loss(eps, eps_hat, emb_a, emb_b, LossWeights(0.7, 0.0))
+        total, l1, _ = loss_terms(eps, eps_hat, emb_a, emb_b, LossWeights(0.7, 0.0))
         assert total == pytest.approx(0.7 * l1, abs=1e-15)
         assert l1 == pytest.approx(np.mean(np.abs(eps - eps_hat)))
 
@@ -55,8 +57,8 @@ class TestCompositeLoss:
         eps_hat = np.full(4, 0.5)
         phi = unit([1.0, 0.0])
         angle = math.acos(0.75)
-        other = Embedding(np.array([math.cos(angle), math.sin(angle)]))
-        total, l1, semantic = composite_loss(eps, eps_hat, phi, other, LossWeights(0.6, 0.4))
+        other = np.array([math.cos(angle), math.sin(angle)])
+        total, l1, semantic = loss_terms(eps, eps_hat, phi, other, LossWeights(0.6, 0.4))
         assert l1 == pytest.approx(0.5)
         assert semantic == pytest.approx(0.25)
         assert total == pytest.approx(0.4, abs=1e-12)
@@ -69,15 +71,24 @@ class TestCompositeLoss:
         eps_hat = gen.standard_normal(6)
         emb_a, emb_b = unit(gen.standard_normal(5)), unit(gen.standard_normal(5))
         weights = LossWeights(l1w, l2w)
-        total, l1, semantic = composite_loss(eps, eps_hat, emb_a, emb_b, weights)
+        total, l1, semantic = loss_terms(eps, eps_hat, emb_a, emb_b, weights)
         assert abs(total - (l1w * l1 + l2w * semantic)) < 1e-12
 
     def test_semantic_distance_bounds(self, rng):
+        eps = np.zeros(3)
         a = unit(rng.standard_normal(6))
-        assert embedding_distance(a, a) == pytest.approx(0.0, abs=1e-12)
+
+        def distance(u, v) -> float:
+            return loss_terms(eps, eps, u, v, LossWeights(0.0, 1.0))[2]
+
+        assert distance(a, a) == pytest.approx(0.0, abs=1e-12)
         for _ in range(20):
             b = unit(rng.standard_normal(6))
-            assert 0.0 <= embedding_distance(a, b) <= 2.0
+            assert 0.0 <= distance(a, b) <= 2.0
+
+    def test_noise_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeMismatchError):
+            composite_loss(np.zeros(4), Tensor(np.zeros(5)), None, None, LossWeights(1.0, 0.0))
 
     def test_weight_validation(self):
         with pytest.raises(ParameterError):
@@ -87,17 +98,14 @@ class TestCompositeLoss:
 
 
 class TestLearningRateSchedule:
-    def test_scheduled_lr_reaches_zero(self):
-        base, total = 0.4, 8
-        for k in range(1, total + 1):
-            assert scheduled_lr(base, k, total) == pytest.approx(base * (1 - k / total))
-        assert scheduled_lr(base, total, total) == 0.0
-
     def test_applied_lr_is_previous_scheduler_state(self):
+        # the linear scheduler holds base * (1 - k/total) after k updates and
+        # reaches 0 after the last; update k runs at the state after k - 1
         base, total = 0.4, 8
         assert applied_lr(base, 1, total) == base
         for k in range(2, total + 1):
-            assert applied_lr(base, k, total) == pytest.approx(scheduled_lr(base, k - 1, total))
+            assert applied_lr(base, k, total) == pytest.approx(base * (1 - (k - 1) / total))
+        assert applied_lr(base, total + 1, total) == 0.0
 
     def test_decay_disabled(self):
         assert applied_lr(0.1, 5, 10, linear_decay=False) == 0.1
