@@ -316,34 +316,17 @@ def concat(parts, axis: int = 0) -> Tensor:
     return _node(data, tuple(parts), backward)
 
 
-def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation) of a (C,H,W) input with (O,C,kh,kw) filters."""
-    x, weight = _ensure(x), _ensure(weight)
-    c_in, height, width = x.data.shape
-    c_out, c_in2, kh, kw = weight.data.shape
-    if c_in != c_in2:
-        raise ShapeMismatchError(f"conv2d channels mismatch: input {c_in}, weight {c_in2}")
-    pad = padding
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    h_out = (height + 2 * pad - kh) // stride + 1
-    w_out = (width + 2 * pad - kw) // stride + 1
-    if h_out < 1 or w_out < 1:
-        raise ShapeMismatchError("conv2d input is smaller than the kernel")
+def _conv_im2col(xp: np.ndarray, weight: np.ndarray, stride: int, h_out: int, w_out: int):
+    """Convolution as one GEMM over the (C·kh·kw, H·W) column matrix."""
+    c_out, c_in, kh, kw = weight.shape
     win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     cols = win.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, h_out * w_out)
-    w2 = weight.data.reshape(c_out, c_in * kh * kw)
-    out = w2 @ cols
-    if bias is not None:
-        bias = _ensure(bias)
-        out = out + bias.data[:, None]
-    data = out.reshape(c_out, h_out, w_out)
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    w2 = weight.reshape(c_out, c_in * kh * kw)
+    out = (w2 @ cols).reshape(c_out, h_out, w_out)
 
-    def backward(g):
+    def grads(g):
         g2 = g.reshape(c_out, h_out * w_out)
-        _accumulate(weight, (g2 @ cols.T).reshape(weight.data.shape))
-        if bias is not None:
-            _accumulate(bias, g2.sum(axis=1))
+        grad_w = (g2 @ cols.T).reshape(weight.shape)
         gcols = (w2.T @ g2).reshape(c_in, kh, kw, h_out, w_out)
         gxp = np.zeros_like(xp)
         for di in range(kh):
@@ -351,9 +334,83 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
                 gxp[:, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride] += gcols[
                     :, di, dj
                 ]
+        return grad_w, gxp
+
+    return out, grads
+
+
+def _conv_taps(xp: np.ndarray, weight: np.ndarray, h_out: int, w_out: int):
+    """Stride-1 convolution as one small GEMM per kernel tap, with no column matrix.
+
+    Output pixel (i, j) sits at i·Wp + j of a row-major (h_out, Wp) grid, and
+    tap (di, dj) reads the flattened padded input at that index plus
+    di·Wp + dj, so each tap is a GEMM over one contiguous slice; the grid's
+    last Wp − w_out columns wrap across rows and are dropped (Anderson et al.
+    2017, "Low-memory GEMM-based convolution algorithms").
+    """
+    c_out, c_in, kh, kw = weight.shape
+    hp, wp = xp.shape[1:]
+    span = (h_out - 1) * wp + w_out
+    flat = xp.reshape(c_in, hp * wp)
+    w_taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))
+    taps = [(di, dj, di * wp + dj) for di in range(kh) for dj in range(kw)]
+    acc = np.zeros((c_out, h_out * wp))
+    for di, dj, off in taps:
+        acc[:, :span] += w_taps[di, dj] @ flat[:, off : off + span]
+    out = np.ascontiguousarray(acc.reshape(c_out, h_out, wp)[:, :, :w_out])
+
+    def grads(g):
+        g_grid = np.zeros((c_out, h_out, wp))
+        g_grid[:, :, :w_out] = g
+        g_flat = g_grid.reshape(c_out, h_out * wp)[:, :span]
+        grad_w = np.empty_like(weight)
+        gflat = np.zeros_like(flat)
+        for di, dj, off in taps:
+            grad_w[:, :, di, dj] = g_flat @ flat[:, off : off + span].T
+            gflat[:, off : off + span] += w_taps[di, dj].T @ g_flat
+        return grad_w, gflat.reshape(xp.shape)
+
+    return out, grads
+
+
+def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D convolution (cross-correlation) of a (C,H,W) input with (O,C,kh,kw) filters.
+
+    Stride-1 convolutions with fewer output than input channels run per kernel
+    tap (`_conv_taps`), where the column matrix would dwarf the output; every
+    other shape runs through im2col, which is faster for wide outputs.
+    """
+    x, weight = _ensure(x), _ensure(weight)
+    c_in, height, width = x.data.shape
+    c_out, c_in2, kh, kw = weight.data.shape
+    if c_in != c_in2:
+        raise ShapeMismatchError(f"conv2d channels mismatch: input {c_in}, weight {c_in2}")
+    pad = padding
+    h_out = (height + 2 * pad - kh) // stride + 1
+    w_out = (width + 2 * pad - kw) // stride + 1
+    if h_out < 1 or w_out < 1:
+        raise ShapeMismatchError("conv2d input is smaller than the kernel")
+    xp = x.data
+    if pad:
+        xp = np.zeros((c_in, height + 2 * pad, width + 2 * pad))
+        xp[:, pad : pad + height, pad : pad + width] = x.data
+    if stride == 1 and c_out < c_in:
+        out, grads = _conv_taps(xp, weight.data, h_out, w_out)
+    else:
+        out, grads = _conv_im2col(xp, weight.data, stride, h_out, w_out)
+    if bias is not None:
+        bias = _ensure(bias)
+        out += bias.data[:, None, None]
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(g):
+        grad_w, gxp = grads(g)
+        _accumulate(weight, grad_w)
+        if bias is not None:
+            _accumulate(bias, g.reshape(c_out, h_out * w_out).sum(axis=1))
         _accumulate(x, gxp[:, pad : pad + height, pad : pad + width] if pad else gxp)
 
-    return _node(data, parents, backward)
+    return _node(out, parents, backward)
 
 
 def dot(a, b) -> Tensor:

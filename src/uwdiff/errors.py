@@ -35,3 +35,7 @@ class ConfigError(UwdiffError, ValueError):
 
 class TrainingDivergedError(UwdiffError, RuntimeError):
     """Raised when a training loss becomes non-finite or explodes."""
+
+
+class SamplingDivergedError(UwdiffError, RuntimeError):
+    """Raised when a reverse diffusion chain produces non-finite samples."""

@@ -21,7 +21,7 @@ from .diffusion import (
     reverse_step,
     stream_rng,
 )
-from .errors import ParameterError, ShapeMismatchError
+from .errors import ParameterError, SamplingDivergedError, ShapeMismatchError
 from .images import RgbImage
 from .imageio import list_images, load_image, save_image
 from .jointnet import (
@@ -136,7 +136,11 @@ def enhance_image(
     rng: np.random.Generator | None = None,
     variance: str = "beta",
 ) -> RgbImage:
-    """Run the full conditional reverse chain for one degraded image."""
+    """Run the full conditional reverse chain for one degraded image.
+
+    Raises SamplingDivergedError, naming the step, as soon as x_{t-1} holds a
+    non-finite value.
+    """
     rng = rng if rng is not None else stream_rng(0, 0)
     condition = to_model_space(degraded)
     x = rng.standard_normal(condition.shape)
@@ -150,6 +154,11 @@ def enhance_image(
             grad2 = guidance_pixel_grad(x, context)
             eps_hat = guided_noise_prediction(eps_hat, zeros, grad2, t, sched, guidance)
         x = reverse_step(x, eps_hat, t, sched, rng, variance=variance)
+        if not np.isfinite(x).all():
+            bad = int(np.count_nonzero(~np.isfinite(x)))
+            raise SamplingDivergedError(
+                f"reverse chain diverged at step t={t} of {sched.steps}: {bad} non-finite values in x_{t - 1}"
+            )
     return from_model_space(x)
 
 
@@ -170,9 +179,12 @@ def enhance_directory(
     written = []
     for index, name in enumerate(names):
         img = load_image(os.path.join(os.fspath(input_dir), name))
-        enhanced = enhance_image(
-            img, model, sched, guidance, context, stream_rng(seed, index), variance
-        )
+        try:
+            enhanced = enhance_image(
+                img, model, sched, guidance, context, stream_rng(seed, index), variance
+            )
+        except SamplingDivergedError as exc:
+            raise SamplingDivergedError(f"{name}: {exc}") from exc
         out_path = os.path.join(os.fspath(out_dir), os.path.splitext(name)[0] + ".png")
         save_image(enhanced, out_path)
         written.append(out_path)

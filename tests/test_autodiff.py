@@ -106,23 +106,50 @@ class TestMatmul:
         check_op(lambda a, b: ad.tsum(a @ b), (3,), (3, 4))
 
 
+# (x shape, weight shape, stride, padding, with bias); the first four keep
+# c_out >= c_in and run through im2col, the "narrow" ones (c_out < c_in,
+# stride 1) through the per-tap path
+CONV_CASES = [
+    pytest.param((3, 8, 9), (4, 3, 3, 3), 1, 0, True, id="1-0"),
+    pytest.param((3, 8, 9), (4, 3, 3, 3), 1, 1, True, id="1-1"),
+    pytest.param((3, 8, 9), (4, 3, 3, 3), 2, 1, True, id="2-1"),
+    pytest.param((3, 8, 9), (4, 3, 3, 3), 2, 0, True, id="2-0"),
+    pytest.param((5, 8, 9), (2, 5, 3, 3), 1, 1, True, id="narrow-3x3-pad1"),
+    pytest.param((5, 8, 9), (2, 5, 3, 3), 1, 0, True, id="narrow-3x3-pad0"),
+    pytest.param((6, 5, 7), (1, 6, 1, 1), 1, 0, True, id="narrow-1x1-pad0"),
+    pytest.param((4, 11, 4), (3, 4, 3, 3), 1, 1, True, id="narrow-tall"),
+    pytest.param((5, 8, 9), (2, 5, 3, 3), 1, 1, False, id="narrow-no-bias"),
+]
+
+GRAD_CASES = [
+    pytest.param((2, 6, 5), (3, 2, 3, 3), 1, 1, True, id="1-1"),
+    pytest.param((2, 6, 5), (3, 2, 3, 3), 2, 1, True, id="2-1"),
+    pytest.param((5, 6, 5), (2, 5, 3, 3), 1, 1, True, id="narrow-3x3-pad1"),
+    pytest.param((5, 6, 5), (2, 5, 3, 3), 1, 0, True, id="narrow-3x3-pad0"),
+    pytest.param((6, 4, 5), (1, 6, 1, 1), 1, 0, True, id="narrow-1x1-pad0"),
+    pytest.param((3, 7, 4), (2, 3, 3, 3), 1, 1, True, id="narrow-tall"),
+    pytest.param((5, 6, 5), (2, 5, 3, 3), 1, 1, False, id="narrow-no-bias"),
+]
+
+
 class TestConv2d:
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 0)])
-    def test_forward_matches_loop_oracle(self, stride, padding, rng):
-        x = rng.standard_normal((3, 8, 9))
-        w = rng.standard_normal((4, 3, 3, 3))
-        b = rng.standard_normal(4)
-        out = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding,with_bias", CONV_CASES)
+    def test_forward_matches_loop_oracle(self, x_shape, w_shape, stride, padding, with_bias, rng):
+        x = rng.standard_normal(x_shape)
+        w = rng.standard_normal(w_shape)
+        b = rng.standard_normal(w_shape[0]) if with_bias else None
+        out = ad.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b), stride=stride, padding=padding)
         ref = conv2d_loop(x, w, b, stride, padding)
+        assert out.data.shape == ref.shape
         assert np.allclose(out.data, ref, atol=1e-12)
 
-    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1)])
-    def test_gradients(self, stride, padding):
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding,with_bias", GRAD_CASES)
+    def test_gradients(self, x_shape, w_shape, stride, padding, with_bias):
         check_op(
-            lambda x, w, b: ad.tsum(ad.conv2d(x, w, b, stride=stride, padding=padding) ** 2.0),
-            (2, 6, 5),
-            (3, 2, 3, 3),
-            (3,),
+            lambda x, w, *b: ad.tsum(ad.conv2d(x, w, *b, stride=stride, padding=padding) ** 2.0),
+            x_shape,
+            w_shape,
+            *([(w_shape[0],)] if with_bias else []),
             atol=1e-5,
         )
 

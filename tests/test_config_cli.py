@@ -244,6 +244,53 @@ class TestCliContract:
         md = (tmp_path / "out" / "metrics.md").read_text()
         assert md.startswith("| image |")
 
+    def test_enhance_schedule_mismatch_exits_2_naming_checkpoint_and_keys(self, tmp_path, capsys):
+        _write_scene_dir(tmp_path / "imgs", 1, 0)
+        model = tmp_path / "model.ckpt"
+        save_model_checkpoint(model, ConditionalDenoiser(width=RunConfig().denoiser_width), RunConfig())
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text("[schedule]\nsteps = 5\nbeta_end = 0.2\n")
+        code = main(
+            [
+                "enhance",
+                "--config", str(cfg),
+                "--input", str(tmp_path / "imgs"),
+                "--model", str(model),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(model) in err
+        assert "schedule.steps = 5 (checkpoint: 200)" in err
+        assert "schedule.beta_end = 0.2 (checkpoint: 0.1)" in err
+        assert "beta_start" not in err
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_diverging_chain_exits_1_naming_image_and_step(self, tmp_path, capsys):
+        _write_scene_dir(tmp_path / "imgs", 2, 0)
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("[schedule]\nsteps = 5\n")
+        config = load_config(cfg)
+        denoiser = ConditionalDenoiser(width=config.denoiser_width)
+        denoiser.w2.data[0, 0, 1, 1] = np.nan
+        model = tmp_path / "model.ckpt"
+        save_model_checkpoint(model, denoiser, config)
+        code = main(
+            [
+                "enhance",
+                "--config", str(cfg),
+                "--input", str(tmp_path / "imgs"),
+                "--model", str(model),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "s00.png" in err
+        assert "step t=5 of 5" in err
+        assert os.listdir(tmp_path / "out") == []
+
     def test_verify_passes_with_exit_0(self, capsys):
         assert main(["verify", "--seed", "0"]) == 0
         out = capsys.readouterr().out
