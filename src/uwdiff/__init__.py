@@ -24,7 +24,6 @@ from .diffusion import (
     NoiseSchedule,
     combine_scores_lambda,
     default_schedule,
-    diffusion_loss,
     forward_sample,
     guided_noise_prediction,
     make_linear_schedule,

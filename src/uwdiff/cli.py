@@ -110,7 +110,7 @@ def cmd_finetune(args) -> int:
     model = ConditionalDenoiser(width=config.denoiser_width, seed=config.seed)
     context = None
     if args.prompts:
-        context = joint_context_from_checkpoint(args.prompts, config.grad2_source)
+        context = joint_context_from_checkpoint(args.prompts)
     guidance = config.guidance()
     weights = config.loss_weights()
     if weights.lambda2 > 0 and context is None:
@@ -124,7 +124,6 @@ def cmd_finetune(args) -> int:
         optimizer=config.optimizer(),
         guidance=guidance if context is not None else None,
         context=context,
-        embed_source=config.embed_source,
         t_range=(config.train_t_min, config.schedule_steps),
         augmentation=config.augmentation(),
     )
@@ -166,7 +165,7 @@ def cmd_enhance(args) -> int:
     _require_model_schedule(config, model_config, args.model)
     context = None
     if args.prompts:
-        context = joint_context_from_checkpoint(args.prompts, config.grad2_source)
+        context = joint_context_from_checkpoint(args.prompts)
     written = enhance_directory(
         args.input,
         out,
@@ -175,7 +174,6 @@ def cmd_enhance(args) -> int:
         seed=config.seed,
         guidance=config.guidance() if context is not None else None,
         context=context,
-        variance=config.reverse_variance,
         progress=print,
     )
     print(f"enhanced {len(written)} images into {out}")
@@ -240,14 +238,13 @@ def cmd_eval(args) -> int:
     with open(text_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     print(text, end="")
-    if config.markdown_table:
-        md_lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-        for row in table[1:]:
-            md_lines.append("| " + " | ".join(row) + " |")
-        md_path = os.path.join(out, "metrics.md")
-        with open(md_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(md_lines) + "\n")
-        print(md_path)
+    md_lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    for row in table[1:]:
+        md_lines.append("| " + " | ".join(row) + " |")
+    md_path = os.path.join(out, "metrics.md")
+    with open(md_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(md_lines) + "\n")
+    print(md_path)
     print(text_path)
     return EXIT_OK
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .diffusion import GUIDANCE_MODES, VARIANCE_MODES, GuidanceConfig, NoiseSchedule, make_linear_schedule
+from .diffusion import GuidanceConfig, NoiseSchedule, make_linear_schedule
 from .errors import ConfigError
-from .jointnet import ALIGNMENT_KINDS, JointNetConfig, PromptTrainConfig
+from .jointnet import JointNetConfig, PromptTrainConfig
 from .synthesis import METHODS, ScatterRanges
-from .training import EMBED_SOURCES, AugmentationConfig, LossWeights, OptimizerConfig
+from .training import AugmentationConfig, LossWeights, OptimizerConfig
 
 
 @dataclass
@@ -25,21 +25,14 @@ class RunConfig:
     schedule_steps: int = 200
     beta_start: float = 1e-5
     beta_end: float = 1e-1
-    # [guidance]
-    guidance_mode: str = "gamma_pair"
-    guidance_lambda: float = 0.5
-    gamma1: float = 0.0
+    # [guidance] weight of the classifier's alignment gradient
     gamma2: float = 0.0
-    grad2_source: str = "alignment"
-    reverse_variance: str = "beta"
     # [loss]
     lambda1: float = 0.6
     lambda2: float = 0.4
-    embed_source: str = "x0_hat"
     # [optimizer]
     learning_rate: float = 1e-3
     train_steps: int = 200
-    linear_decay: bool = True
     train_t_min: int = 1  # smallest diffusion step sampled during fine-tuning
     # [augment]
     rotation: bool = True
@@ -55,7 +48,6 @@ class RunConfig:
     veil_max: float = 0.95
     depth_min: float = 0.5
     depth_max: float = 4.0
-    wavelength_realistic: bool = True
     # [classifier]
     classifier_width: int = 64
     embed_dim: int = 16
@@ -73,19 +65,13 @@ class RunConfig:
     metric_uiqm: bool = True
     metric_uciqe: bool = True
     metric_cpbd: bool = True
-    markdown_table: bool = True
 
     # derived builders -----------------------------------------------------
     def schedule(self) -> NoiseSchedule:
         return make_linear_schedule(self.schedule_steps, self.beta_start, self.beta_end)
 
     def guidance(self) -> GuidanceConfig:
-        return GuidanceConfig(
-            mode=self.guidance_mode,
-            lam=self.guidance_lambda,
-            gamma1=self.gamma1,
-            gamma2=self.gamma2,
-        )
+        return GuidanceConfig(gamma2=self.gamma2)
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(lambda1=self.lambda1, lambda2=self.lambda2)
@@ -94,7 +80,6 @@ class RunConfig:
         return OptimizerConfig(
             learning_rate=self.learning_rate,
             total_steps=self.train_steps,
-            linear_decay=self.linear_decay,
             seed=self.seed,
         )
 
@@ -111,7 +96,6 @@ class RunConfig:
             beta_backscatter=(self.beta_backscatter_min, self.beta_backscatter_max),
             veil=(self.veil_min, self.veil_max),
             depth=(self.depth_min, self.depth_max),
-            wavelength_realistic=self.wavelength_realistic,
         )
 
     def classifier(self) -> JointNetConfig:
@@ -165,23 +149,14 @@ _SCHEMA: dict[str, dict[str, tuple[str, callable]]] = {
         "beta_start": ("beta_start", _float),
         "beta_end": ("beta_end", _float),
     },
-    "guidance": {
-        "mode": ("guidance_mode", _choice(GUIDANCE_MODES)),
-        "lambda": ("guidance_lambda", _float),
-        "gamma1": ("gamma1", _float),
-        "gamma2": ("gamma2", _float),
-        "grad2_source": ("grad2_source", _choice(ALIGNMENT_KINDS)),
-        "reverse_variance": ("reverse_variance", _choice(VARIANCE_MODES)),
-    },
+    "guidance": {"gamma2": ("gamma2", _float)},
     "loss": {
         "lambda1": ("lambda1", _float),
         "lambda2": ("lambda2", _float),
-        "embed_source": ("embed_source", _choice(EMBED_SOURCES)),
     },
     "optimizer": {
         "learning_rate": ("learning_rate", _float),
         "steps": ("train_steps", int),
-        "linear_decay": ("linear_decay", _bool),
         "t_min": ("train_t_min", int),
     },
     "augment": {
@@ -199,7 +174,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, callable]]] = {
         "veil_max": ("veil_max", _float),
         "depth_min": ("depth_min", _float),
         "depth_max": ("depth_max", _float),
-        "wavelength_realistic": ("wavelength_realistic", _bool),
     },
     "classifier": {
         "width": ("classifier_width", int),
@@ -218,7 +192,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, callable]]] = {
         "uiqm": ("metric_uiqm", _bool),
         "uciqe": ("metric_uciqe", _bool),
         "cpbd": ("metric_cpbd", _bool),
-        "markdown": ("markdown_table", _bool),
     },
 }
 

@@ -24,7 +24,6 @@ REFERENCE_BETA_START = 1e-6
 REFERENCE_BETA_END = 1e-2
 
 GUIDANCE_MODES = ("lambda_blend", "gamma_pair")
-VARIANCE_MODES = ("beta", "posterior")
 
 
 @dataclass(frozen=True)
@@ -49,10 +48,6 @@ class NoiseSchedule:
 
     def alpha_bar_at(self, t: int) -> float:
         return float(self.alpha_bar[self._index(t)])
-
-    def alpha_bar_prev(self, t: int) -> float:
-        i = self._index(t)
-        return float(self.alpha_bar[i - 1]) if i > 0 else 1.0
 
 
 def make_linear_schedule(steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
@@ -163,17 +158,13 @@ def reverse_step(
     t: int,
     sched: NoiseSchedule,
     rng: np.random.Generator,
-    variance: str = "beta",
 ) -> np.ndarray:
     """One ancestral step x_t -> x_{t-1}; deterministic at t = 1.
 
-    variance="beta" adds beta_t noise (exact for unit-Gaussian data and the
-    default here because the analytic-world acceptance checks require its
-    accuracy at desk-scale step counts); "posterior" selects the smaller
-    beta_t (1 - alpha_bar_{t-1}) / (1 - alpha_bar_t).
+    The added noise has variance beta_t, which is exact for unit-Gaussian
+    data; the analytic-world acceptance checks need its accuracy at
+    desk-scale step counts.
     """
-    if variance not in VARIANCE_MODES:
-        raise ParameterError(f"variance must be one of {VARIANCE_MODES}, got {variance!r}")
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_prime = np.asarray(eps_prime, dtype=np.float64)
     _check_same_shape(x_t, eps_prime)
@@ -182,19 +173,7 @@ def reverse_step(
     mean = (x_t - beta / math.sqrt(1.0 - ab) * eps_prime) / math.sqrt(sched.alpha_at(t))
     if t == 1:
         return mean
-    if variance == "beta":
-        var = beta
-    else:
-        var = beta * (1.0 - sched.alpha_bar_prev(t)) / (1.0 - ab)
-    return mean + math.sqrt(var) * rng.standard_normal(x_t.shape)
-
-
-def diffusion_loss(eps: np.ndarray, eps_hat: np.ndarray) -> float:
-    """Mean squared error between true and predicted noise."""
-    eps = np.asarray(eps, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    _check_same_shape(eps, eps_hat)
-    return float(np.mean((eps - eps_hat) ** 2))
+    return mean + math.sqrt(beta) * rng.standard_normal(x_t.shape)
 
 
 def stream_rng(seed: int, key: int) -> np.random.Generator:
@@ -271,7 +250,6 @@ def sample_terminal(
     rng: np.random.Generator,
     observations: tuple[float, ...] = (),
     cfg: GuidanceConfig | None = None,
-    variance: str = "beta",
 ) -> np.ndarray:
     """Run full reverse chains with the exact noise predictor; returns x_0 draws.
 
@@ -290,5 +268,5 @@ def sample_terminal(
             if len(grads) == 1:
                 grads.append(zero)
             eps = guided_noise_prediction(eps, grads[0], grads[1], t, sched, cfg or GuidanceConfig(mode="lambda_blend", lam=1.0))
-        x = reverse_step(x, eps, t, sched, rng, variance=variance)
+        x = reverse_step(x, eps, t, sched, rng)
     return x

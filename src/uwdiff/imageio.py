@@ -270,6 +270,14 @@ def list_images(directory) -> list[str]:
     return names
 
 
+def require_unique_stems(directory, names) -> None:
+    """Reject names that share a stem, since outputs are named by stem."""
+    stems = [os.path.splitext(n)[0] for n in names]
+    duplicates = sorted({s for s in stems if stems.count(s) > 1})
+    if duplicates:
+        raise ParameterError(f"duplicate image stems in {os.fspath(directory)!r}: {duplicates}")
+
+
 def save_image(img: RgbImage, path, bit_depth: int = 8) -> None:
     """Save as PNG or PPM depending on the file extension (.png / .ppm)."""
     ext = os.path.splitext(os.fspath(path))[1].lower()

@@ -60,10 +60,6 @@ class _Raster:
             raise EmptyImageError(f"expected a nonempty HxWx3 array, got shape {arr.shape}")
         return cls(width=arr.shape[1], height=arr.shape[0], data=arr)
 
-    @property
-    def pixel_count(self) -> int:
-        return self.width * self.height
-
 
 class RgbImage(_Raster):
     """H x W x 3 sRGB raster, float64, nominal range [0, 1]."""
@@ -137,8 +133,6 @@ def lab_to_srgb(img: LabImage) -> RgbImage:
 
 def channel_stats(img: LabImage) -> ChannelStats:
     """Arithmetic mean and population std per Lab channel."""
-    if img.pixel_count < 1:
-        raise EmptyImageError("statistics need at least one pixel")
     flat = img.data.reshape(-1, 3)
     mean = flat.mean(axis=0)
     std = np.sqrt(np.maximum(((flat - mean) ** 2).mean(axis=0), 0.0))

@@ -25,8 +25,6 @@ _NORM_GUARD = 1e-12
 _PROB_EPS = 1e-7
 _MIN_INPUT = 8
 
-ALIGNMENT_KINDS = ("alignment", "log_alignment")
-
 
 @dataclass(frozen=True)
 class PromptTensor:
@@ -228,28 +226,19 @@ def prompt_bce_graph(p_natural: Tensor, labels: np.ndarray) -> Tensor:
     return -ad.tmean(Tensor(q) * ad.log(p_n) + Tensor(1.0 - q) * ad.log(1.0 - p_n))
 
 
-def alignment_graph(
-    x: Tensor, params: JointNetParams, theta_n: np.ndarray, theta_u: np.ndarray, kind: str = "alignment"
-) -> Tensor:
+def alignment_graph(x: Tensor, params: JointNetParams, theta_n: np.ndarray, theta_u: np.ndarray) -> Tensor:
     """Alignment scalar as a graph over pixels, for input-gradient guidance."""
-    if kind not in ALIGNMENT_KINDS:
-        raise ParameterError(f"kind must be one of {ALIGNMENT_KINDS}, got {kind!r}")
     emb = embed_image_graph(x, params)
     logit = ad.dot(emb, Tensor(theta_u)) - ad.dot(emb, Tensor(theta_n))
-    p_u = ad.sigmoid(logit)
-    return ad.log(p_u) if kind == "log_alignment" else p_u
+    return ad.sigmoid(logit)
 
 
 def alignment_pixel_grad(
-    image_chw: np.ndarray,
-    params: JointNetParams,
-    theta_n: np.ndarray,
-    theta_u: np.ndarray,
-    kind: str = "alignment",
+    image_chw: np.ndarray, params: JointNetParams, theta_n: np.ndarray, theta_u: np.ndarray
 ) -> np.ndarray:
     """Gradient of the alignment scalar with respect to the input pixels."""
     x = Tensor(np.asarray(image_chw, dtype=np.float64), requires_grad=True)
-    alignment_graph(x, params, theta_n, theta_u, kind).backward()
+    alignment_graph(x, params, theta_n, theta_u).backward()
     return x.grad if x.grad is not None else np.zeros_like(x.data)
 
 

@@ -23,7 +23,7 @@ from .diffusion import (
 )
 from .errors import ParameterError, SamplingDivergedError, ShapeMismatchError
 from .images import RgbImage
-from .imageio import list_images, load_image, save_image
+from .imageio import list_images, load_image, require_unique_stems, save_image
 from .jointnet import (
     JointNetParams,
     PromptTensor,
@@ -74,13 +74,12 @@ def load_prompts_checkpoint(path) -> tuple[JointNetParams, PromptTensor, PromptT
     )
 
 
-def joint_context_from_checkpoint(path, grad_kind: str = "alignment") -> JointContext:
+def joint_context_from_checkpoint(path) -> JointContext:
     params, prompt_n, prompt_u, _ = load_prompts_checkpoint(path)
     return JointContext(
         params=params,
         theta_natural=encode_prompt(prompt_n, params),
         theta_underwater=encode_prompt(prompt_u, params),
-        grad_kind=grad_kind,
     )
 
 
@@ -109,7 +108,10 @@ def pairs_from_manifest(manifest_path) -> list[tuple[np.ndarray, np.ndarray]]:
     pairs = []
     shape = None
     for entry in manifest.entries:
-        degraded, clean = load_pair(manifest_path, entry)
+        try:
+            degraded, clean = load_pair(manifest_path, entry, manifest.version)
+        except FileNotFoundError as exc:
+            raise ParameterError(f"manifest {os.fspath(manifest_path)!r}, entry {entry.degraded!r}: {exc}") from exc
         if (clean.height, clean.width) != (degraded.height, degraded.width):
             raise ShapeMismatchError(f"pair {entry.degraded!r} has mismatched dimensions")
         if shape is None:
@@ -134,7 +136,6 @@ def enhance_image(
     guidance: GuidanceConfig | None = None,
     context: JointContext | None = None,
     rng: np.random.Generator | None = None,
-    variance: str = "beta",
 ) -> RgbImage:
     """Run the full conditional reverse chain for one degraded image.
 
@@ -153,7 +154,7 @@ def enhance_image(
         if use_guidance:
             grad2 = guidance_pixel_grad(x, context)
             eps_hat = guided_noise_prediction(eps_hat, zeros, grad2, t, sched, guidance)
-        x = reverse_step(x, eps_hat, t, sched, rng, variance=variance)
+        x = reverse_step(x, eps_hat, t, sched, rng)
         if not np.isfinite(x).all():
             bad = int(np.count_nonzero(~np.isfinite(x)))
             raise SamplingDivergedError(
@@ -170,19 +171,17 @@ def enhance_directory(
     seed: int,
     guidance: GuidanceConfig | None = None,
     context: JointContext | None = None,
-    variance: str = "beta",
     progress=None,
 ) -> list[str]:
     """Enhance every image in input_dir; per-image generators come from (seed, index)."""
     names = list_images(input_dir)
+    require_unique_stems(input_dir, names)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for index, name in enumerate(names):
         img = load_image(os.path.join(os.fspath(input_dir), name))
         try:
-            enhanced = enhance_image(
-                img, model, sched, guidance, context, stream_rng(seed, index), variance
-            )
+            enhanced = enhance_image(img, model, sched, guidance, context, stream_rng(seed, index))
         except SamplingDivergedError as exc:
             raise SamplingDivergedError(f"{name}: {exc}") from exc
         out_path = os.path.join(os.fspath(out_dir), os.path.splitext(name)[0] + ".png")

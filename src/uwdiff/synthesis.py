@@ -16,11 +16,16 @@ import numpy as np
 from .diffusion import stream_rng
 from .errors import ParameterError, TruncatedFileError, UnsupportedFormatError
 from .images import ChannelStats, LabImage, RgbImage, channel_stats, lab_to_srgb, srgb_to_lab
-from .imageio import list_images, load_image, save_image
+from .imageio import list_images, load_image, require_unique_stems, save_image
 
 _SIGMA_FLOOR = 1e-8
 
 METHODS = ("color_transfer", "scatter")
+
+# v1 stored clean paths as typed to synth (relative to the working directory);
+# v2 stores them relative to the manifest's directory
+MANIFEST_VERSION = 2
+_MANIFEST_HEADER = "# uwdiff dataset manifest v"
 
 
 @dataclass(frozen=True)
@@ -61,15 +66,14 @@ class DegradationParams:
 class ScatterRanges:
     """Sampling ranges for randomized scattering parameters.
 
-    Toolkit defaults; the wavelength_realistic flag forces the drawn direct
-    attenuation to satisfy red >= green >= blue (red light dies first).
+    Toolkit defaults; the drawn direct attenuation is always sorted
+    red >= green >= blue (red light dies first).
     """
 
     beta_direct: tuple[float, float] = (0.1, 1.5)
     beta_backscatter: tuple[float, float] = (0.05, 1.0)
     veil: tuple[float, float] = (0.05, 0.95)
     depth: tuple[float, float] = (0.5, 4.0)
-    wavelength_realistic: bool = True
 
     def validate(self) -> None:
         for name in ("beta_direct", "beta_backscatter", "veil", "depth"):
@@ -81,9 +85,7 @@ class ScatterRanges:
 
     def draw(self, rng: np.random.Generator) -> DegradationParams:
         self.validate()
-        bd = rng.uniform(*self.beta_direct, size=3)
-        if self.wavelength_realistic:
-            bd = np.sort(bd)[::-1]  # red attenuates fastest
+        bd = np.sort(rng.uniform(*self.beta_direct, size=3))[::-1]  # red attenuates fastest
         return DegradationParams(
             beta_direct=bd,
             beta_backscatter=rng.uniform(*self.beta_backscatter, size=3),
@@ -165,7 +167,7 @@ def scatter_degrade(clean: RgbImage, params: DegradationParams) -> RgbImage:
 @dataclass(frozen=True)
 class ManifestEntry:
     degraded: str  # path relative to the manifest location
-    clean: str  # path as passed to the synthesizer
+    clean: str  # v2: relative to the manifest location; v1: as passed to the synthesizer
     template_index: int
     seed: int
     method: str
@@ -178,6 +180,7 @@ class DatasetManifest:
     seed: int = 0
     method: str = "color_transfer"
     params_note: str = ""
+    version: int = MANIFEST_VERSION
 
     def write(self, path) -> None:
         base = os.path.dirname(os.path.abspath(os.fspath(path)))
@@ -186,7 +189,7 @@ class DatasetManifest:
             if not os.path.exists(target):
                 raise ParameterError(f"manifest references missing file {target!r}")
         lines = [
-            "# uwdiff dataset manifest v1",
+            f"{_MANIFEST_HEADER}{self.version}",
             f"# seed {self.seed}",
             f"# method {self.method}",
         ]
@@ -202,11 +205,17 @@ class DatasetManifest:
 
     @classmethod
     def read(cls, path) -> "DatasetManifest":
-        manifest = cls()
+        manifest = cls(version=1)
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.rstrip("\n")
                 if not line:
+                    continue
+                if line.startswith(_MANIFEST_HEADER):
+                    version = line[len(_MANIFEST_HEADER):]
+                    if version not in ("1", "2"):
+                        raise ParameterError(f"unsupported manifest version {version!r} in {os.fspath(path)!r}")
+                    manifest.version = int(version)
                     continue
                 if line.startswith("#"):
                     parts = line[1:].strip().split(" ", 1)
@@ -250,14 +259,10 @@ def synthesize_dataset(
     ranges = ranges or ScatterRanges()
     pool = TemplatePool.from_dir(template_dir)
     clean_names = list_images(clean_dir)
+    require_unique_stems(clean_dir, clean_names)
     out_dir = os.fspath(out_dir)
-    degraded_dir = os.path.join(out_dir, "degraded")
-    os.makedirs(degraded_dir, exist_ok=True)
-
-    stems = [os.path.splitext(n)[0] for n in clean_names]
-    duplicates = {s for s in stems if stems.count(s) > 1}
-    if duplicates:
-        raise ParameterError(f"duplicate image stems in {os.fspath(clean_dir)!r}: {sorted(duplicates)}")
+    os.makedirs(os.path.join(out_dir, "degraded"), exist_ok=True)
+    manifest_dir = os.path.realpath(out_dir)
 
     manifest = DatasetManifest(seed=seed, method=method, params_note=_ranges_note(method, ranges))
     for index, name in enumerate(clean_names):
@@ -277,7 +282,8 @@ def synthesize_dataset(
             degraded = scatter_degrade(clean, ranges.draw(rng))
         rel = f"degraded/{os.path.splitext(name)[0]}.png"
         save_image(degraded, os.path.join(out_dir, rel))
-        manifest.entries.append(ManifestEntry(rel, clean_path, template_index, seed, method))
+        clean_rel = os.path.relpath(os.path.realpath(clean_path), manifest_dir)
+        manifest.entries.append(ManifestEntry(rel, clean_rel, template_index, seed, method))
     manifest.write(os.path.join(out_dir, "manifest.tsv"))
     return manifest
 
@@ -287,13 +293,13 @@ def _ranges_note(method: str, ranges: ScatterRanges) -> str:
         return ""
     return (
         f"beta_direct={ranges.beta_direct} beta_backscatter={ranges.beta_backscatter} "
-        f"veil={ranges.veil} depth={ranges.depth} wavelength_realistic={ranges.wavelength_realistic}"
+        f"veil={ranges.veil} depth={ranges.depth}"
     )
 
 
-def load_pair(manifest_path, entry: ManifestEntry) -> tuple[RgbImage, RgbImage]:
-    """Load (degraded, clean) images for a manifest entry."""
+def load_pair(manifest_path, entry: ManifestEntry, version: int) -> tuple[RgbImage, RgbImage]:
+    """Load (degraded, clean) images for an entry of a manifest of the given version."""
     base = os.path.dirname(os.path.abspath(os.fspath(manifest_path)))
     degraded = load_image(os.path.join(base, entry.degraded))
-    clean = load_image(entry.clean)
+    clean = load_image(os.path.join(base, entry.clean) if version >= 2 else entry.clean)
     return degraded, clean

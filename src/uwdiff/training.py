@@ -23,8 +23,6 @@ from .errors import ParameterError, ShapeMismatchError, TrainingDivergedError
 from .images import RgbImage
 from .jointnet import JointNetParams, alignment_pixel_grad, embed_image_graph
 
-EMBED_SOURCES = ("x0_hat", "x_t")
-
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -42,7 +40,6 @@ class LossWeights:
 class OptimizerConfig:
     learning_rate: float = 1e-3
     total_steps: int = 200
-    linear_decay: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -63,10 +60,8 @@ class AugmentationConfig:
             raise ParameterError("augmentation probability must lie in [0, 1]")
 
 
-def applied_lr(base: float, step: int, total_steps: int, linear_decay: bool = True) -> float:
-    """Learning rate used at update `step` (1-based)."""
-    if not linear_decay:
-        return base
+def applied_lr(base: float, step: int, total_steps: int) -> float:
+    """Linearly decayed learning rate used at update `step` (1-based)."""
     return base * (1.0 - (step - 1) / total_steps)
 
 
@@ -136,7 +131,6 @@ class JointContext:
     params: JointNetParams
     theta_natural: np.ndarray
     theta_underwater: np.ndarray
-    grad_kind: str = "alignment"
 
 
 @dataclass(frozen=True)
@@ -180,7 +174,6 @@ def guidance_pixel_grad(x_t: np.ndarray, context: JointContext) -> np.ndarray:
         context.params,
         context.theta_natural,
         context.theta_underwater,
-        context.grad_kind,
     )
     return 0.5 * grad
 
@@ -193,7 +186,6 @@ def fine_tune(
     optimizer: OptimizerConfig,
     guidance: GuidanceConfig | None = None,
     context: JointContext | None = None,
-    embed_source: str = "x0_hat",
     t_range: tuple[int, int] | None = None,
     augmentation: AugmentationConfig | None = None,
 ) -> FineTuneResult:
@@ -206,8 +198,6 @@ def fine_tune(
     """
     if not pairs:
         raise ParameterError("fine_tune needs a nonempty dataset")
-    if embed_source not in EMBED_SOURCES:
-        raise ParameterError(f"embed_source must be one of {EMBED_SOURCES}")
     if weights.lambda2 > 0 and context is None:
         raise ParameterError("semantic loss weight > 0 requires a JointContext")
     if guidance is not None and context is None and guidance.weights()[1] > 0:
@@ -257,11 +247,8 @@ def fine_tune(
         eps_prime = model.noise_graph(x_t_tensor, condition, t, sched) - Tensor(offset)
         emb_gen = emb_target = None
         if weights.lambda2 > 0:
-            if embed_source == "x0_hat":
-                source = (x_t_tensor - root * eps_prime) * (1.0 / math.sqrt(ab))
-            else:
-                source = x_t_tensor
-            emb_gen = embed_image_graph((source + 1.0) * 0.5, context.params)
+            x0_hat = (x_t_tensor - root * eps_prime) * (1.0 / math.sqrt(ab))
+            emb_gen = embed_image_graph((x0_hat + 1.0) * 0.5, context.params)
             emb_target = target_embedding(index, x0)
         total, l1, semantic = composite_loss(eps, eps_prime, emb_gen, emb_target, weights)
 
@@ -269,7 +256,7 @@ def fine_tune(
         if not math.isfinite(value):
             raise TrainingDivergedError(f"non-finite loss at step {step}")
         total.backward()
-        lr = applied_lr(optimizer.learning_rate, step, optimizer.total_steps, optimizer.linear_decay)
+        lr = applied_lr(optimizer.learning_rate, step, optimizer.total_steps)
         adam.step(lr)
         result.log.append(
             LogRecord(step, t, float(l1.item()), float(semantic.item()), value, lr)

@@ -28,16 +28,14 @@ class TestConfigParsing:
         steps = 500
         beta_start = 1e-5
         [guidance]
-        mode = lambda_blend
-        lambda = 0.25
+        gamma2 = 0.25
         [metrics]
         cpbd = false
         """
         config = parse_config_text(text)
         assert config.seed == 42
         assert config.schedule_steps == 500
-        assert config.guidance_mode == "lambda_blend"
-        assert config.guidance_lambda == 0.25
+        assert config.gamma2 == 0.25
         assert config.metric_cpbd is False
 
     def test_unknown_section_rejected(self):
@@ -58,7 +56,7 @@ class TestConfigParsing:
 
     def test_bad_choice_rejected(self):
         with pytest.raises(ConfigError):
-            parse_config_text("[guidance]\nmode = sideways\n")
+            parse_config_text("[synthesis]\nmethod = sideways\n")
 
     def test_load_defaults_without_file(self):
         assert load_config(None) == RunConfig()
@@ -135,6 +133,20 @@ LISTED_DIRS = [
 ]
 
 
+# (section, key) pairs that earlier versions accepted and this one rejects
+RETIRED_KEYS = [
+    ("guidance", "mode"),
+    ("guidance", "lambda"),
+    ("guidance", "gamma1"),
+    ("guidance", "grad2_source"),
+    ("guidance", "reverse_variance"),
+    ("loss", "embed_source"),
+    ("optimizer", "linear_decay"),
+    ("synthesis", "wavelength_realistic"),
+    ("metrics", "markdown"),
+]
+
+
 class TestCliContract:
     @pytest.mark.parametrize("bad", ["missing", "file", "empty"])
     @pytest.mark.parametrize("command, flag", LISTED_DIRS)
@@ -201,9 +213,10 @@ class TestCliContract:
         )
         assert code == 2
 
-    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("section, key", [("run", "seeed"), *RETIRED_KEYS])
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, section, key):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("[run]\nseeed = 1\n")
+        cfg.write_text(f"[{section}]\n{key} = 1\n")
         _write_scene_dir(tmp_path / "imgs", 1, 0)
         code = main(
             [
@@ -214,6 +227,67 @@ class TestCliContract:
             ]
         )
         assert code == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2" in err and f"unknown key {key!r}" in err
+
+    def test_checkpoint_echo_with_retired_key_exits_2(self, tmp_path, capsys):
+        _write_scene_dir(tmp_path / "imgs", 1, 0)
+        model = tmp_path / "model.ckpt"
+        echo = resolve_text(RunConfig()).replace("[guidance]\n", "[guidance]\nmode = gamma_pair\n")
+        write_checkpoint(model, ConditionalDenoiser(width=RunConfig().denoiser_width).named_tensors(), echo)
+        code = main(
+            ["enhance", "--input", str(tmp_path / "imgs"), "--model", str(model), "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{model}:echo:" in err and "'mode'" in err
+
+    def test_manifest_paths_do_not_depend_on_the_working_directory(self, tmp_path, capsys, monkeypatch):
+        work = tmp_path / "work"
+        _write_scene_dir(work / "clean", 2, 0)
+        _write_scene_dir(work / "tpl", 1, 1)
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("[schedule]\nsteps = 5\n[optimizer]\nsteps = 2\n[denoiser]\nwidth = 2\n")
+        monkeypatch.chdir(work)
+        assert main(["synth", "--clean", "clean", "--templates", "tpl", "--out", os.path.join("w", "synth")]) == 0
+        monkeypatch.chdir(tmp_path)
+        manifest = os.path.join("work", "w", "synth", "manifest.tsv")
+        assert main(["finetune", "--config", str(cfg), "--manifest", manifest, "--out", "model"]) == 0
+        assert (tmp_path / "model" / "model.ckpt").exists()
+
+    def test_v1_manifest_paths_stay_relative_to_the_working_directory(self, tmp_path, capsys, monkeypatch):
+        _write_scene_dir(tmp_path / "clean", 2, 0)
+        _write_scene_dir(tmp_path / "tpl", 1, 1)
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--clean", "clean", "--templates", "tpl", "--out", "synth"]) == 0
+        manifest = tmp_path / "synth" / "manifest.tsv"
+        text = manifest.read_text().replace("manifest v2", "manifest v1").replace("../clean/", "clean/")
+        manifest.write_text(text)
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("[schedule]\nsteps = 5\n[optimizer]\nsteps = 2\n[denoiser]\nwidth = 2\n")
+        args = ["finetune", "--config", str(cfg), "--manifest", str(manifest), "--out", str(tmp_path / "model")]
+        assert main(args) == 0
+        monkeypatch.chdir(tmp_path / "synth")
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "degraded/s00.png" in err
+
+    @pytest.mark.parametrize("command", ["synth", "enhance"])
+    def test_duplicate_stems_exit_2_before_any_work(self, tmp_path, capsys, command):
+        imgs = tmp_path / "imgs"
+        _write_scene_dir(imgs, 2, 0)
+        save_image(RgbImage.from_array(np.full((16, 16, 3), 0.5)), imgs / "s01.ppm")
+        model = tmp_path / "model.ckpt"
+        save_model_checkpoint(model, ConditionalDenoiser(width=RunConfig().denoiser_width), RunConfig())
+        args = {
+            "synth": ["--clean", str(imgs), "--templates", str(imgs)],
+            "enhance": ["--input", str(imgs), "--model", str(model)],
+        }[command]
+        assert main([command, *args, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(imgs) in err and "['s01']" in err
+        assert os.listdir(tmp_path / "out") == []
 
     def test_env_var_out_dir(self, tmp_path, capsys, monkeypatch):
         _write_scene_dir(tmp_path / "imgs", 1, 0, size=64)

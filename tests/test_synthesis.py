@@ -170,7 +170,14 @@ class TestSynthesizeDataset:
         loaded = DatasetManifest.read(tmp_path / "out" / "manifest.tsv")
         assert loaded.seed == 5
         assert loaded.method == "scatter"
+        assert loaded.version == 2
         assert loaded.entries == manifest.entries
+
+    def test_unsupported_manifest_version_rejected(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_text("# uwdiff dataset manifest v3\n")
+        with pytest.raises(ParameterError, match="unsupported manifest version"):
+            DatasetManifest.read(path)
 
     def test_template_pool_needs_decodable_images(self, tmp_path):
         os.makedirs(tmp_path / "tpl")

@@ -107,9 +107,6 @@ class TestLearningRateSchedule:
             assert applied_lr(base, k, total) == pytest.approx(base * (1 - (k - 1) / total))
         assert applied_lr(base, total + 1, total) == 0.0
 
-    def test_decay_disabled(self):
-        assert applied_lr(0.1, 5, 10, linear_decay=False) == 0.1
-
 
 class TestAugment:
     def test_disabled_is_identity(self, rng):
