@@ -30,6 +30,6 @@ from .diffusion import (
     reverse_step,
     score_from_noise,
 )
-from .training import AugmentationConfig, LossWeights, OptimizerConfig, augment, composite_loss, fine_tune, grad_check
+from .training import AugmentationConfig, LossWeights, OptimizerConfig, composite_loss, fine_tune, grad_check
 
 __version__ = "0.1.0"

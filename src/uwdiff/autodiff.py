@@ -2,7 +2,7 @@
 
 Covers exactly the operator set the toolkit trains with: broadcast
 arithmetic, matmul, 2-D convolution, smooth pointwise nonlinearities,
-reductions, reshape, and concatenation, plus the Adam optimizer that every
+reductions, and concatenation, plus the Adam optimizer that every
 training loop uses. Every gradient is validated against central finite
 differences in the test suite.
 """
@@ -73,12 +73,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -155,17 +149,6 @@ def mul(a, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = _ensure(a), _ensure(b)
-    data = a.data / b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / b.data**2, b.data.shape))
-
-    return _node(data, (a, b), backward)
-
-
 def power(a, exponent: float) -> Tensor:
     a = _ensure(a)
     data = a.data**exponent
@@ -198,32 +181,12 @@ def matmul(a, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-def exp(a) -> Tensor:
-    a = _ensure(a)
-    data = np.exp(a.data)
-
-    def backward(g):
-        _accumulate(a, g * data)
-
-    return _node(data, (a,), backward)
-
-
 def log(a) -> Tensor:
     a = _ensure(a)
     data = np.log(a.data)
 
     def backward(g):
         _accumulate(a, g / a.data)
-
-    return _node(data, (a,), backward)
-
-
-def sqrt(a) -> Tensor:
-    a = _ensure(a)
-    data = np.sqrt(a.data)
-
-    def backward(g):
-        _accumulate(a, g / (2.0 * data))
 
     return _node(data, (a,), backward)
 
@@ -289,16 +252,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
         [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
     )
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(count))
-
-
-def reshape(a, shape) -> Tensor:
-    a = _ensure(a)
-    data = a.data.reshape(shape)
-
-    def backward(g):
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return _node(data, (a,), backward)
 
 
 def concat(parts, axis: int = 0) -> Tensor:

@@ -207,20 +207,20 @@ def cmd_eval(args) -> int:
     config = _load_config(args)
     out = _resolve_out(args)
     names = list_images(args.enhanced)
+    references: dict[str, str] = {}
+    if args.reference is not None:
+        for ref_name in list_images(args.reference):  # sorted, so a.png wins over a.ppm
+            references.setdefault(os.path.splitext(ref_name)[0], ref_name)
     columns = _metric_columns(config, args.reference is not None)
     rows: list[tuple[str, MetricReport]] = []
     for name in names:
         img = load_image(os.path.join(args.enhanced, name))
         reference = None
         if args.reference is not None:
-            stem = os.path.splitext(name)[0]
-            candidates = [
-                os.path.join(args.reference, stem + ext) for ext in (".png", ".ppm")
-            ]
-            ref_path = next((p for p in candidates if os.path.exists(p)), None)
-            if ref_path is None:
-                raise UwdiffError(f"reference image missing for {name!r}")
-            reference = load_image(ref_path)
+            ref_name = references.get(os.path.splitext(name)[0])
+            if ref_name is None:
+                raise UwdiffError(f"no reference image for {name!r} in {os.fspath(args.reference)!r}")
+            reference = load_image(os.path.join(args.reference, ref_name))
         rows.append((name, evaluate(img, reference, include=columns)))
 
     header = ["image"] + [c.upper() for c in columns]

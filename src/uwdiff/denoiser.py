@@ -1,10 +1,9 @@
-"""Trainable noise predictors for desk-scale experiments.
+"""A trainable noise predictor for desk-scale experiments.
 
 ConditionalDenoiser is a two-layer convolutional model over the concatenation
 of the noisy state, the conditioning image, and two timestep channels. It is
 parameterized to predict the clean signal and converts that prediction to
 noise analytically, which keeps toy-scale training well conditioned.
-LinearDenoiser is the 1-D affine model used against closed-form oracles.
 """
 
 from __future__ import annotations
@@ -67,24 +66,4 @@ class ConditionalDenoiser:
         return (x_t - math.sqrt(ab) * x0_hat) * (1.0 / math.sqrt(1.0 - ab))
 
     def __call__(self, x_t: np.ndarray, condition: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
-        return self.noise_graph(Tensor(np.asarray(x_t, dtype=np.float64)), condition, t, sched).data
-
-
-class LinearDenoiser:
-    """Scalar affine predictor eps_hat = a * x_t + b; ignores the condition."""
-
-    def __init__(self, a: float = 0.0, b: float = 0.0):
-        self.a = Tensor(np.array(a), requires_grad=True)
-        self.b = Tensor(np.array(b), requires_grad=True)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.a, self.b]
-
-    def named_tensors(self) -> dict[str, np.ndarray]:
-        return {"linear.a": self.a.data, "linear.b": self.b.data}
-
-    def noise_graph(self, x_t: Tensor, condition, t: int, sched: NoiseSchedule) -> Tensor:
-        return x_t * self.a + self.b
-
-    def __call__(self, x_t: np.ndarray, condition, t: int, sched: NoiseSchedule) -> np.ndarray:
         return self.noise_graph(Tensor(np.asarray(x_t, dtype=np.float64)), condition, t, sched).data

@@ -237,11 +237,6 @@ class AnalyticGaussianWorld:
         mean = (self.var_y * self.mu0 + self.var0 * y) / (self.var0 + self.var_y)
         return mean, var
 
-    def blended_posterior(self, y1, y2, lam: float):
-        """Posterior targeted by lambda-blended guidance on two observations."""
-        effective_y = lam * y1 + (1.0 - lam) * y2
-        return self.posterior(effective_y)
-
 
 def sample_terminal(
     world: AnalyticGaussianWorld,

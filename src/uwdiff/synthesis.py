@@ -206,8 +206,16 @@ class DatasetManifest:
     @classmethod
     def read(cls, path) -> "DatasetManifest":
         manifest = cls(version=1)
+
+        def integer(text: str, where: str, what: str) -> int:
+            try:
+                return int(text)
+            except ValueError:
+                raise ParameterError(f"{where}: {what} must be an integer, got {text!r}") from None
+
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
+                where = f"{os.fspath(path)}:{lineno}"
                 line = line.rstrip("\n")
                 if not line:
                     continue
@@ -220,7 +228,7 @@ class DatasetManifest:
                 if line.startswith("#"):
                     parts = line[1:].strip().split(" ", 1)
                     if parts[0] == "seed" and len(parts) > 1:
-                        manifest.seed = int(parts[1])
+                        manifest.seed = integer(parts[1], where, "seed")
                     elif parts[0] == "method" and len(parts) > 1:
                         manifest.method = parts[1]
                     elif parts[0] == "params" and len(parts) > 1:
@@ -231,10 +239,10 @@ class DatasetManifest:
                     continue
                 fields = line.split("\t")
                 if len(fields) != 5:
-                    raise ParameterError(f"malformed manifest record: {line!r}")
-                manifest.entries.append(
-                    ManifestEntry(fields[0], fields[1], int(fields[2]), int(fields[3]), fields[4])
-                )
+                    raise ParameterError(f"{where}: malformed manifest record, {len(fields)} fields, want 5: {line!r}")
+                template_index = integer(fields[2], where, "template index")
+                seed = integer(fields[3], where, "seed")
+                manifest.entries.append(ManifestEntry(fields[0], fields[1], template_index, seed, fields[4]))
         return manifest
 
 

@@ -20,7 +20,6 @@ from . import autodiff as ad
 from .autodiff import Adam, Tensor
 from .diffusion import GuidanceConfig, NoiseSchedule, forward_sample, stream_rng
 from .errors import ParameterError, ShapeMismatchError, TrainingDivergedError
-from .images import RgbImage
 from .jointnet import JointNetParams, alignment_pixel_grad, embed_image_graph
 
 
@@ -110,13 +109,6 @@ def _apply_transform(data: np.ndarray, flip: bool, quarters: int) -> np.ndarray:
     if quarters:
         out = np.rot90(out, quarters, axes=(0, 1))
     return np.ascontiguousarray(out)
-
-
-def augment(img: RgbImage, cfg: AugmentationConfig, rng: np.random.Generator) -> RgbImage:
-    """Random horizontal flip and right-angle rotation; pixels are only permuted."""
-    flip, quarters = _draw_transform(cfg, rng)
-    out = _apply_transform(img.data, flip, quarters)
-    return RgbImage(out.shape[1], out.shape[0], out)
 
 
 # ---------------------------------------------------------------------------

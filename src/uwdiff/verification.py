@@ -19,7 +19,6 @@ from .diffusion import (
     GuidanceConfig,
     NoiseSchedule,
     combine_scores_lambda,
-    default_schedule,
     forward_sample,
     guided_noise_prediction,
     reverse_step,
@@ -87,13 +86,12 @@ def check_score_identity(sched: NoiseSchedule, seed: int) -> CheckResult:
     return CheckResult("score_identity", worst < 1e-9, f"max |score err| {worst:.2e}")
 
 
-def check_guidance_algebra(sched: NoiseSchedule, seed: int) -> CheckResult:
-    rng = stream_rng(seed, 3)
+def check_guidance_algebra(sched: NoiseSchedule, rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for _ in range(1000):
         t = int(rng.integers(1, sched.steps + 1))
         lam = float(rng.uniform())
-        eps_theta, g1, g2 = rng.standard_normal((3, 4))
+        eps_theta, g1, g2 = rng.standard_normal((3, 8))
         cfg = GuidanceConfig(mode="lambda_blend", lam=lam)
         eps_prime = guided_noise_prediction(eps_theta, g1, g2, t, sched, cfg)
         via_noise = score_from_noise(eps_prime, t, sched)
@@ -118,12 +116,12 @@ def check_guidance_linearity(sched: NoiseSchedule, seed: int) -> CheckResult:
     return CheckResult("guidance_linearity", gap < 1e-12, f"affine gap {gap:.2e}")
 
 
-def check_posterior_recovery(sched: NoiseSchedule, seed: int) -> CheckResult:
+def check_posterior_recovery(sched: NoiseSchedule, rng: np.random.Generator) -> CheckResult:
     world = AnalyticGaussianWorld(mu0=0.0, var0=1.0, var_y=0.5)
     n = 10_000
     y = 2.0
     samples = sample_terminal(
-        world, sched, n, stream_rng(seed, 5), observations=(y,),
+        world, sched, n, rng, observations=(y,),
         cfg=GuidanceConfig(mode="lambda_blend", lam=1.0),
     )
     want_mean, want_var = world.posterior(y)
@@ -140,10 +138,10 @@ def check_posterior_recovery(sched: NoiseSchedule, seed: int) -> CheckResult:
     )
 
 
-def check_prior_recovery(sched: NoiseSchedule, seed: int) -> CheckResult:
+def check_prior_recovery(sched: NoiseSchedule, rng: np.random.Generator) -> CheckResult:
     world = AnalyticGaussianWorld(mu0=0.0, var0=1.0, var_y=0.5)
     n = 10_000
-    samples = sample_terminal(world, sched, n, stream_rng(seed, 6))
+    samples = sample_terminal(world, sched, n, rng)
     se_mean = math.sqrt(1.0 / n)
     se_var = math.sqrt(2.0 / (n - 1))
     mean_err = abs(float(samples.mean()))
@@ -156,14 +154,15 @@ def check_prior_recovery(sched: NoiseSchedule, seed: int) -> CheckResult:
     )
 
 
-def check_lambda_preference(sched: NoiseSchedule, seed: int) -> CheckResult:
+def check_lambda_preference(sched: NoiseSchedule, rngs: list[np.random.Generator]) -> CheckResult:
+    """Terminal means approach y2's posterior as lambda falls; `rngs` holds one stream per lambda."""
     world = AnalyticGaussianWorld(mu0=0.0, var0=1.0, var_y=0.5)
     y1, y2 = 2.0, -2.0
     n = 10_000
     means = []
-    for i, lam in enumerate((0.9, 0.7, 0.5, 0.3, 0.1)):
+    for lam, rng in zip((0.9, 0.7, 0.5, 0.3, 0.1), rngs, strict=True):
         cfg = GuidanceConfig(mode="lambda_blend", lam=lam)
-        samples = sample_terminal(world, sched, n, stream_rng(seed, 7 + i), observations=(y1, y2), cfg=cfg)
+        samples = sample_terminal(world, sched, n, rng, observations=(y1, y2), cfg=cfg)
         means.append(float(samples.mean()))
     target = world.posterior(y2)[0]
     gaps = [abs(m - target) for m in means]
@@ -185,19 +184,18 @@ def check_terminal_step_deterministic(sched: NoiseSchedule, seed: int) -> CheckR
     return CheckResult("terminal_step_deterministic", ok, "t=1 adds no noise")
 
 
-def check_loss_decomposition(seed: int) -> CheckResult:
-    rng = stream_rng(seed, 15)
+def check_loss_decomposition(rng: np.random.Generator) -> CheckResult:
+    """total = lambda1*l1 + lambda2*semantic, with both terms on and with each alone."""
     worst = 0.0
-    for _ in range(200):
+    for _ in range(300):
         eps = rng.standard_normal(12)
         eps_hat = rng.standard_normal(12)
-        va = rng.standard_normal(6)
-        vb = rng.standard_normal(6)
+        va, vb = rng.standard_normal((2, 6))
         emb_a = Tensor(va / np.linalg.norm(va))
         emb_b = vb / np.linalg.norm(vb)
-        w = LossWeights(lambda1=float(rng.uniform(0.1, 1)), lambda2=float(rng.uniform(0.1, 1)))
-        total, l1, semantic = (term.item() for term in composite_loss(eps, Tensor(eps_hat), emb_a, emb_b, w))
-        worst = max(worst, abs(total - (w.lambda1 * l1 + w.lambda2 * semantic)))
+        for w in (LossWeights(0.6, 0.4), LossWeights(0.7, 0.0), LossWeights(0.0, 0.9)):
+            total, l1, semantic = (term.item() for term in composite_loss(eps, Tensor(eps_hat), emb_a, emb_b, w))
+            worst = max(worst, abs(total - (w.lambda1 * l1 + w.lambda2 * semantic)))
     return CheckResult("loss_decomposition", worst < 1e-12, f"max decomposition gap {worst:.2e}")
 
 
@@ -218,18 +216,17 @@ def check_gradients(seed: int) -> CheckResult:
     return CheckResult("gradient_checks", report.passed, detail or "; ".join(report.failures))
 
 
-def run_all(seed: int = 0, sched: NoiseSchedule | None = None) -> list[CheckResult]:
-    sched = sched or default_schedule(200)
+def run_all(seed: int, sched: NoiseSchedule) -> list[CheckResult]:
     return [
         check_schedule_shape(sched),
         check_forward_marginal(sched, seed),
         check_score_identity(sched, seed),
-        check_guidance_algebra(sched, seed),
+        check_guidance_algebra(sched, stream_rng(seed, 3)),
         check_guidance_linearity(sched, seed),
-        check_posterior_recovery(sched, seed),
-        check_prior_recovery(sched, seed),
-        check_lambda_preference(sched, seed),
+        check_posterior_recovery(sched, stream_rng(seed, 5)),
+        check_prior_recovery(sched, stream_rng(seed, 6)),
+        check_lambda_preference(sched, [stream_rng(seed, 7 + i) for i in range(5)]),
         check_terminal_step_deterministic(sched, seed),
-        check_loss_decomposition(seed),
+        check_loss_decomposition(stream_rng(seed, 15)),
         check_gradients(seed),
     ]

@@ -50,15 +50,10 @@ class TestElementwiseOps:
     def test_mul_broadcast(self):
         check_op(lambda a, b: ad.tsum(a * b), (2, 3, 2), (3, 1))
 
-    def test_div(self):
-        check_op(lambda a, b: ad.tsum(a / b), (4,), (4,))
-
     def test_power(self):
         check_op(lambda a: ad.tsum(a**3.0), (5,))
 
-    def test_sqrt_exp_log_tanh_sigmoid(self):
-        check_op(lambda a: ad.tsum(ad.sqrt(a)), (4,))
-        check_op(lambda a: ad.tsum(ad.exp(a)), (4,))
+    def test_log_tanh_sigmoid(self):
         check_op(lambda a: ad.tsum(ad.log(a)), (4,))
         check_op(lambda a: ad.tsum(ad.tanh(a)), (4,))
         check_op(lambda a: ad.tsum(ad.sigmoid(a)), (4,))
@@ -84,9 +79,6 @@ class TestReductionsAndShaping:
 
     def test_mean_axis(self):
         check_op(lambda a: ad.tsum(ad.tmean(a, axis=0)), (4, 3))
-
-    def test_reshape(self):
-        check_op(lambda a: ad.tsum(ad.reshape(a, (6,)) * 3.0), (2, 3))
 
     def test_concat(self):
         check_op(lambda a, b: ad.tsum(ad.concat([a, b], axis=0) ** 2.0), (2, 3), (4, 3))

@@ -130,6 +130,7 @@ LISTED_DIRS = [
     ("train-prompts", "--underwater"),
     ("enhance", "--input"),
     ("eval", "--enhanced"),
+    ("eval", "--reference"),
 ]
 
 
@@ -159,7 +160,7 @@ class TestCliContract:
             "synth": {"--clean": imgs, "--templates": imgs},
             "train-prompts": {"--natural": imgs, "--underwater": imgs},
             "enhance": {"--input": imgs, "--model": model},
-            "eval": {"--enhanced": imgs},
+            "eval": {"--enhanced": imgs, "--reference": imgs},
         }[command]
         target = inputs[flag] = tmp_path / bad
         if bad == "file":
@@ -272,6 +273,42 @@ class TestCliContract:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert str(manifest) in err and "degraded/s00.png" in err
+
+    @pytest.mark.parametrize(
+        "line, text",
+        [
+            (4, "d.png\tc.png\tx\t0\tcolor_transfer"),
+            (4, "d.png\tc.png\t0\tx\tcolor_transfer"),
+            (4, "d.png\tc.png\t0\t0"),
+            (2, "# seed x"),
+        ],
+        ids=["template-index", "seed", "four-fields", "seed-header"],
+    )
+    def test_bad_manifest_field_exits_2_naming_file_and_line(self, tmp_path, capsys, line, text):
+        lines = ["# uwdiff dataset manifest v2", "# seed 0", "# method color_transfer"]
+        lines[line - 1 : line] = [text]
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(["finetune", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
+        assert f"{manifest}:{line}:" in capsys.readouterr().err
+
+    def test_eval_finds_upper_case_png_reference(self, tmp_path, capsys):
+        _write_scene_dir(tmp_path / "imgs", 1, 4, size=64)
+        os.makedirs(tmp_path / "refs")
+        os.rename(tmp_path / "imgs" / "s00.png", tmp_path / "refs" / "s00.PNG")
+        _write_scene_dir(tmp_path / "imgs", 1, 4, size=64)
+        args = ["--enhanced", str(tmp_path / "imgs"), "--reference", str(tmp_path / "refs")]
+        assert main(["eval", *args, "--out", str(tmp_path / "out")]) == 0
+        table = (tmp_path / "out" / "metrics.tsv").read_text().splitlines()
+        assert table[1].split("\t")[table[0].split("\t").index("PSNR")] == "inf"
+
+    def test_eval_missing_reference_exits_2_naming_directory_and_image(self, tmp_path, capsys):
+        _write_scene_dir(tmp_path / "imgs", 2, 4, size=64)
+        _write_scene_dir(tmp_path / "refs", 1, 4, size=64)
+        args = ["--enhanced", str(tmp_path / "imgs"), "--reference", str(tmp_path / "refs")]
+        assert main(["eval", *args, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "refs") in err and "'s01.png'" in err
 
     @pytest.mark.parametrize("command", ["synth", "enhance"])
     def test_duplicate_stems_exit_2_before_any_work(self, tmp_path, capsys, command):

@@ -205,11 +205,6 @@ class TestAnalyticWorld:
         assert mean == pytest.approx(4 / 3)
         assert var == pytest.approx(1 / 3)
 
-    def test_blended_posterior_interpolates(self):
-        world = AnalyticGaussianWorld(mu0=0.0, var0=1.0, var_y=0.5)
-        mean_mid, _ = world.blended_posterior(2.0, -2.0, 0.5)
-        assert mean_mid == pytest.approx(0.0)
-
     def test_observation_score_is_exact_bayes(self, rng):
         # prior score + obs score must equal the posterior-marginal score
         sched = default_schedule(200)
