@@ -16,6 +16,7 @@ import struct
 import numpy as np
 
 from .errors import TruncatedFileError, UnsupportedFormatError
+from .imageio import write_atomic
 
 MAGIC = b"UWCKPT"
 VERSION = 1
@@ -37,8 +38,7 @@ def write_checkpoint(path, tensors: dict[str, np.ndarray], config_echo: str = ""
         blob += struct.pack("<I", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
         blob += arr.astype("<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    write_atomic(path, bytes(blob))
 
 
 class _Reader:

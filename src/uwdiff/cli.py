@@ -18,7 +18,7 @@ import sys
 from .config import RunConfig, load_config, resolve_text
 from .denoiser import ConditionalDenoiser
 from .errors import ConfigError, SamplingDivergedError, TrainingDivergedError, UwdiffError
-from .imageio import list_images, load_image
+from .imageio import list_images, load_image, write_atomic
 from .images import RgbImage
 from .jointnet import init_params, train_prompts
 from .metrics import MetricReport, evaluate
@@ -90,10 +90,9 @@ def cmd_train_prompts(args) -> int:
     ckpt_path = os.path.join(out, "prompts.ckpt")
     save_prompts_checkpoint(ckpt_path, params, result.prompt_natural, result.prompt_underwater, config)
     log_path = os.path.join(out, "prompts.log")
-    with open(log_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch\tloss\n")
-        for epoch, loss in enumerate(result.losses, start=1):
-            fh.write(f"{epoch}\t{loss:.12e}\n")
+    lines = ["epoch\tloss"]
+    lines += [f"{epoch}\t{loss:.12e}" for epoch, loss in enumerate(result.losses, start=1)]
+    write_atomic(log_path, ("\n".join(lines) + "\n").encode("utf-8"))
     print(
         f"trained {len(result.losses)} epochs on {result.train_count} samples; "
         f"held-out accuracy {result.holdout_accuracy:.3f} on {result.holdout_count}; "
@@ -130,8 +129,7 @@ def cmd_finetune(args) -> int:
     ckpt_path = os.path.join(out, "model.ckpt")
     save_model_checkpoint(ckpt_path, model, config)
     log_path = os.path.join(out, "training.log")
-    with open(log_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(result.log_text())
+    write_atomic(log_path, result.log_text().encode("utf-8"))
     print(f"fine-tuned {len(result.log)} steps on {len(pairs)} pairs")
     print(ckpt_path)
     return EXIT_OK
@@ -235,15 +233,13 @@ def cmd_eval(args) -> int:
 
     text = "\n".join("\t".join(row) for row in table) + "\n"
     text_path = os.path.join(out, "metrics.tsv")
-    with open(text_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    write_atomic(text_path, text.encode("utf-8"))
     print(text, end="")
     md_lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
     for row in table[1:]:
         md_lines.append("| " + " | ".join(row) + " |")
     md_path = os.path.join(out, "metrics.md")
-    with open(md_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(md_lines) + "\n")
+    write_atomic(md_path, ("\n".join(md_lines) + "\n").encode("utf-8"))
     print(md_path)
     print(text_path)
     return EXIT_OK

@@ -3,7 +3,8 @@ binary PPM (P6, maxval 255 or 65535).
 
 Both codecs are self-contained on top of zlib. Decoding validates chunk CRCs
 and never returns a partial image; encoding quantizes with round-half-up and
-always writes unfiltered scanlines, so output bytes are deterministic.
+always writes unfiltered scanlines, so output bytes are deterministic. Files
+are written atomically (`write_atomic`), which the other writers share.
 """
 
 from __future__ import annotations
@@ -63,51 +64,48 @@ def _png_chunks(blob: bytes):
     raise TruncatedFileError("PNG has no IEND chunk")
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    if pb <= pc:
-        return b
-    return c
+def _unfilter_scanlines(raw: bytes, width: int, height: int, bpp: int) -> np.ndarray:
+    """Reverse PNG per-row filtering into a (height, width * bpp) uint8 array.
 
-
-def _unfilter_scanlines(raw: bytes, width: int, height: int, bpp: int) -> bytearray:
-    """Reverse PNG per-row filtering. bpp = bytes per complete pixel."""
+    bpp = bytes per complete pixel. None, Sub and Up are whole-row array
+    operations, whose uint8 arithmetic wraps mod 256 as PNG requires. Average
+    and Paeth depend on the byte just unfiltered to their left, so they run
+    as loops over Python lists.
+    """
     stride = width * bpp
     if len(raw) != height * (stride + 1):
         raise TruncatedFileError("decompressed PNG data has the wrong length")
-    out = bytearray(height * stride)
-    prev_start = -1
-    for row in range(height):
-        fbyte = raw[row * (stride + 1)]
-        line = raw[row * (stride + 1) + 1 : (row + 1) * (stride + 1)]
-        start = row * stride
+    lines = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
+    out = np.empty((height, stride), dtype=np.uint8)
+    prev = np.zeros(stride, dtype=np.uint8)
+    for r in range(height):
+        fbyte = int(lines[r, 0])
+        line = lines[r, 1:]
+        row = out[r]
         if fbyte == 0:
-            out[start : start + stride] = line
+            row[:] = line
         elif fbyte == 1:  # Sub
-            for i in range(stride):
-                left = out[start + i - bpp] if i >= bpp else 0
-                out[start + i] = (line[i] + left) & 0xFF
+            np.cumsum(line.reshape(width, bpp), axis=0, dtype=np.uint8, out=row.reshape(width, bpp))
         elif fbyte == 2:  # Up
-            for i in range(stride):
-                up = out[prev_start + i] if row > 0 else 0
-                out[start + i] = (line[i] + up) & 0xFF
+            np.add(line, prev, out=row)
         elif fbyte == 3:  # Average
-            for i in range(stride):
-                left = out[start + i - bpp] if i >= bpp else 0
-                up = out[prev_start + i] if row > 0 else 0
-                out[start + i] = (line[i] + (left + up) // 2) & 0xFF
-        elif fbyte == 4:  # Paeth
-            for i in range(stride):
-                left = out[start + i - bpp] if i >= bpp else 0
-                up = out[prev_start + i] if row > 0 else 0
-                ul = out[prev_start + i - bpp] if (row > 0 and i >= bpp) else 0
-                out[start + i] = (line[i] + _paeth(left, up, ul)) & 0xFF
+            x, b = line.tolist(), prev.tolist()
+            cur = [(xi + (bi >> 1)) & 0xFF for xi, bi in zip(x[:bpp], b)]
+            for xi, bi in zip(x[bpp:], b[bpp:]):
+                cur.append((xi + ((cur[-bpp] + bi) >> 1)) & 0xFF)
+            row[:] = cur
+        elif fbyte == 4:  # Paeth: a = left, b = up, c = up-left, all 0 off the image
+            x, b = line.tolist(), prev.tolist()
+            cur = [(xi + bi) & 0xFF for xi, bi in zip(x[:bpp], b)]
+            for xi, bi, ci in zip(x[bpp:], b[bpp:], b):
+                ai = cur[-bpp]
+                pa, pb, pc = abs(bi - ci), abs(ai - ci), abs(ai + bi - ci - ci)
+                pred = ai if pa <= pb and pa <= pc else (bi if pb <= pc else ci)
+                cur.append((xi + pred) & 0xFF)
+            row[:] = cur
         else:
             raise UnsupportedFormatError(f"PNG filter type {fbyte} is invalid")
-        prev_start = start
+        prev = row
     return out
 
 
@@ -143,11 +141,11 @@ def decode_png(blob: bytes) -> RgbImage:
     except zlib.error as exc:
         raise TruncatedFileError(f"PNG IDAT stream is corrupt: {exc}") from exc
     bpp = channels * bit_depth // 8
-    flat = _unfilter_scanlines(raw, width, height, bpp)
-    if bit_depth == 8:
-        arr = np.frombuffer(bytes(flat), dtype=np.uint8).astype(np.float64) / 255.0
-    else:
-        arr = np.frombuffer(bytes(flat), dtype=">u2").astype(np.float64) / 65535.0
+    rows = _unfilter_scanlines(raw, width, height, bpp)
+    if bit_depth == 16:
+        rows = rows.view(">u2")
+    arr = rows.astype(np.float64)
+    arr /= (1 << bit_depth) - 1.0  # in place: same bits as `/`, one float raster fewer
     arr = arr.reshape(height, width, channels)[..., :3]
     return RgbImage(width, height, np.ascontiguousarray(arr))
 
@@ -278,6 +276,27 @@ def require_unique_stems(directory, names) -> None:
         raise ParameterError(f"duplicate image stems in {os.fspath(directory)!r}: {duplicates}")
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to `path` through a temporary file in the same directory.
+
+    os.replace swaps the finished file in, so a reader sees either the old
+    file or the whole new one, never a partial write; on any error the
+    temporary file is removed and an existing target keeps its bytes. There
+    is no fsync: this guards against an interrupted writer, not power loss.
+    """
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_image(img: RgbImage, path, bit_depth: int = 8) -> None:
     """Save as PNG or PPM depending on the file extension (.png / .ppm)."""
     ext = os.path.splitext(os.fspath(path))[1].lower()
@@ -287,5 +306,4 @@ def save_image(img: RgbImage, path, bit_depth: int = 8) -> None:
         blob = encode_ppm(img, bit_depth)
     else:
         raise UnsupportedFormatError(f"cannot infer format from extension {ext!r}")
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_atomic(path, blob)

@@ -50,9 +50,6 @@ _CPBD_CONTRAST_SPLIT = 50.0  # on the [0, 255] luminance scale
 _JNB_WIDTH_LOW_CONTRAST = 5.0
 _JNB_WIDTH_HIGH_CONTRAST = 3.0
 
-_SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]]) / 8.0
-_SOBEL_Y = _SOBEL_X.T
-
 
 ALL_METRICS = ("psnr", "ssim", "uiqm", "uciqe", "cpbd")
 
@@ -124,28 +121,34 @@ def ssim(a: RgbImage, b: RgbImage) -> float:
 def sobel_gradients(channel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Horizontal/vertical Sobel derivatives with edge-replicating padding."""
     padded = np.pad(channel, 1, mode="symmetric")
-    win = sliding_window_view(padded, (3, 3))
-    gx = np.einsum("ijkl,kl->ij", win, _SOBEL_X)
-    gy = np.einsum("ijkl,kl->ij", win, _SOBEL_Y)
+    across = padded[:, 2:] - padded[:, :-2]  # right minus left neighbour
+    down = padded[2:] - padded[:-2]  # lower minus upper neighbour
+    gx = across[:-2] + 2.0 * across[1:-1] + across[2:]
+    gy = down[:, :-2] + 2.0 * down[:, 1:-1] + down[:, 2:]
+    gx /= 8.0
+    gy /= 8.0
     return gx, gy
 
 
-def _block_slices(height: int, width: int, block: int):
-    for r0 in range(0, height, block):
-        for c0 in range(0, width, block):
-            yield slice(r0, min(r0 + block, height)), slice(c0, min(c0 + block, width))
+def _block_extrema(x: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """Max and min of each block x block tile, ragged last tiles included."""
+    rows = np.arange(0, x.shape[0], block)
+    cols = np.arange(0, x.shape[1], block)
+    bmax = np.maximum.reduceat(np.maximum.reduceat(x, rows, axis=0), cols, axis=1)
+    bmin = np.minimum.reduceat(np.minimum.reduceat(x, rows, axis=0), cols, axis=1)
+    return bmax, bmin
 
 
 def _eme(channel_255: np.ndarray, block: int = _EME_BLOCK) -> float:
     """Block log-contrast score; values are floored at 1.0 (8-bit quantization floor)."""
-    nbx = math.ceil(channel_255.shape[0] / block)
-    nby = math.ceil(channel_255.shape[1] / block)
+    bmax, bmin = _block_extrema(channel_255, block)
+    ratios = np.maximum(bmax, 1.0) / np.maximum(bmin, 1.0)
     total = 0.0
-    for rs, cs in _block_slices(*channel_255.shape, block):
-        bmax = max(float(channel_255[rs, cs].max()), 1.0)
-        bmin = max(float(channel_255[rs, cs].min()), 1.0)
-        total += math.log(bmax / bmin)
-    return 2.0 / (nbx * nby) * total
+    # math.log summed in block order gives the bits of a per-block loop; np.log
+    # can differ from it in the last bit
+    for ratio in ratios.ravel().tolist():
+        total += math.log(ratio)
+    return 2.0 / ratios.size * total
 
 
 def _uicm(rgb: np.ndarray) -> float:
@@ -173,29 +176,20 @@ def _uism(rgb: np.ndarray) -> float:
     return score
 
 
-def _plip_sub(a: float, b: float) -> float:
-    return _PLIP_GAMMA * (a - b) / (_PLIP_GAMMA - b)
-
-
-def _plip_sum(a: float, b: float) -> float:
-    return a + b - a * b / _PLIP_GAMMA
-
-
 def _uiconm(gray_255: np.ndarray, block: int = _LOGAMEE_BLOCK) -> float:
-    """Entropy-style block contrast via PLIP-ratio Michelson terms (positive form)."""
-    nbx = math.ceil(gray_255.shape[0] / block)
-    nby = math.ceil(gray_255.shape[1] / block)
+    """Entropy-style block contrast via PLIP-ratio Michelson terms (positive form).
+
+    Per block, the PLIP difference g(max - min) / (g - min) is divided by the
+    PLIP sum max + min - max min / g, with g = _PLIP_GAMMA.
+    """
+    bmax, bmin = _block_extrema(gray_255, block)
+    denom = bmax + bmin - bmax * bmin / _PLIP_GAMMA
+    keep = denom > 0.0
+    m = _PLIP_GAMMA * (bmax[keep] - bmin[keep]) / (_PLIP_GAMMA - bmin[keep]) / denom[keep]
     total = 0.0
-    for rs, cs in _block_slices(*gray_255.shape, block):
-        bmax = float(gray_255[rs, cs].max())
-        bmin = float(gray_255[rs, cs].min())
-        denom = _plip_sum(bmax, bmin)
-        if denom <= 0.0:
-            continue
-        m = _plip_sub(bmax, bmin) / denom
-        if m > 0.0:
-            total += m * math.log(m)
-    return -total / (nbx * nby)
+    for value in m[m > 0.0].tolist():  # math.log in block order, as in _eme
+        total += value * math.log(value)
+    return -total / bmax.size
 
 
 def uiqm(img: RgbImage) -> tuple[float, float, float, float]:
@@ -220,7 +214,8 @@ def uciqe(img: RgbImage) -> float:
     lum = lab[..., 0]
     chroma = np.hypot(lab[..., 1], lab[..., 2])
     sigma_chroma = float(chroma.std())
-    contrast = float(np.percentile(lum, 99) - np.percentile(lum, 1)) / 100.0
+    low, high = np.percentile(lum, (1, 99))
+    contrast = float(high - low) / 100.0
     hyp = np.sqrt(chroma**2 + lum**2)
     saturation = np.divide(chroma, hyp, out=np.zeros_like(chroma), where=hyp > 0)
     return _UCIQE_C1 * sigma_chroma + _UCIQE_C2 * contrast + _UCIQE_C3 * float(saturation.mean())

@@ -16,7 +16,7 @@ import numpy as np
 from .diffusion import stream_rng
 from .errors import ParameterError, TruncatedFileError, UnsupportedFormatError
 from .images import ChannelStats, LabImage, RgbImage, channel_stats, lab_to_srgb, srgb_to_lab
-from .imageio import list_images, load_image, require_unique_stems, save_image
+from .imageio import list_images, load_image, require_unique_stems, save_image, write_atomic
 
 _SIGMA_FLOOR = 1e-8
 
@@ -200,8 +200,7 @@ class DatasetManifest:
             lines.append(f"# skip {path_} {reason_flat}")
         for e in self.entries:
             lines.append(f"{e.degraded}\t{e.clean}\t{e.template_index}\t{e.seed}\t{e.method}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
     @classmethod
     def read(cls, path) -> "DatasetManifest":

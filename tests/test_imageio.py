@@ -1,9 +1,11 @@
 import io
+import os
 import zlib
 
 import numpy as np
 import pytest
 
+from uwdiff.checkpoint import write_checkpoint
 from uwdiff.errors import DimensionLimitError, TruncatedFileError, UnsupportedFormatError
 from uwdiff.imageio import (
     decode_png,
@@ -18,6 +20,40 @@ from uwdiff.images import RgbImage
 
 def random_image(rng, h=7, w=11):
     return RgbImage.from_array(rng.uniform(0, 1, (h, w, 3)))
+
+
+def _paeth_predictor(left, up, upleft):
+    p = left + up - upleft
+    pa, pb, pc = abs(p - left), abs(p - up), abs(p - upleft)
+    return left if pa <= pb and pa <= pc else (up if pb <= pc else upleft)
+
+
+def filter_scanlines(rows: np.ndarray, bpp: int, filters) -> bytes:
+    """PNG-filter row r of the uint8 array `rows` with type filters[r], per the spec."""
+    raw = bytearray()
+    prev = [0] * rows.shape[1]
+    for line, ftype in zip(rows.tolist(), filters):
+        raw.append(ftype)
+        for i, value in enumerate(line):
+            left = line[i - bpp] if i >= bpp else 0
+            up = prev[i]
+            upleft = prev[i - bpp] if i >= bpp else 0
+            pred = (0, left, up, (left + up) // 2, _paeth_predictor(left, up, upleft))[ftype]
+            raw.append((value - pred) & 0xFF)
+        prev = line
+    return bytes(raw)
+
+
+def png_blob(width, height, bit_depth, color_type, raw, idat=None) -> bytes:
+    """A PNG of the given header whose IDAT holds compressed `raw` (or `idat` as is)."""
+    ihdr = width.to_bytes(4, "big") + height.to_bytes(4, "big")
+    ihdr += bytes([bit_depth, color_type, 0, 0, 0])
+    blob = bytearray(b"\x89PNG\r\n\x1a\n")
+    idat = zlib.compress(raw) if idat is None else idat
+    for ctype, data in ((b"IHDR", ihdr), (b"IDAT", idat), (b"IEND", b"")):
+        blob += len(data).to_bytes(4, "big") + ctype + data
+        blob += zlib.crc32(ctype + data).to_bytes(4, "big")
+    return bytes(blob)
 
 
 class TestPngRoundTrip:
@@ -66,39 +102,44 @@ class TestPngForeignFiles:
         # one 3-pixel row per filter type, built chunk by chunk
         width, height = 3, 5
         rows = np.arange(width * height * 3, dtype=np.uint8).reshape(height, width * 3) * 3
-        raw = bytearray()
-        for r, ftype in enumerate([0, 1, 2, 3, 4]):
-            line = rows[r].tolist()
-            prev = rows[r - 1].tolist() if r > 0 else [0] * (width * 3)
-            filtered = []
-            for i, value in enumerate(line):
-                left = line[i - 3] if i >= 3 else 0
-                up = prev[i]
-                upleft = prev[i - 3] if i >= 3 else 0
-                if ftype == 0:
-                    pred = 0
-                elif ftype == 1:
-                    pred = left
-                elif ftype == 2:
-                    pred = up
-                elif ftype == 3:
-                    pred = (left + up) // 2
-                else:
-                    p = left + up - upleft
-                    pa, pb, pc = abs(p - left), abs(p - up), abs(p - upleft)
-                    pred = left if pa <= pb and pa <= pc else (up if pb <= pc else upleft)
-                filtered.append((value - pred) & 0xFF)
-            raw.append(ftype)
-            raw.extend(filtered)
-        ihdr = width.to_bytes(4, "big") + height.to_bytes(4, "big") + bytes([8, 2, 0, 0, 0])
-        blob = bytearray(b"\x89PNG\r\n\x1a\n")
-        for ctype, data in ((b"IHDR", ihdr), (b"IDAT", zlib.compress(bytes(raw))), (b"IEND", b"")):
-            blob += len(data).to_bytes(4, "big") + ctype + data
-            blob += zlib.crc32(ctype + data).to_bytes(4, "big")
-        img = decode_png(bytes(blob))
+        raw = filter_scanlines(rows, 3, [0, 1, 2, 3, 4])
+        img = decode_png(png_blob(width, height, 8, 2, raw))
         assert np.array_equal(
             np.floor(img.data * 255 + 0.5).astype(np.uint8).reshape(height, width * 3), rows
         )
+
+    @pytest.mark.parametrize(
+        "bit_depth,color_type", [(8, 2), (8, 6), (16, 2), (16, 6)], ids=["bpp3", "bpp4", "bpp6", "bpp8"]
+    )
+    def test_every_filter_type_on_wide_rows(self, bit_depth, color_type):
+        # seeded random samples, rows cycling all five filters; each start puts
+        # a different filter on the first row, whose up neighbours are zero
+        width, height = 37, 11
+        channels = 3 if color_type == 2 else 4
+        bpp = channels * bit_depth // 8
+        gen = np.random.default_rng(bpp)
+        samples = gen.integers(0, 1 << bit_depth, (height, width, channels))
+        dtype = np.uint8 if bit_depth == 8 else np.dtype(">u2")
+        rows = samples.astype(dtype).view(np.uint8).reshape(height, width * bpp)
+        expected = samples[..., :3] / ((1 << bit_depth) - 1)
+        for start in range(5):
+            filters = [(start + r) % 5 for r in range(height)]
+            raw = filter_scanlines(rows, bpp, filters)
+            img = decode_png(png_blob(width, height, bit_depth, color_type, raw))
+            assert np.array_equal(img.data, expected), filters
+
+    def test_sub_up_paeth_scene(self):
+        # 128 px scene with rows cycling Sub/Up/Paeth, as exported photographs often are
+        size = 128
+        gen = np.random.default_rng(128)
+        yy, xx = np.mgrid[0:size, 0:size] / size
+        scene = 0.5 + 0.4 * np.sin(7 * xx[..., None] + 5 * yy[..., None] + gen.uniform(0, 6, 3))
+        scene[40:90, 30:70] = gen.uniform(0, 1, 3)
+        quant = np.clip(np.round(scene * 255 + gen.normal(0, 4, scene.shape)), 0, 255)
+        rows = quant.astype(np.uint8).reshape(size, size * 3)
+        raw = filter_scanlines(rows, 3, [(1, 2, 4)[r % 3] for r in range(size)])
+        img = decode_png(png_blob(size, size, 8, 2, raw))
+        assert np.array_equal(img.data, quant / 255)
 
 
 class TestPngErrors:
@@ -115,23 +156,23 @@ class TestPngErrors:
             decode_png(bytes(blob))
 
     def test_unsupported_color_type(self):
-        ihdr = (1).to_bytes(4, "big") + (1).to_bytes(4, "big") + bytes([8, 0, 0, 0, 0])
-        blob = bytearray(b"\x89PNG\r\n\x1a\n")
-        for ctype, data in ((b"IHDR", ihdr), (b"IDAT", zlib.compress(b"\x00\x00")), (b"IEND", b"")):
-            blob += len(data).to_bytes(4, "big") + ctype + data
-            blob += zlib.crc32(ctype + data).to_bytes(4, "big")
         with pytest.raises(UnsupportedFormatError):
-            decode_png(bytes(blob))
+            decode_png(png_blob(1, 1, 8, 0, b"\x00\x00"))
 
     def test_dimension_overflow(self):
-        huge = (1 << 25).to_bytes(4, "big")
-        ihdr = huge + huge + bytes([8, 2, 0, 0, 0])
-        blob = bytearray(b"\x89PNG\r\n\x1a\n")
-        for ctype, data in ((b"IHDR", ihdr), (b"IDAT", b"x"), (b"IEND", b"")):
-            blob += len(data).to_bytes(4, "big") + ctype + data
-            blob += zlib.crc32(ctype + data).to_bytes(4, "big")
         with pytest.raises(DimensionLimitError):
-            decode_png(bytes(blob))
+            decode_png(png_blob(1 << 25, 1 << 25, 8, 2, b"", idat=b"x"))
+
+    def test_invalid_filter_type_named(self):
+        raw = bytearray(filter_scanlines(np.zeros((3, 6), np.uint8), 3, [0, 0, 0]))
+        raw[7] = 5  # second row's filter byte
+        with pytest.raises(UnsupportedFormatError, match="PNG filter type 5 is invalid"):
+            decode_png(png_blob(2, 3, 8, 2, bytes(raw)))
+
+    def test_wrong_data_length(self):
+        raw = filter_scanlines(np.zeros((3, 6), np.uint8), 3, [0, 0, 0])
+        with pytest.raises(TruncatedFileError, match="wrong length"):
+            decode_png(png_blob(2, 3, 8, 2, raw[:-1]))
 
     def test_not_a_png(self):
         with pytest.raises(UnsupportedFormatError):
@@ -183,3 +224,23 @@ class TestPathApi:
         path.write_bytes(b"not an image at all")
         with pytest.raises(UnsupportedFormatError):
             load_image(path)
+
+    @pytest.mark.parametrize("writer", ["save_image", "write_checkpoint"])
+    def test_failed_replace_keeps_old_target_and_leaves_no_temp(self, writer, tmp_path, monkeypatch):
+        def write(path):
+            if writer == "save_image":
+                save_image(RgbImage.from_array(np.zeros((2, 2, 3))), path)
+            else:
+                write_checkpoint(path, {"w": np.zeros(2)})
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        existing = tmp_path / "old.png"
+        existing.write_bytes(b"old bytes")
+        monkeypatch.setattr(os, "replace", refuse)
+        for target in (existing, tmp_path / "new.png"):
+            with pytest.raises(OSError, match="replace refused"):
+                write(target)
+        assert existing.read_bytes() == b"old bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.png"]

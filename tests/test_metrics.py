@@ -6,14 +6,29 @@ from scipy.ndimage import gaussian_filter
 
 from uwdiff.errors import ParameterError, ShapeMismatchError
 from uwdiff.images import RgbImage
-from uwdiff.metrics import cpbd, evaluate, psnr, sobel_gradients, ssim, uciqe, uiqm
+from uwdiff.metrics import _eme, _uiconm, cpbd, evaluate, psnr, sobel_gradients, ssim, uciqe, uiqm
 
-from oracles import cpbd_ref, psnr_loop, sobel_loop, uciqe_ref, uiqm_ref
+from oracles import cpbd_ref, eme_ref, psnr_loop, sobel_loop, uciqe_ref, uiconm_ref, uiqm_ref
 
 # skimage.metrics.structural_similarity (win 11, sigma 1.5, no sample
 # covariance, data_range 1) on the seeded chart below vs its inversion,
 # recorded before the build.
 SSIM_INVERTED_ORACLE = -0.726186407462
+
+# evaluate(colorful_chart(seed=7, size=250), colorful_chart(seed=8, size=250)),
+# recorded with the per-block loop metrics: 250 px leaves ragged 8 px blocks
+# and a ragged CPBD block row, which the 16 px fingerprint images never reach.
+RTOL = 1e-9
+PINNED_250 = {
+    "psnr": 27.453910565510334,
+    "ssim": 0.9531884263005893,
+    "uiqm": 3.004240558064677,
+    "uciqe": 16.710861239874607,
+    "cpbd": 0.5706521739130435,
+    "uicm": 0.1056971106104962,
+    "uism": 7.023888276895746,
+    "uiconm": 0.25930850316844667,
+}
 
 
 def seeded_chart(seed=42, size=64):
@@ -115,6 +130,35 @@ class TestSobel:
         gx_ref, gy_ref = sobel_loop(channel)
         assert np.allclose(gx, gx_ref, atol=1e-12)
         assert np.allclose(gy, gy_ref, atol=1e-12)
+
+    def test_matches_loop_oracle_at_250(self, rng):
+        channel = rng.uniform(0, 1, (250, 250))
+        gx, gy = sobel_gradients(channel)
+        gx_ref, gy_ref = sobel_loop(channel)
+        assert np.allclose(gx, gx_ref, atol=1e-12)
+        assert np.allclose(gy, gy_ref, atol=1e-12)
+
+
+def block_score_input(kind, shape):
+    gen = np.random.default_rng(sum(shape))
+    if kind == "zero":  # every PLIP sum is 0, so UICONM skips every block
+        return np.zeros(shape)
+    if kind == "dark":  # mostly under EME's 1.0 floor
+        return gen.uniform(0, 2, shape)
+    values = gen.uniform(0, 255, shape)
+    if kind == "half-flat":  # flat blocks give UICONM terms m = 0
+        values[:, : shape[1] // 2] = 100.0
+    return values
+
+
+class TestBlockScores:
+    @pytest.mark.filterwarnings("error")  # a zero PLIP sum must be skipped, not divided by
+    @pytest.mark.parametrize("shape", [(45, 50), (250, 250), (5, 7)], ids=["45x50", "250x250", "5x7"])
+    @pytest.mark.parametrize("kind", ["uniform", "dark", "half-flat", "zero"])
+    def test_eme_and_uiconm_match_block_loops(self, kind, shape):
+        values = block_score_input(kind, shape)
+        assert _eme(values) == pytest.approx(eme_ref(values), rel=1e-12)
+        assert _uiconm(values) == pytest.approx(uiconm_ref(values), rel=1e-12)
 
 
 class TestUiqm:
@@ -222,3 +266,8 @@ class TestEvaluate:
         report = evaluate(img, include=("uiqm", "uciqe"))
         assert report.psnr is None and report.ssim is None and report.cpbd is None
         assert report.uiqm is not None and report.uciqe is not None
+
+    def test_pinned_row_on_ragged_scene(self):
+        report = evaluate(colorful_chart(seed=7, size=250), colorful_chart(seed=8, size=250))
+        for name, expected in PINNED_250.items():
+            assert getattr(report, name) == pytest.approx(expected, rel=RTOL), name
