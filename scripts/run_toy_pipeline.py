@@ -44,9 +44,6 @@ embed_dim = 8
 epochs = 100
 [denoiser]
 width = 32
-[metrics]
-cpbd = false
-ssim = false
 """
 
 

@@ -11,6 +11,8 @@ Layout (little-endian throughout):
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -42,16 +44,24 @@ def write_checkpoint(path, tensors: dict[str, np.ndarray], config_echo: str = ""
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    def __init__(self, blob: bytes, path):
         self.blob = blob
         self.pos = 0
+        self.path = path
+        self.part = "header"  # what is being read, for the truncation message
 
     def take(self, count: int) -> bytes:
         if self.pos + count > len(self.blob):
-            raise TruncatedFileError("checkpoint ends before its declared content")
+            raise TruncatedFileError(f"checkpoint {self.path!r} ends inside its {self.part}")
         out = self.blob[self.pos : self.pos + count]
         self.pos += count
         return out
+
+    def text(self, count: int) -> str:
+        try:
+            return self.take(count).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise UnsupportedFormatError(f"checkpoint {self.path!r} has non-UTF-8 text in its {self.part}") from exc
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -59,22 +69,25 @@ class _Reader:
 
 def read_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
+        reader = _Reader(fh.read(), os.fspath(path))
     if reader.take(len(MAGIC)) != MAGIC:
-        raise UnsupportedFormatError("not a toolkit checkpoint (bad magic)")
+        raise UnsupportedFormatError(f"{reader.path!r} is not a toolkit checkpoint (bad magic)")
     (version,) = reader.unpack("<H")
     if version != VERSION:
-        raise UnsupportedFormatError(f"unsupported checkpoint version {version}")
+        raise UnsupportedFormatError(f"checkpoint {reader.path!r} has unsupported version {version}")
+    reader.part = "config echo"
     (echo_len,) = reader.unpack("<I")
-    echo = reader.take(echo_len).decode("utf-8")
+    echo = reader.text(echo_len)
     (count,) = reader.unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
+        reader.part = "tensor table"
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        name = reader.text(name_len)
+        reader.part = f"tensor {name!r}"
         (rank,) = reader.unpack("<I")
         dims = reader.unpack(f"<{rank}Q") if rank else ()
-        size = int(np.prod(dims)) if dims else 1
+        size = math.prod(dims)  # exact, so huge declared dims cannot wrap to a small size
         data = np.frombuffer(reader.take(size * 8), dtype="<f8").reshape(dims)
         tensors[name] = data.copy()
     return tensors, echo

@@ -17,11 +17,11 @@ import sys
 
 from .config import RunConfig, load_config, resolve_text
 from .denoiser import ConditionalDenoiser
-from .errors import ConfigError, SamplingDivergedError, TrainingDivergedError, UwdiffError
+from .errors import ConfigError, SamplingDivergedError, ShapeMismatchError, TrainingDivergedError, UwdiffError
 from .imageio import list_images, load_image, write_atomic
 from .images import RgbImage
 from .jointnet import init_params, train_prompts
-from .metrics import MetricReport, evaluate
+from .metrics import ALL_METRICS, MIN_SIDE, MetricReport, evaluate
 from .pipeline import (
     enhance_directory,
     joint_context_from_checkpoint,
@@ -31,7 +31,7 @@ from .pipeline import (
     save_prompts_checkpoint,
 )
 from .synthesis import synthesize_dataset
-from .training import fine_tune
+from .training import AugmentationConfig, fine_tune
 from .verification import run_all
 
 ENV_OUT_DIR = "UWDIFF_OUT"
@@ -124,7 +124,7 @@ def cmd_finetune(args) -> int:
         guidance=guidance if context is not None else None,
         context=context,
         t_range=(config.train_t_min, config.schedule_steps),
-        augmentation=config.augmentation(),
+        augmentation=AugmentationConfig(),
     )
     ckpt_path = os.path.join(out, "model.ckpt")
     save_model_checkpoint(ckpt_path, model, config)
@@ -178,49 +178,44 @@ def cmd_enhance(args) -> int:
     return EXIT_OK
 
 
-def _format_cell(value: float | None) -> str:
-    if value is None:
-        return "-"
+def _format_cell(value: float) -> str:
     if math.isinf(value):
         return "inf"
     return f"{value:.4f}"
 
 
-def _metric_columns(config: RunConfig, with_reference: bool) -> list[str]:
-    columns = []
-    if with_reference and config.metric_psnr:
-        columns.append("psnr")
-    if with_reference and config.metric_ssim:
-        columns.append("ssim")
-    if config.metric_uiqm:
-        columns.append("uiqm")
-    if config.metric_uciqe:
-        columns.append("uciqe")
-    if config.metric_cpbd:
-        columns.append("cpbd")
-    return columns
-
-
 def cmd_eval(args) -> int:
-    config = _load_config(args)
+    _load_config(args)
     out = _resolve_out(args)
     names = list_images(args.enhanced)
     references: dict[str, str] = {}
     if args.reference is not None:
         for ref_name in list_images(args.reference):  # sorted, so a.png wins over a.ppm
             references.setdefault(os.path.splitext(ref_name)[0], ref_name)
-    columns = _metric_columns(config, args.reference is not None)
     rows: list[tuple[str, MetricReport]] = []
     for name in names:
-        img = load_image(os.path.join(args.enhanced, name))
+        path = os.path.join(args.enhanced, name)
+        img = load_image(path)
         reference = None
         if args.reference is not None:
             ref_name = references.get(os.path.splitext(name)[0])
             if ref_name is None:
                 raise UwdiffError(f"no reference image for {name!r} in {os.fspath(args.reference)!r}")
-            reference = load_image(os.path.join(args.reference, ref_name))
-        rows.append((name, evaluate(img, reference, include=columns)))
+            ref_path = os.path.join(args.reference, ref_name)
+            reference = load_image(ref_path)
+            if (img.height, img.width) != (reference.height, reference.width):
+                raise ShapeMismatchError(
+                    f"{path!r} is {img.width}x{img.height} "
+                    f"but its reference {ref_path!r} is {reference.width}x{reference.height}"
+                )
+        rows.append((name, evaluate(img, reference)))
 
+    # a column for each metric every image has; a size-limited metric that is
+    # missing (and, for SSIM, had a reference) was ruled out by an image's size
+    columns = [m for m in ALL_METRICS if all(getattr(report, m) is not None for _, report in rows)]
+    for metric, side in MIN_SIDE.items():
+        if metric not in columns and (metric != "ssim" or args.reference is not None):
+            print(f"note: no {metric} column: {metric} needs images of at least {side}x{side}")
     header = ["image"] + [c.upper() for c in columns]
     table = [header]
     for name, report in rows:

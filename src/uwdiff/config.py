@@ -14,7 +14,7 @@ from .diffusion import GuidanceConfig, NoiseSchedule, make_linear_schedule
 from .errors import ConfigError
 from .jointnet import JointNetConfig, PromptTrainConfig
 from .synthesis import METHODS, ScatterRanges
-from .training import AugmentationConfig, LossWeights, OptimizerConfig
+from .training import LossWeights, OptimizerConfig
 
 
 @dataclass
@@ -34,10 +34,6 @@ class RunConfig:
     learning_rate: float = 1e-3
     train_steps: int = 200
     train_t_min: int = 1  # smallest diffusion step sampled during fine-tuning
-    # [augment]
-    rotation: bool = True
-    hflip: bool = True
-    augment_probability: float = 0.5
     # [synthesis]
     synth_method: str = "color_transfer"
     beta_direct_min: float = 0.1
@@ -51,20 +47,9 @@ class RunConfig:
     # [classifier]
     classifier_width: int = 64
     embed_dim: int = 16
-    token_count: int = 77
-    token_width: int = 16
-    text_hidden: int = 32
     prompt_epochs: int = 200
-    prompt_learning_rate: float = 0.01
-    holdout_fraction: float = 0.2
     # [denoiser]
     denoiser_width: int = 16
-    # [metrics]
-    metric_psnr: bool = True
-    metric_ssim: bool = True
-    metric_uiqm: bool = True
-    metric_uciqe: bool = True
-    metric_cpbd: bool = True
 
     # derived builders -----------------------------------------------------
     def schedule(self) -> NoiseSchedule:
@@ -83,13 +68,6 @@ class RunConfig:
             seed=self.seed,
         )
 
-    def augmentation(self) -> AugmentationConfig:
-        return AugmentationConfig(
-            enable_rotation=self.rotation,
-            enable_hflip=self.hflip,
-            probability=self.augment_probability,
-        )
-
     def scatter_ranges(self) -> ScatterRanges:
         return ScatterRanges(
             beta_direct=(self.beta_direct_min, self.beta_direct_max),
@@ -99,21 +77,10 @@ class RunConfig:
         )
 
     def classifier(self) -> JointNetConfig:
-        return JointNetConfig(
-            width=self.classifier_width,
-            embed_dim=self.embed_dim,
-            token_count=self.token_count,
-            token_width=self.token_width,
-            text_hidden=self.text_hidden,
-        )
+        return JointNetConfig(width=self.classifier_width, embed_dim=self.embed_dim)
 
     def prompt_training(self) -> PromptTrainConfig:
-        return PromptTrainConfig(
-            epochs=self.prompt_epochs,
-            learning_rate=self.prompt_learning_rate,
-            holdout_fraction=self.holdout_fraction,
-            seed=self.seed,
-        )
+        return PromptTrainConfig(epochs=self.prompt_epochs, seed=self.seed)
 
 
 # (section, key) -> (attribute, parser)
@@ -122,15 +89,6 @@ def _float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"must be finite, got {text!r}")
     return value
-
-
-def _bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _choice(options) -> callable:
@@ -159,11 +117,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, callable]]] = {
         "steps": ("train_steps", int),
         "t_min": ("train_t_min", int),
     },
-    "augment": {
-        "rotation": ("rotation", _bool),
-        "hflip": ("hflip", _bool),
-        "probability": ("augment_probability", _float),
-    },
     "synthesis": {
         "method": ("synth_method", _choice(METHODS)),
         "beta_direct_min": ("beta_direct_min", _float),
@@ -178,21 +131,9 @@ _SCHEMA: dict[str, dict[str, tuple[str, callable]]] = {
     "classifier": {
         "width": ("classifier_width", int),
         "embed_dim": ("embed_dim", int),
-        "token_count": ("token_count", int),
-        "token_width": ("token_width", int),
-        "text_hidden": ("text_hidden", int),
         "epochs": ("prompt_epochs", int),
-        "learning_rate": ("prompt_learning_rate", _float),
-        "holdout_fraction": ("holdout_fraction", _float),
     },
     "denoiser": {"width": ("denoiser_width", int)},
-    "metrics": {
-        "psnr": ("metric_psnr", _bool),
-        "ssim": ("metric_ssim", _bool),
-        "uiqm": ("metric_uiqm", _bool),
-        "uciqe": ("metric_uciqe", _bool),
-        "cpbd": ("metric_cpbd", _bool),
-    },
 }
 
 
@@ -242,9 +183,7 @@ def resolve_text(config: RunConfig) -> str:
     lines: dict[str, list[str]] = {section: [] for section in _SCHEMA}
     for f in fields(RunConfig):
         section, key = by_attr[f.name]
-        value = getattr(config, f.name)
-        text = str(value).lower() if isinstance(value, bool) else str(value)
-        lines[section].append(f"{key} = {text}")
+        lines[section].append(f"{key} = {getattr(config, f.name)}")
     chunks = []
     for section in _SCHEMA:
         chunks.append(f"[{section}]")

@@ -33,21 +33,15 @@ class ConditionalDenoiser:
         self.b2 = Tensor(np.zeros(3), requires_grad=True)
 
     def parameters(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
+        return list(self.named_tensors().values())
 
-    def named_tensors(self) -> dict[str, np.ndarray]:
+    def named_tensors(self) -> dict[str, Tensor]:
         return {
-            "denoiser.w1": self.w1.data,
-            "denoiser.b1": self.b1.data,
-            "denoiser.w2": self.w2.data,
-            "denoiser.b2": self.b2.data,
+            "denoiser.w1": self.w1,
+            "denoiser.b1": self.b1,
+            "denoiser.w2": self.w2,
+            "denoiser.b2": self.b2,
         }
-
-    def load_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        self.w1.data = np.asarray(tensors["denoiser.w1"], dtype=np.float64)
-        self.b1.data = np.asarray(tensors["denoiser.b1"], dtype=np.float64)
-        self.w2.data = np.asarray(tensors["denoiser.w2"], dtype=np.float64)
-        self.b2.data = np.asarray(tensors["denoiser.b2"], dtype=np.float64)
 
     def clean_graph(self, x_t: Tensor, condition: np.ndarray, t: int, sched: NoiseSchedule) -> Tensor:
         """Predicted clean signal x0_hat as an autodiff graph."""

@@ -24,6 +24,7 @@ from .images import RgbImage
 _NORM_GUARD = 1e-12
 _PROB_EPS = 1e-7
 _MIN_INPUT = 8
+_TREND_WINDOW = 25  # epochs averaged at each end of the loss curve for the trend check
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,6 @@ class PromptTrainConfig:
     learning_rate: float = 0.01
     holdout_fraction: float = 0.2
     seed: int = 0
-    trend_window: int = 25
     divergence_factor: float = 10.0
 
 
@@ -314,7 +314,7 @@ def train_prompts(
     correct = int(np.sum((p_natural >= 0.5) == labels[holdout_idx].astype(bool)))
     accuracy = correct / len(holdout_idx)
 
-    window = min(config.trend_window, max(len(losses) // 2, 1))
+    window = min(_TREND_WINDOW, max(len(losses) // 2, 1))
     head = float(np.mean(losses[:window]))
     tail = float(np.mean(losses[-window:]))
     return PromptTrainResult(

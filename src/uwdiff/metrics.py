@@ -53,11 +53,14 @@ _JNB_WIDTH_HIGH_CONTRAST = 3.0
 
 ALL_METRICS = ("psnr", "ssim", "uiqm", "uciqe", "cpbd")
 
+# shortest image side each size-limited metric needs; PSNR and UCIQE have none
+MIN_SIDE = {"ssim": _SSIM_WINDOW, "uiqm": 16, "cpbd": _CPBD_BLOCK}
+
 
 @dataclass(frozen=True)
 class MetricReport:
     """One image's scores; a field is None when its metric was not computed
-    (no reference supplied, or excluded from the requested set)."""
+    (no reference supplied, or the image is below the metric's MIN_SIDE)."""
 
     psnr: float | None
     ssim: float | None
@@ -67,6 +70,16 @@ class MetricReport:
     uicm: float | None
     uism: float | None
     uiconm: float | None
+
+
+def _admits(metric: str, img: RgbImage) -> bool:
+    return min(img.height, img.width) >= MIN_SIDE[metric]
+
+
+def _require_min_side(metric: str, img: RgbImage) -> None:
+    if not _admits(metric, img):
+        side = MIN_SIDE[metric]
+        raise ParameterError(f"{metric} needs images of at least {side}x{side}")
 
 
 def _require_same_shape(a: RgbImage, b: RgbImage) -> None:
@@ -101,8 +114,7 @@ def _window_means(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 def ssim(a: RgbImage, b: RgbImage) -> float:
     """Mean structural similarity on BT.601 luminance over valid window positions."""
     _require_same_shape(a, b)
-    if min(a.height, a.width) < _SSIM_WINDOW:
-        raise ParameterError(f"ssim needs images of at least {_SSIM_WINDOW}x{_SSIM_WINDOW}")
+    _require_min_side("ssim", a)
     x = luminance_bt601(a)
     y = luminance_bt601(b)
     k = _gaussian_kernel(_SSIM_WINDOW, _SSIM_SIGMA)
@@ -194,8 +206,7 @@ def _uiconm(gray_255: np.ndarray, block: int = _LOGAMEE_BLOCK) -> float:
 
 def uiqm(img: RgbImage) -> tuple[float, float, float, float]:
     """Underwater image quality measure; returns (uiqm, uicm, uism, uiconm)."""
-    if min(img.height, img.width) < 16:
-        raise ParameterError("uiqm needs images of at least 16x16")
+    _require_min_side("uiqm", img)
     rgb = np.clip(img.data, 0.0, 1.0)
     uicm = _uicm(rgb)
     uism = _uism(rgb)
@@ -268,8 +279,7 @@ def cpbd(img: RgbImage) -> float:
     probability 1 - exp(-(w / w_jnb(C))**3.6) and the score is the fraction of
     probabilities at or below 0.63. Images without edge blocks score 0.
     """
-    if min(img.height, img.width) < _CPBD_BLOCK:
-        raise ParameterError(f"cpbd needs images of at least {_CPBD_BLOCK}x{_CPBD_BLOCK}")
+    _require_min_side("cpbd", img)
     lum = luminance_bt601(img) * 255.0
     gx, gy = sobel_gradients(lum)
     mag2 = gx**2 + gy**2
@@ -304,23 +314,22 @@ def cpbd(img: RgbImage) -> float:
     return float(np.mean(probs_arr <= _CPBD_PBLUR_THRESHOLD))
 
 
-def evaluate(
-    img: RgbImage, reference: RgbImage | None = None, include=ALL_METRICS
-) -> MetricReport:
+def evaluate(img: RgbImage, reference: RgbImage | None = None) -> MetricReport:
     """Assemble the metric report for one image.
 
-    Full-reference metrics need `reference`; `include` restricts the computed
-    set (useful when images are below a metric's minimum size).
+    Scores every metric the image's size admits (see MIN_SIDE); PSNR and SSIM
+    also need `reference`.
     """
     q = uicm = uism = uiconm = None
-    if "uiqm" in include:
+    if _admits("uiqm", img):
         q, uicm, uism, uiconm = uiqm(img)
+    with_reference = reference is not None
     return MetricReport(
-        psnr=psnr(img, reference) if reference is not None and "psnr" in include else None,
-        ssim=ssim(img, reference) if reference is not None and "ssim" in include else None,
+        psnr=psnr(img, reference) if with_reference else None,
+        ssim=ssim(img, reference) if with_reference and _admits("ssim", img) else None,
         uiqm=q,
-        uciqe=uciqe(img) if "uciqe" in include else None,
-        cpbd=cpbd(img) if "cpbd" in include else None,
+        uciqe=uciqe(img),
+        cpbd=cpbd(img) if _admits("cpbd", img) else None,
         uicm=uicm,
         uism=uism,
         uiconm=uiconm,

@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 
+from .autodiff import Tensor
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RunConfig, parse_config_text, resolve_text
 from .denoiser import ConditionalDenoiser
@@ -21,7 +22,7 @@ from .diffusion import (
     reverse_step,
     stream_rng,
 )
-from .errors import ParameterError, SamplingDivergedError, ShapeMismatchError
+from .errors import ParameterError, SamplingDivergedError, ShapeMismatchError, UnsupportedFormatError
 from .images import RgbImage
 from .imageio import list_images, load_image, require_unique_stems, save_image
 from .jointnet import (
@@ -49,10 +50,27 @@ def from_model_space(chw: np.ndarray) -> RgbImage:
 # ---------------------------------------------------------------------------
 
 
+def _named_arrays(named: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    return {name: tensor.data for name, tensor in named.items()}
+
+
+def _load_tensors(path, tensors: dict[str, np.ndarray], targets: dict[str, Tensor]) -> None:
+    """Set each target's data to the checkpoint tensor of the same name and shape."""
+    for name, target in targets.items():
+        if name not in tensors:
+            raise UnsupportedFormatError(f"checkpoint {os.fspath(path)!r} has no tensor {name!r}")
+        if tensors[name].shape != target.data.shape:
+            raise ShapeMismatchError(
+                f"checkpoint {os.fspath(path)!r}: tensor {name!r} has shape {tensors[name].shape}, "
+                f"expected {target.data.shape}"
+            )
+        target.data = tensors[name]
+
+
 def save_prompts_checkpoint(
     path, params: JointNetParams, prompt_n: PromptTensor, prompt_u: PromptTensor, config: RunConfig
 ) -> None:
-    tensors = {name: t.data for name, t in params.named_tensors().items()}
+    tensors = _named_arrays(params.named_tensors())
     tensors["prompt.natural"] = prompt_n.tokens
     tensors["prompt.underwater"] = prompt_u.tokens
     write_checkpoint(path, tensors, config_echo=resolve_text(config))
@@ -62,14 +80,13 @@ def load_prompts_checkpoint(path) -> tuple[JointNetParams, PromptTensor, PromptT
     tensors, echo = read_checkpoint(path)
     config = parse_config_text(echo, source=f"{path}:echo")
     params = init_params(config.classifier(), config.seed)
-    for name, tensor in params.named_tensors().items():
-        if name not in tensors:
-            raise ParameterError(f"checkpoint is missing tensor {name!r}")
-        tensor.data = np.asarray(tensors[name], dtype=np.float64)
+    prompt_shape = (params.config.token_count, params.config.token_width)
+    prompts = {name: Tensor(np.empty(prompt_shape)) for name in ("prompt.natural", "prompt.underwater")}
+    _load_tensors(path, tensors, {**params.named_tensors(), **prompts})
     return (
         params,
-        PromptTensor(tensors["prompt.natural"]),
-        PromptTensor(tensors["prompt.underwater"]),
+        PromptTensor(prompts["prompt.natural"].data),
+        PromptTensor(prompts["prompt.underwater"].data),
         config,
     )
 
@@ -84,14 +101,14 @@ def joint_context_from_checkpoint(path) -> JointContext:
 
 
 def save_model_checkpoint(path, model: ConditionalDenoiser, config: RunConfig) -> None:
-    write_checkpoint(path, model.named_tensors(), config_echo=resolve_text(config))
+    write_checkpoint(path, _named_arrays(model.named_tensors()), config_echo=resolve_text(config))
 
 
 def load_model_checkpoint(path) -> tuple[ConditionalDenoiser, RunConfig]:
     tensors, echo = read_checkpoint(path)
     config = parse_config_text(echo, source=f"{path}:echo")
     model = ConditionalDenoiser(width=config.denoiser_width, seed=config.seed)
-    model.load_tensors(tensors)
+    _load_tensors(path, tensors, model.named_tensors())
     return model, config
 
 

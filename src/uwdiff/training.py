@@ -202,20 +202,8 @@ def fine_tune(
     adam = Adam(model.parameters())
     result = FineTuneResult(model=model)
 
-    target_embeddings: dict[int, np.ndarray] = {}
-
-    def target_embedding(index: int, x0: np.ndarray) -> np.ndarray:
-        # augmented references change per step, so only cache unaugmented ones
-        if augmentation is not None:
-            return embed_image_graph(Tensor(_to_image_space(x0)), context.params).data
-        if index not in target_embeddings:
-            emb = embed_image_graph(Tensor(_to_image_space(x0)), context.params)
-            target_embeddings[index] = emb.data
-        return target_embeddings[index]
-
     for step in range(1, optimizer.total_steps + 1):
-        index = int(rng.integers(0, len(pairs)))
-        x0, condition = pairs[index]
+        x0, condition = pairs[int(rng.integers(0, len(pairs)))]
         x0 = np.asarray(x0, dtype=np.float64)
         condition = None if condition is None else np.asarray(condition, dtype=np.float64)
         if augmentation is not None and x0.ndim == 3:
@@ -241,7 +229,7 @@ def fine_tune(
         if weights.lambda2 > 0:
             x0_hat = (x_t_tensor - root * eps_prime) * (1.0 / math.sqrt(ab))
             emb_gen = embed_image_graph((x0_hat + 1.0) * 0.5, context.params)
-            emb_target = target_embedding(index, x0)
+            emb_target = embed_image_graph(Tensor(_to_image_space(x0)), context.params).data
         total, l1, semantic = composite_loss(eps, eps_prime, emb_gen, emb_target, weights)
 
         value = total.item()

@@ -399,8 +399,6 @@ epochs = 40
 width = 8
 [guidance]
 gamma2 = 0.05
-[metrics]
-cpbd = false
 """
 
 

@@ -1,5 +1,7 @@
 import math
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -8,10 +10,14 @@ from uwdiff.checkpoint import read_checkpoint, write_checkpoint
 from uwdiff.cli import main
 from uwdiff.config import RunConfig, load_config, parse_config_text, resolve_text
 from uwdiff.denoiser import ConditionalDenoiser
+from uwdiff.diffusion import GuidanceConfig
 from uwdiff.errors import ConfigError, TruncatedFileError, UnsupportedFormatError
 from uwdiff.images import RgbImage
 from uwdiff.imageio import save_image
-from uwdiff.pipeline import save_model_checkpoint
+from uwdiff.jointnet import JointNetConfig, PromptTrainConfig, init_params, init_prompts
+from uwdiff.pipeline import save_model_checkpoint, save_prompts_checkpoint
+from uwdiff.synthesis import ScatterRanges
+from uwdiff.training import LossWeights, OptimizerConfig
 
 
 class TestConfigParsing:
@@ -29,14 +35,14 @@ class TestConfigParsing:
         beta_start = 1e-5
         [guidance]
         gamma2 = 0.25
-        [metrics]
-        cpbd = false
+        [classifier]
+        epochs = 7
         """
         config = parse_config_text(text)
         assert config.seed == 42
         assert config.schedule_steps == 500
         assert config.gamma2 == 0.25
-        assert config.metric_cpbd is False
+        assert config.prompt_epochs == 7
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):
@@ -60,6 +66,17 @@ class TestConfigParsing:
 
     def test_load_defaults_without_file(self):
         assert load_config(None) == RunConfig()
+
+    def test_builders_default_to_the_library_defaults(self):
+        # the schedule is left out: RunConfig().schedule() differs from
+        # default_schedule(200) in the last bits of beta
+        config = RunConfig()
+        assert config.loss_weights() == LossWeights()
+        assert config.optimizer() == OptimizerConfig()
+        assert config.classifier() == JointNetConfig()
+        assert config.prompt_training() == PromptTrainConfig()
+        assert config.scatter_ranges() == ScatterRanges()
+        assert config.guidance() == GuidanceConfig()
 
     def test_comments_and_blanks_ignored(self):
         config = parse_config_text("# top\n\n[run]\n; note\nseed = 9\n")
@@ -98,12 +115,32 @@ class TestCheckpointFormat:
         with pytest.raises(UnsupportedFormatError):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("part", ["config echo", "tensor table"])
+    def test_non_utf8_text_rejected_naming_file_and_part(self, rng, tmp_path, part):
+        path = tmp_path / "model.ckpt"
+        write_checkpoint(path, {"w": rng.standard_normal(8)}, config_echo="[run]\nseed = 1\n")
+        blob = bytearray(path.read_bytes())
+        # the echo starts after magic, version and its length; the first "w" is the tensor name
+        blob[12 if part == "config echo" else blob.index(b"w")] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(UnsupportedFormatError, match=re.escape(f"{str(path)!r} has non-UTF-8 text in its {part}")):
+            read_checkpoint(path)
+
     def test_truncated_checkpoint_rejected(self, rng, tmp_path):
         path = tmp_path / "model.ckpt"
         write_checkpoint(path, {"w": rng.standard_normal(8)})
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 9])
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(TruncatedFileError, match=re.escape(f"{str(path)!r} ends inside its tensor 'w'")):
+            read_checkpoint(path)
+
+    def test_dims_beyond_the_file_rejected_naming_tensor(self, tmp_path):
+        path = tmp_path / "huge.ckpt"
+        write_checkpoint(path, {"w": np.zeros((1, 1))})
+        blob = path.read_bytes()
+        dims = struct.pack("<2Q", 1, 1)
+        path.write_bytes(blob.replace(dims, struct.pack("<2Q", 2**32, 2**32)))  # product wraps to 0 in int64
+        with pytest.raises(TruncatedFileError, match=re.escape(f"{str(path)!r} ends inside its tensor 'w'")):
             read_checkpoint(path)
 
     def test_deterministic_bytes(self, rng, tmp_path):
@@ -144,8 +181,23 @@ RETIRED_KEYS = [
     ("loss", "embed_source"),
     ("optimizer", "linear_decay"),
     ("synthesis", "wavelength_realistic"),
+    ("classifier", "token_count"),
+    ("classifier", "token_width"),
+    ("classifier", "text_hidden"),
+    ("classifier", "learning_rate"),
+    ("classifier", "holdout_fraction"),
+    ("augment", "rotation"),
+    ("augment", "hflip"),
+    ("augment", "probability"),
+    ("metrics", "psnr"),
+    ("metrics", "ssim"),
+    ("metrics", "uiqm"),
+    ("metrics", "uciqe"),
+    ("metrics", "cpbd"),
     ("metrics", "markdown"),
 ]
+# sections whose every key is retired: the section header itself is rejected
+RETIRED_SECTIONS = {"augment", "metrics"}
 
 
 class TestCliContract:
@@ -229,19 +281,31 @@ class TestCliContract:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert f"{cfg}:2" in err and f"unknown key {key!r}" in err
+        if section in RETIRED_SECTIONS:
+            assert f"{cfg}:1" in err and f"unknown section [{section}]" in err
+        else:
+            assert f"{cfg}:2" in err and f"unknown key {key!r}" in err
 
-    def test_checkpoint_echo_with_retired_key_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "old, new, retired",
+        [
+            ("[guidance]\n", "[guidance]\nmode = gamma_pair\n", "'mode'"),
+            ("[synthesis]\n", "[augment]\nrotation = true\n[synthesis]\n", "[augment]"),
+        ],
+        ids=["retired-key", "retired-section"],
+    )
+    def test_checkpoint_echo_with_retired_key_exits_2(self, tmp_path, capsys, old, new, retired):
         _write_scene_dir(tmp_path / "imgs", 1, 0)
         model = tmp_path / "model.ckpt"
-        echo = resolve_text(RunConfig()).replace("[guidance]\n", "[guidance]\nmode = gamma_pair\n")
-        write_checkpoint(model, ConditionalDenoiser(width=RunConfig().denoiser_width).named_tensors(), echo)
+        echo = resolve_text(RunConfig()).replace(old, new)
+        named = ConditionalDenoiser(width=RunConfig().denoiser_width).named_tensors()
+        write_checkpoint(model, {name: tensor.data for name, tensor in named.items()}, echo)
         code = main(
             ["enhance", "--input", str(tmp_path / "imgs"), "--model", str(model), "--out", str(tmp_path / "out")]
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert f"{model}:echo:" in err and "'mode'" in err
+        assert f"{model}:echo:" in err and retired in err
 
     def test_manifest_paths_do_not_depend_on_the_working_directory(self, tmp_path, capsys, monkeypatch):
         work = tmp_path / "work"
@@ -413,3 +477,88 @@ class TestCliContract:
         out = capsys.readouterr().out
         assert out.index("# resolved configuration") < out.index("[pass]")
         assert "[run]" in out
+
+    def test_eval_small_images_omit_cpbd_with_a_note(self, tmp_path, capsys):
+        _write_scene_dir(tmp_path / "imgs", 2, 4, size=32)
+        _write_scene_dir(tmp_path / "refs", 2, 5, size=32)
+        args = ["--enhanced", str(tmp_path / "imgs"), "--reference", str(tmp_path / "refs")]
+        assert main(["eval", *args, "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        header = (tmp_path / "out" / "metrics.tsv").read_text().splitlines()[0]
+        assert header.split("\t") == ["image", "PSNR", "SSIM", "UIQM", "UCIQE"]
+        notes = [line for line in out.splitlines() if line.startswith("note:")]
+        assert notes == ["note: no cpbd column: cpbd needs images of at least 64x64"]
+
+    def test_eval_column_needs_every_image_to_admit_it(self, tmp_path, capsys):
+        imgs = tmp_path / "imgs"
+        _write_scene_dir(imgs, 1, 4, size=32)
+        save_image(RgbImage.from_array(np.random.default_rng(5).uniform(0, 1, (64, 64, 3))), imgs / "big.png")
+        assert main(["eval", "--enhanced", str(imgs), "--out", str(tmp_path / "out")]) == 0
+        rows = [r.split("\t") for r in (tmp_path / "out" / "metrics.tsv").read_text().splitlines()]
+        assert rows[0] == ["image", "UIQM", "UCIQE"]
+        assert [r[0] for r in rows[1:]] == ["big.png", "s00.png", "mean"]
+        assert "note: no cpbd column" in capsys.readouterr().out
+
+    def test_eval_size_mismatch_exits_2_naming_the_pair(self, tmp_path, capsys):
+        _write_scene_dir(tmp_path / "imgs", 1, 4, size=32)
+        _write_scene_dir(tmp_path / "refs", 1, 5, size=40)
+        args = ["--enhanced", str(tmp_path / "imgs"), "--reference", str(tmp_path / "refs")]
+        assert main(["eval", *args, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "imgs" / "s00.png") in err and str(tmp_path / "refs" / "s00.png") in err
+        assert "32x32" in err and "40x40" in err
+
+
+def _prompts_checkpoint(path, config: RunConfig) -> None:
+    params = init_params(config.classifier(), config.seed)
+    save_prompts_checkpoint(path, params, *init_prompts(params.config, config.seed), config)
+
+
+def _rewrite_tensor(path, name, value) -> None:
+    """Replace (or with None, drop) one tensor of a checkpoint, keeping its echo."""
+    tensors, echo = read_checkpoint(path)
+    if value is None:
+        del tensors[name]
+    else:
+        tensors[name] = value
+    write_checkpoint(path, tensors, echo)
+
+
+class TestCheckpointLoads:
+    @pytest.mark.parametrize(
+        "which, name, value",
+        [
+            ("model", "denoiser.w2", None),
+            ("model", "denoiser.b1", np.zeros(3)),
+            ("prompts", "prompt.natural", None),
+            ("prompts", "proj.weight", np.zeros((16, 32))),
+            ("prompts", "prompt.underwater", np.zeros((77, 8))),
+        ],
+        ids=["model-missing", "model-shape", "prompts-missing", "params-shape", "prompt-shape"],
+    )
+    def test_bad_tensor_exits_2_naming_checkpoint_and_tensor(self, tmp_path, capsys, which, name, value):
+        _write_scene_dir(tmp_path / "imgs", 1, 0)
+        config = RunConfig(schedule_steps=2)
+        ckpts = {"model": tmp_path / "model.ckpt", "prompts": tmp_path / "prompts.ckpt"}
+        save_model_checkpoint(ckpts["model"], ConditionalDenoiser(width=config.denoiser_width), config)
+        _prompts_checkpoint(ckpts["prompts"], config)
+        _rewrite_tensor(ckpts[which], name, value)
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("[schedule]\nsteps = 2\n[guidance]\ngamma2 = 1\n")
+        args = ["--input", str(tmp_path / "imgs"), "--model", str(ckpts["model"]), "--prompts", str(ckpts["prompts"])]
+        assert main(["enhance", "--config", str(cfg), *args, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpts[which]) in err and repr(name) in err
+        assert os.listdir(tmp_path / "out") == []
+
+    @pytest.mark.parametrize("cut", [9, 200])
+    def test_truncated_checkpoint_exits_2_naming_it(self, tmp_path, capsys, cut):
+        _write_scene_dir(tmp_path / "imgs", 1, 0)
+        model = tmp_path / "model.ckpt"
+        save_model_checkpoint(model, ConditionalDenoiser(width=RunConfig().denoiser_width), RunConfig())
+        blob = model.read_bytes()
+        model.write_bytes(blob[: len(blob) - cut])
+        args = ["--input", str(tmp_path / "imgs"), "--model", str(model)]
+        assert main(["enhance", *args, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and "'denoiser." in err

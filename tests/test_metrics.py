@@ -6,7 +6,19 @@ from scipy.ndimage import gaussian_filter
 
 from uwdiff.errors import ParameterError, ShapeMismatchError
 from uwdiff.images import RgbImage
-from uwdiff.metrics import _eme, _uiconm, cpbd, evaluate, psnr, sobel_gradients, ssim, uciqe, uiqm
+from uwdiff.metrics import (
+    ALL_METRICS,
+    MIN_SIDE,
+    _eme,
+    _uiconm,
+    cpbd,
+    evaluate,
+    psnr,
+    sobel_gradients,
+    ssim,
+    uciqe,
+    uiqm,
+)
 
 from oracles import cpbd_ref, eme_ref, psnr_loop, sobel_loop, uciqe_ref, uiconm_ref, uiqm_ref
 
@@ -255,17 +267,31 @@ class TestBlurMonotonicity:
 class TestEvaluate:
     def test_full_report_deterministic(self):
         img = colorful_chart(size=64)
-        a = evaluate(img, img, include=("psnr", "ssim", "uiqm", "uciqe"))
-        b = evaluate(img, img, include=("psnr", "ssim", "uiqm", "uciqe"))
+        a = evaluate(img, img)
+        b = evaluate(img, img)
         assert a == b
         assert a.psnr == math.inf
         assert a.ssim == pytest.approx(1.0, abs=1e-12)
 
     def test_no_reference_leaves_fields_none(self):
-        img = colorful_chart(size=64)
-        report = evaluate(img, include=("uiqm", "uciqe"))
+        img = colorful_chart(size=32)
+        report = evaluate(img)
         assert report.psnr is None and report.ssim is None and report.cpbd is None
         assert report.uiqm is not None and report.uciqe is not None
+
+    @pytest.mark.parametrize("size", [8, 10, 11, 15, 16, 63, 64])
+    def test_image_size_decides_the_metric_set(self, size):
+        img = colorful_chart(size=size)
+        report = evaluate(img, img)
+        computed = {name for name in ALL_METRICS if getattr(report, name) is not None}
+        assert computed == {"psnr", "uciqe"} | {name for name, side in MIN_SIDE.items() if size >= side}
+
+    @pytest.mark.parametrize("name, fn", [("ssim", lambda img: ssim(img, img)), ("uiqm", uiqm), ("cpbd", cpbd)])
+    def test_metric_size_checks_read_the_table(self, name, fn):
+        side = MIN_SIDE[name]
+        fn(colorful_chart(size=side))
+        with pytest.raises(ParameterError, match=f"{name} needs images of at least {side}x{side}"):
+            fn(colorful_chart(size=side - 1))
 
     def test_pinned_row_on_ragged_scene(self):
         report = evaluate(colorful_chart(seed=7, size=250), colorful_chart(seed=8, size=250))
