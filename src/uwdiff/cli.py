@@ -31,7 +31,7 @@ from .pipeline import (
     save_prompts_checkpoint,
 )
 from .synthesis import synthesize_dataset
-from .training import AugmentationConfig, fine_tune
+from .training import fine_tune
 from .verification import run_all
 
 ENV_OUT_DIR = "UWDIFF_OUT"
@@ -124,7 +124,6 @@ def cmd_finetune(args) -> int:
         guidance=guidance if context is not None else None,
         context=context,
         t_range=(config.train_t_min, config.schedule_steps),
-        augmentation=AugmentationConfig(),
     )
     ckpt_path = os.path.join(out, "model.ckpt")
     save_model_checkpoint(ckpt_path, model, config)

@@ -27,10 +27,11 @@ class ConditionalDenoiser:
         self.width = width
         rng = stream_rng(seed, 77)
         in_ch = 8  # x_t (3) + condition (3) + timestep features (2)
-        self.w1 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(in_ch * 9), (width, in_ch, 3, 3)), requires_grad=True)
-        self.b1 = Tensor(np.zeros(width), requires_grad=True)
-        self.w2 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(width * 9), (3, width, 3, 3)), requires_grad=True)
-        self.b2 = Tensor(np.zeros(3), requires_grad=True)
+        # plain leaves: sampling records no graph; fine_tune marks them trainable
+        self.w1 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(in_ch * 9), (width, in_ch, 3, 3)))
+        self.b1 = Tensor(np.zeros(width))
+        self.w2 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(width * 9), (3, width, 3, 3)))
+        self.b2 = Tensor(np.zeros(3))
 
     def parameters(self) -> list[Tensor]:
         return list(self.named_tensors().values())

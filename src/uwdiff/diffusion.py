@@ -1,11 +1,12 @@
 """Noise schedules, forward diffusion, guided noise prediction, and ancestral sampling.
 
 The multi-condition guidance algebra lives here in two interchangeable
-spaces: scores combine as base + lam*g1 + (1-lam)*g2, and the equivalent
-noise-space form subtracts sqrt(1 - alpha_bar_t)-scaled gradients from the
-predicted noise. An analytic Gaussian world provides closed-form scores,
-noise predictions, and posteriors, so guided sampling is verifiable end to
-end against exact answers.
+spaces: scores combine as base + gamma1*g1 + gamma2*g2 (a lambda blend is the
+pair (lam, 1 - lam)), and the equivalent noise-space form subtracts
+sqrt(1 - alpha_bar_t)-scaled gradients from the predicted noise. An analytic
+Gaussian world provides closed-form scores, noise predictions, and
+posteriors, so guided sampling is verifiable end to end against exact
+answers.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ from .errors import ParameterError, ShapeMismatchError
 REFERENCE_STEPS = 2000
 REFERENCE_BETA_START = 1e-6
 REFERENCE_BETA_END = 1e-2
-
-GUIDANCE_MODES = ("lambda_blend", "gamma_pair")
-
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -69,29 +67,14 @@ def default_schedule(steps: int = 200) -> NoiseSchedule:
 
 @dataclass(frozen=True)
 class GuidanceConfig:
-    """Blending weights for two-condition guidance.
+    """Weights gamma1 / gamma2 of the two condition gradients in guidance."""
 
-    lambda_blend reads lam and weights the gradients lam / (1 - lam);
-    gamma_pair reads the independent weights gamma1 / gamma2.
-    """
-
-    mode: str = "gamma_pair"
-    lam: float = 0.5
     gamma1: float = 0.0
     gamma2: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in GUIDANCE_MODES:
-            raise ParameterError(f"guidance mode must be one of {GUIDANCE_MODES}, got {self.mode!r}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ParameterError(f"lambda must lie in [0, 1], got {self.lam}")
         if self.gamma1 < 0 or self.gamma2 < 0:
             raise ParameterError("gamma weights must be >= 0")
-
-    def weights(self) -> tuple[float, float]:
-        if self.mode == "lambda_blend":
-            return self.lam, 1.0 - self.lam
-        return self.gamma1, self.gamma2
 
 
 def _check_same_shape(*arrays: np.ndarray) -> None:
@@ -139,17 +122,15 @@ def guided_noise_prediction(
 ) -> np.ndarray:
     """Fold condition gradients into the predicted noise.
 
-    eps' = eps_theta - w1 sqrt(1 - alpha_bar_t) grad_y1
-                     - w2 sqrt(1 - alpha_bar_t) grad_y2
-    with (w1, w2) = (lam, 1-lam) or (gamma1, gamma2) depending on the mode.
+    eps' = eps_theta - gamma1 sqrt(1 - alpha_bar_t) grad_y1
+                     - gamma2 sqrt(1 - alpha_bar_t) grad_y2
     """
     eps_theta = np.asarray(eps_theta, dtype=np.float64)
     grad_y1 = np.asarray(grad_y1, dtype=np.float64)
     grad_y2 = np.asarray(grad_y2, dtype=np.float64)
     _check_same_shape(eps_theta, grad_y1, grad_y2)
-    w1, w2 = cfg.weights()
     root = math.sqrt(1.0 - sched.alpha_bar_at(t))
-    return eps_theta - w1 * root * grad_y1 - w2 * root * grad_y2
+    return eps_theta - cfg.gamma1 * root * grad_y1 - cfg.gamma2 * root * grad_y2
 
 
 def reverse_step(
@@ -262,6 +243,6 @@ def sample_terminal(
             grads = [world.observation_score(x, y, t, sched) for y in observations]
             if len(grads) == 1:
                 grads.append(zero)
-            eps = guided_noise_prediction(eps, grads[0], grads[1], t, sched, cfg or GuidanceConfig(mode="lambda_blend", lam=1.0))
+            eps = guided_noise_prediction(eps, grads[0], grads[1], t, sched, cfg or GuidanceConfig(gamma1=1.0))
         x = reverse_step(x, eps, t, sched, rng)
     return x

@@ -1,10 +1,11 @@
-"""Lossless image file I/O: PNG (8/16-bit RGB, RGBA with alpha dropped) and
-binary PPM (P6, maxval 255 or 65535).
+"""Lossless image file I/O: PNG (RGB, or RGBA with alpha dropped) and binary
+PPM (P6).
 
-Both codecs are self-contained on top of zlib. Decoding validates chunk CRCs
-and never returns a partial image; encoding quantizes with round-half-up and
-always writes unfiltered scanlines, so output bytes are deterministic. Files
-are written atomically (`write_atomic`), which the other writers share.
+Both codecs are self-contained on top of zlib. Decoding reads 8- and 16-bit
+samples, validates chunk CRCs and never returns a partial image; encoding
+writes 8-bit samples, quantizes with round-half-up and always writes
+unfiltered scanlines, so output bytes are deterministic. Files are written
+atomically (`write_atomic`), which the other writers share.
 """
 
 from __future__ import annotations
@@ -150,17 +151,13 @@ def decode_png(blob: bytes) -> RgbImage:
     return RgbImage(width, height, np.ascontiguousarray(arr))
 
 
-def encode_png(img: RgbImage, bit_depth: int = 8) -> bytes:
-    if bit_depth not in (8, 16):
-        raise UnsupportedFormatError(f"PNG bit depth {bit_depth} (need 8 or 16)")
-    maxval = (1 << bit_depth) - 1
-    quant = np.floor(np.clip(img.data, 0.0, 1.0) * maxval + 0.5)
-    if bit_depth == 8:
-        payload = quant.astype(np.uint8).tobytes()
-        stride = img.width * 3
-    else:
-        payload = quant.astype(">u2").tobytes()
-        stride = img.width * 6
+def _quantize_8bit(img: RgbImage) -> bytes:
+    return np.floor(np.clip(img.data, 0.0, 1.0) * 255 + 0.5).astype(np.uint8).tobytes()
+
+
+def encode_png(img: RgbImage) -> bytes:
+    payload = _quantize_8bit(img)
+    stride = img.width * 3
     rows = bytearray()
     for r in range(img.height):
         rows.append(0)  # filter type None
@@ -168,7 +165,7 @@ def encode_png(img: RgbImage, bit_depth: int = 8) -> bytes:
     ihdr = (
         img.width.to_bytes(4, "big")
         + img.height.to_bytes(4, "big")
-        + bytes([bit_depth, 2, 0, 0, 0])
+        + bytes([8, 2, 0, 0, 0])  # 8-bit RGB, deflate, standard filters, no interlace
     )
     out = bytearray(_PNG_SIGNATURE)
     for ctype, data in ((b"IHDR", ihdr), (b"IDAT", zlib.compress(bytes(rows), 6)), (b"IEND", b"")):
@@ -227,13 +224,8 @@ def decode_ppm(blob: bytes) -> RgbImage:
     return RgbImage(width, height, arr.reshape(height, width, 3))
 
 
-def encode_ppm(img: RgbImage, bit_depth: int = 8) -> bytes:
-    if bit_depth not in (8, 16):
-        raise UnsupportedFormatError(f"PPM bit depth {bit_depth} (need 8 or 16)")
-    maxval = (1 << bit_depth) - 1
-    quant = np.floor(np.clip(img.data, 0.0, 1.0) * maxval + 0.5)
-    body = quant.astype(np.uint8 if bit_depth == 8 else ">u2").tobytes()
-    return f"P6\n{img.width} {img.height}\n{maxval}\n".encode("ascii") + body
+def encode_ppm(img: RgbImage) -> bytes:
+    return f"P6\n{img.width} {img.height}\n255\n".encode("ascii") + _quantize_8bit(img)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +289,13 @@ def write_atomic(path, data: bytes) -> None:
         raise
 
 
-def save_image(img: RgbImage, path, bit_depth: int = 8) -> None:
-    """Save as PNG or PPM depending on the file extension (.png / .ppm)."""
+def save_image(img: RgbImage, path) -> None:
+    """Save as 8-bit PNG or PPM depending on the file extension (.png / .ppm)."""
     ext = os.path.splitext(os.fspath(path))[1].lower()
     if ext == ".png":
-        blob = encode_png(img, bit_depth)
+        blob = encode_png(img)
     elif ext == ".ppm":
-        blob = encode_ppm(img, bit_depth)
+        blob = encode_ppm(img)
     else:
         raise UnsupportedFormatError(f"cannot infer format from extension {ext!r}")
     write_atomic(path, blob)

@@ -25,6 +25,9 @@ _NORM_GUARD = 1e-12
 _PROB_EPS = 1e-7
 _MIN_INPUT = 8
 _TREND_WINDOW = 25  # epochs averaged at each end of the loss curve for the trend check
+_PROMPT_LEARNING_RATE = 0.01  # Adam step size for the two prompt tensors
+_HOLDOUT_FRACTION = 0.2  # share of the dataset held out to score the trained prompts
+_DIVERGENCE_FACTOR = 10.0  # an epoch loss above this multiple of the first aborts training
 
 
 @dataclass(frozen=True)
@@ -251,10 +254,7 @@ def alignment_pixel_grad(
 @dataclass(frozen=True)
 class PromptTrainConfig:
     epochs: int = 200
-    learning_rate: float = 0.01
-    holdout_fraction: float = 0.2
     seed: int = 0
-    divergence_factor: float = 10.0
 
 
 @dataclass
@@ -282,10 +282,12 @@ def train_prompts(
         raise ParameterError("prompt training needs samples from both classes")
     rng = stream_rng(config.seed, 76)
     order = rng.permutation(labels.size)
-    n_holdout = max(1, int(round(config.holdout_fraction * labels.size)))
+    n_holdout = max(1, int(round(_HOLDOUT_FRACTION * labels.size)))
     holdout_idx, train_idx = order[:n_holdout], order[n_holdout:]
-    if len(set(labels[train_idx].tolist())) < 2:
-        raise ParameterError("training split lost one class; lower holdout_fraction")
+    train_classes = set(labels[train_idx].tolist())
+    if len(train_classes) < 2:
+        missing = "underwater (label 0)" if 1 in train_classes else "natural (label 1)"
+        raise ParameterError(f"training split has no {missing} images once {n_holdout} are held out")
 
     phis = np.stack([embed_image(img, params) for img, _ in dataset])
     train_phi = Tensor(phis[train_idx])
@@ -301,11 +303,11 @@ def train_prompts(
         logits = prompt_logits(train_phi, prompt_graph(t_n, params), prompt_graph(t_u, params))
         loss = prompt_bce_graph(ad.sigmoid(logits), train_q)
         value = loss.item()
-        if not np.isfinite(value) or (losses and value > config.divergence_factor * losses[0]):
+        if not np.isfinite(value) or (losses and value > _DIVERGENCE_FACTOR * losses[0]):
             raise TrainingDivergedError(f"prompt training diverged at epoch {epoch}: loss {value}")
         losses.append(value)
         loss.backward()
-        adam.step(config.learning_rate)
+        adam.step(_PROMPT_LEARNING_RATE)
 
     prompt_n = PromptTensor(t_n.data)
     prompt_u = PromptTensor(t_u.data)

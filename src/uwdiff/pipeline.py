@@ -150,22 +150,19 @@ def enhance_image(
     degraded: RgbImage,
     model: ConditionalDenoiser,
     sched: NoiseSchedule,
-    guidance: GuidanceConfig | None = None,
-    context: JointContext | None = None,
-    rng: np.random.Generator | None = None,
+    guidance: GuidanceConfig | None,
+    context: JointContext | None,
+    rng: np.random.Generator,
 ) -> RgbImage:
     """Run the full conditional reverse chain for one degraded image.
 
     Raises SamplingDivergedError, naming the step, as soon as x_{t-1} holds a
     non-finite value.
     """
-    rng = rng if rng is not None else stream_rng(0, 0)
     condition = to_model_space(degraded)
     x = rng.standard_normal(condition.shape)
     zeros = np.zeros_like(x)
-    use_guidance = (
-        guidance is not None and context is not None and guidance.weights()[1] > 0
-    )
+    use_guidance = guidance is not None and context is not None and guidance.gamma2 > 0
     for t in range(sched.steps, 0, -1):
         eps_hat = model(x, condition, t, sched)
         if use_guidance:

@@ -48,17 +48,6 @@ class OptimizerConfig:
             raise ParameterError("total_steps must be >= 1")
 
 
-@dataclass(frozen=True)
-class AugmentationConfig:
-    enable_rotation: bool = True
-    enable_hflip: bool = True
-    probability: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.probability <= 1.0:
-            raise ParameterError("augmentation probability must lie in [0, 1]")
-
-
 def applied_lr(base: float, step: int, total_steps: int) -> float:
     """Linearly decayed learning rate used at update `step` (1-based)."""
     return base * (1.0 - (step - 1) / total_steps)
@@ -93,11 +82,14 @@ def composite_loss(
 # ---------------------------------------------------------------------------
 
 
-def _draw_transform(cfg: AugmentationConfig, rng: np.random.Generator) -> tuple[bool, int]:
+_AUGMENT_PROBABILITY = 0.5  # chance of the flip, and separately of a rotation
+
+
+def _draw_transform(rng: np.random.Generator) -> tuple[bool, int]:
     """Independent coin flips; rotation count is uniform over {1, 2, 3} quarter turns."""
-    flip = bool(cfg.enable_hflip and rng.random() < cfg.probability)
+    flip = bool(rng.random() < _AUGMENT_PROBABILITY)
     quarters = 0
-    if cfg.enable_rotation and rng.random() < cfg.probability:
+    if rng.random() < _AUGMENT_PROBABILITY:
         quarters = int(rng.integers(1, 4))
     return flip, quarters
 
@@ -179,35 +171,40 @@ def fine_tune(
     guidance: GuidanceConfig | None = None,
     context: JointContext | None = None,
     t_range: tuple[int, int] | None = None,
-    augmentation: AugmentationConfig | None = None,
 ) -> FineTuneResult:
     """Guided fine-tuning of a noise predictor on (clean, degraded) pairs.
 
     pairs is a sequence of (x0, condition) arrays in model space ([-1, 1] for
-    images, any shape for scalar worlds). Each step samples one pair, a
-    timestep, and a noise draw; the optional guidance context folds the
-    classifier alignment gradient into the prediction before the loss.
+    images, any shape for scalar worlds). Each step samples one pair, a random
+    flip/rotation of it when it is a (3, H, W) image, a timestep, and a noise
+    draw; the optional guidance context folds the classifier alignment
+    gradient into the prediction before the loss. The model's parameters are
+    marked as requiring gradients here, so a model records graphs only once
+    it trains.
     """
     if not pairs:
         raise ParameterError("fine_tune needs a nonempty dataset")
     if weights.lambda2 > 0 and context is None:
         raise ParameterError("semantic loss weight > 0 requires a JointContext")
-    if guidance is not None and context is None and guidance.weights()[1] > 0:
-        raise ParameterError("guidance with gamma2/lambda weights needs a JointContext")
+    if guidance is not None and context is None and guidance.gamma2 > 0:
+        raise ParameterError("guidance with a gamma2 weight needs a JointContext")
     t_lo, t_hi = t_range if t_range is not None else (1, sched.steps)
     if not (1 <= t_lo <= t_hi <= sched.steps):
         raise ParameterError(f"t_range {t_range} outside 1..{sched.steps}")
 
     rng = stream_rng(optimizer.seed, 78)
-    adam = Adam(model.parameters())
+    params = model.parameters()
+    for param in params:
+        param.requires_grad = True
+    adam = Adam(params)
     result = FineTuneResult(model=model)
 
     for step in range(1, optimizer.total_steps + 1):
         x0, condition = pairs[int(rng.integers(0, len(pairs)))]
         x0 = np.asarray(x0, dtype=np.float64)
         condition = None if condition is None else np.asarray(condition, dtype=np.float64)
-        if augmentation is not None and x0.ndim == 3:
-            flip, quarters = _draw_transform(augmentation, rng)
+        if x0.ndim == 3:
+            flip, quarters = _draw_transform(rng)
             x0 = _apply_transform(x0.transpose(1, 2, 0), flip, quarters).transpose(2, 0, 1)
             if condition is not None:
                 condition = _apply_transform(condition.transpose(1, 2, 0), flip, quarters).transpose(2, 0, 1)
@@ -217,14 +214,10 @@ def fine_tune(
         ab = sched.alpha_bar_at(t)
         root = math.sqrt(1.0 - ab)
 
-        offset = np.zeros_like(x_t)
-        if guidance is not None and context is not None:
-            _, w2 = guidance.weights()
-            if w2 > 0:
-                offset = w2 * root * guidance_pixel_grad(x_t, context)
-
         x_t_tensor = Tensor(x_t)
-        eps_prime = model.noise_graph(x_t_tensor, condition, t, sched) - Tensor(offset)
+        eps_prime = model.noise_graph(x_t_tensor, condition, t, sched)
+        if guidance is not None and context is not None and guidance.gamma2 > 0:
+            eps_prime = eps_prime - Tensor(guidance.gamma2 * root * guidance_pixel_grad(x_t, context))
         emb_gen = emb_target = None
         if weights.lambda2 > 0:
             x0_hat = (x_t_tensor - root * eps_prime) * (1.0 / math.sqrt(ab))

@@ -92,7 +92,7 @@ def check_guidance_algebra(sched: NoiseSchedule, rng: np.random.Generator) -> Ch
         t = int(rng.integers(1, sched.steps + 1))
         lam = float(rng.uniform())
         eps_theta, g1, g2 = rng.standard_normal((3, 8))
-        cfg = GuidanceConfig(mode="lambda_blend", lam=lam)
+        cfg = GuidanceConfig(gamma1=lam, gamma2=1.0 - lam)
         eps_prime = guided_noise_prediction(eps_theta, g1, g2, t, sched, cfg)
         via_noise = score_from_noise(eps_prime, t, sched)
         direct = combine_scores_lambda(score_from_noise(eps_theta, t, sched), g1, g2, lam)
@@ -103,7 +103,7 @@ def check_guidance_algebra(sched: NoiseSchedule, rng: np.random.Generator) -> Ch
 def check_guidance_linearity(sched: NoiseSchedule, seed: int) -> CheckResult:
     rng = stream_rng(seed, 4)
     t = max(sched.steps // 2, 1)
-    cfg = GuidanceConfig(mode="gamma_pair", gamma1=0.7, gamma2=1.3)
+    cfg = GuidanceConfig(gamma1=0.7, gamma2=1.3)
     eps_theta = rng.standard_normal(8)
     g1a, g1b, g2a, g2b = rng.standard_normal((4, 8))
     lhs = guided_noise_prediction(eps_theta, g1a + g1b, g2a + g2b, t, sched, cfg)
@@ -120,10 +120,7 @@ def check_posterior_recovery(sched: NoiseSchedule, rng: np.random.Generator) -> 
     world = AnalyticGaussianWorld(mu0=0.0, var0=1.0, var_y=0.5)
     n = 10_000
     y = 2.0
-    samples = sample_terminal(
-        world, sched, n, rng, observations=(y,),
-        cfg=GuidanceConfig(mode="lambda_blend", lam=1.0),
-    )
+    samples = sample_terminal(world, sched, n, rng, observations=(y,), cfg=GuidanceConfig(gamma1=1.0))
     want_mean, want_var = world.posterior(y)
     se_mean = math.sqrt(want_var / n)
     se_var = want_var * math.sqrt(2.0 / (n - 1))
@@ -161,7 +158,7 @@ def check_lambda_preference(sched: NoiseSchedule, rngs: list[np.random.Generator
     n = 10_000
     means = []
     for lam, rng in zip((0.9, 0.7, 0.5, 0.3, 0.1), rngs, strict=True):
-        cfg = GuidanceConfig(mode="lambda_blend", lam=lam)
+        cfg = GuidanceConfig(gamma1=lam, gamma2=1.0 - lam)
         samples = sample_terminal(world, sched, n, rng, observations=(y1, y2), cfg=cfg)
         means.append(float(samples.mean()))
     target = world.posterior(y2)[0]

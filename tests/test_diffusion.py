@@ -134,15 +134,15 @@ class TestGuidanceAlgebra:
         eps = rng.standard_normal(4)
         zero = np.zeros(4)
         for cfg in (
-            GuidanceConfig(mode="lambda_blend", lam=0.3),
-            GuidanceConfig(mode="gamma_pair", gamma1=0.0, gamma2=0.0),
+            GuidanceConfig(gamma1=0.3, gamma2=0.7),
+            GuidanceConfig(gamma1=0.0, gamma2=0.0),
         ):
             assert np.allclose(guided_noise_prediction(eps, zero, zero, 30, sched, cfg), eps)
 
     def test_gamma_pair_weighting(self, rng):
         sched = default_schedule(60)
         eps, g1, g2 = rng.standard_normal((3, 4))
-        cfg = GuidanceConfig(mode="gamma_pair", gamma1=0.7, gamma2=1.9)
+        cfg = GuidanceConfig(gamma1=0.7, gamma2=1.9)
         root = math.sqrt(1 - sched.alpha_bar_at(25))
         want = eps - 0.7 * root * g1 - 1.9 * root * g2
         assert np.allclose(guided_noise_prediction(eps, g1, g2, 25, sched, cfg), want)
@@ -153,7 +153,7 @@ class TestGuidanceAlgebra:
         sched = default_schedule(200)
         gen = np.random.default_rng(seed)
         eps_theta, g1, g2 = gen.standard_normal((3, 5))
-        cfg = GuidanceConfig(mode="lambda_blend", lam=lam)
+        cfg = GuidanceConfig(gamma1=lam, gamma2=1.0 - lam)
         via_noise = score_from_noise(
             guided_noise_prediction(eps_theta, g1, g2, t, sched, cfg), t, sched
         )
@@ -162,11 +162,9 @@ class TestGuidanceAlgebra:
 
     def test_invalid_configs(self):
         with pytest.raises(ParameterError):
-            GuidanceConfig(mode="bogus")
+            GuidanceConfig(gamma1=-0.1)
         with pytest.raises(ParameterError):
-            GuidanceConfig(mode="lambda_blend", lam=1.5)
-        with pytest.raises(ParameterError):
-            GuidanceConfig(mode="gamma_pair", gamma1=-0.1)
+            GuidanceConfig(gamma2=-0.1)
 
 
 class TestReverseStep:
@@ -191,7 +189,7 @@ class TestReverseStep:
         n = 4000
         samples = sample_terminal(
             world, sched, n, stream_rng(4, 0), observations=(2.0,),
-            cfg=GuidanceConfig(mode="lambda_blend", lam=1.0),
+            cfg=GuidanceConfig(gamma1=1.0),
         )
         mean, var = world.posterior(2.0)
         assert abs(samples.mean() - mean) < 3 * math.sqrt(var / n)

@@ -1,20 +1,26 @@
-"""Pinned behaviour fingerprint of the seeded toy pipeline.
+"""Pinned behaviour fingerprint of the seeded toy pipeline and the verify sampler.
 
 Runs C11's toy configuration once through synth -> train-prompts ->
 finetune --prompts -> enhance --prompts -> eval and compares summary numbers
-against committed constants. C11 only checks that two reruns agree, so a
-refactor that shifts every number consistently would pass it; this test does
-not. Only a change that alters outputs on purpose re-pins these constants, and
-says so with the old and new values.
+against committed constants. The terminal moments of the analytic-world
+chains that `uwdiff verify --seed 0` samples are pinned the same way. C11
+only checks that two reruns agree, so a refactor that shifts every number
+consistently would pass it; these tests do not. Only a change that alters
+outputs on purpose re-pins these constants, and says so with the old and new
+values.
 """
 
 import math
 import os
 
 import numpy as np
+import pytest
 
+from uwdiff import verification
 from uwdiff.checkpoint import read_checkpoint
 from uwdiff.cli import main as cli_main
+from uwdiff.config import RunConfig
+from uwdiff.diffusion import sample_terminal
 from uwdiff.imageio import load_image, save_image
 from uwdiff.images import RgbImage
 from uwdiff.synthesis import DatasetManifest
@@ -114,3 +120,43 @@ def test_toy_pipeline_matches_pinned_fingerprint(tmp_path):
         if not same:
             off[key] = (got, want)
     assert not off, f"fingerprint moved (got, pinned): {off}"
+
+
+# (mean, variance) of the x_0 draws of each sample_terminal run that
+# `uwdiff verify --seed 0` makes, in run_all's order
+VERIFY_CHAINS = {
+    "posterior": [(1.3384640424181016, 0.3374083319089938)],
+    "prior": [(-0.010672428632351428, 0.9917109797044934)],
+    "lambda_sweep": [
+        (1.066028904964386, 0.34350017528285115),
+        (0.5285340838897729, 0.33239731800080485),
+        (-0.004762417316036358, 0.3326684945624499),
+        (-0.5357533859556466, 0.3375730059703032),
+        (-1.0608627983220849, 0.338234811018424),
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def verify_chains() -> dict:
+    """Terminal moments of the chains run_all samples, grouped as in VERIFY_CHAINS."""
+    moments = []
+
+    def recording(*args, **kwargs):
+        x = sample_terminal(*args, **kwargs)
+        moments.append((float(x.mean()), float(x.var())))
+        return x
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "sample_terminal", recording)
+        verification.run_all(seed=0, sched=RunConfig().schedule())
+    return {"posterior": moments[:1], "prior": moments[1:2], "lambda_sweep": moments[2:]}
+
+
+@pytest.mark.parametrize("chain", VERIFY_CHAINS)
+def test_verify_chains_match_pinned_terminal_moments(verify_chains, chain):
+    found, expected = verify_chains[chain], VERIFY_CHAINS[chain]
+    assert len(found) == len(expected), found
+    for (mean, var), (want_mean, want_var) in zip(found, expected):
+        assert math.isclose(mean, want_mean, rel_tol=RTOL), (found, expected)
+        assert math.isclose(var, want_var, rel_tol=RTOL), (found, expected)

@@ -61,23 +61,18 @@ class TestPngRoundTrip:
         img = RgbImage.from_array(
             np.array([[[0.0, 0.5, 1.0], [0.1, 0.2, 0.3]], [[0.9, 0.8, 0.7], [1.0, 0.0, 0.5]]])
         )
-        back = decode_png(encode_png(img, 8))
+        back = decode_png(encode_png(img))
         assert np.max(np.abs(back.data - img.data)) <= 1 / 510 + 1e-12
-
-    def test_16bit_round_trip(self, rng):
-        img = random_image(rng)
-        back = decode_png(encode_png(img, 16))
-        assert np.max(np.abs(back.data - img.data)) <= 1 / 131070 + 1e-12
 
     def test_quantization_is_round_half_up(self):
         # 0.5/255 rounds up to sample 1
         img = RgbImage.from_array(np.full((1, 1, 3), 0.5 / 255))
-        back = decode_png(encode_png(img, 8))
+        back = decode_png(encode_png(img))
         assert back.data[0, 0, 0] == pytest.approx(1 / 255)
 
     def test_encode_deterministic(self, rng):
         img = random_image(rng)
-        assert encode_png(img, 8) == encode_png(img, 8)
+        assert encode_png(img) == encode_png(img)
 
 
 class TestPngForeignFiles:
@@ -144,13 +139,13 @@ class TestPngForeignFiles:
 
 class TestPngErrors:
     def test_truncated_png_no_partial_image(self, rng):
-        blob = encode_png(random_image(rng), 8)
+        blob = encode_png(random_image(rng))
         for cut in (4, 12, len(blob) // 2, len(blob) - 2):
             with pytest.raises(TruncatedFileError):
                 decode_png(blob[:cut])
 
     def test_crc_corruption_detected(self, rng):
-        blob = bytearray(encode_png(random_image(rng), 8))
+        blob = bytearray(encode_png(random_image(rng)))
         blob[40] ^= 0xFF
         with pytest.raises(TruncatedFileError):
             decode_png(bytes(blob))
@@ -182,13 +177,13 @@ class TestPngErrors:
 class TestPpm:
     def test_8bit_round_trip(self, rng):
         img = random_image(rng)
-        back = decode_ppm(encode_ppm(img, 8))
+        back = decode_ppm(encode_ppm(img))
         assert np.max(np.abs(back.data - img.data)) <= 1 / 510 + 1e-12
 
-    def test_16bit_round_trip(self, rng):
-        img = random_image(rng)
-        back = decode_ppm(encode_ppm(img, 16))
-        assert np.max(np.abs(back.data - img.data)) <= 1 / 131070 + 1e-12
+    def test_16bit_decode(self):
+        samples = np.array([0, 1, 256, 32768, 65534, 65535], dtype=">u2")
+        img = decode_ppm(b"P6\n2 1\n65535\n" + samples.tobytes())
+        assert np.array_equal(img.data.reshape(-1), samples / 65535)
 
     def test_header_comments_allowed(self):
         body = bytes([10, 20, 30])
@@ -211,9 +206,9 @@ class TestPathApi:
         png_path = tmp_path / "a.png"
         ppm_path = tmp_path / "b.ppm"
         save_image(img, png_path)
-        save_image(img, ppm_path, bit_depth=16)
+        save_image(img, ppm_path)
         assert np.max(np.abs(load_image(png_path).data - img.data)) <= 1 / 510 + 1e-12
-        assert np.max(np.abs(load_image(ppm_path).data - img.data)) <= 1 / 131070 + 1e-12
+        assert np.max(np.abs(load_image(ppm_path).data - img.data)) <= 1 / 510 + 1e-12
 
     def test_unknown_extension(self, rng, tmp_path):
         with pytest.raises(UnsupportedFormatError):

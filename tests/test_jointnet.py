@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uwdiff import autodiff as ad
+from uwdiff import jointnet
 from uwdiff.autodiff import Tensor
 from uwdiff.errors import ParameterError, TrainingDivergedError
 from uwdiff.images import RgbImage
@@ -303,10 +304,11 @@ class TestTrainPrompts:
         labels = np.array([lbl for _, lbl in dataset])
         assert logistic_accuracy(phis, labels) >= 0.95
 
-    def test_zero_learning_rate_is_noop(self):
+    def test_zero_learning_rate_is_noop(self, monkeypatch):
+        monkeypatch.setattr(jointnet, "_PROMPT_LEARNING_RATE", 0.0)
         params = small_params()
         dataset = separable_dataset(count=8)
-        result = train_prompts(dataset, params, PromptTrainConfig(epochs=3, learning_rate=0.0, seed=4))
+        result = train_prompts(dataset, params, PromptTrainConfig(epochs=3, seed=4))
         init_n, init_u = init_prompts(SMALL, 4)
         assert np.array_equal(result.prompt_natural.tokens, init_n.tokens)
         assert np.array_equal(result.prompt_underwater.tokens, init_u.tokens)
@@ -326,14 +328,19 @@ class TestTrainPrompts:
         with pytest.raises(ParameterError):
             train_prompts(dataset, params, PromptTrainConfig(epochs=2, seed=0))
 
-    def test_divergence_aborts_with_epoch(self):
+    def test_training_split_missing_a_class_names_it(self, rng):
+        # two images: one is held out, so the training split keeps one class
+        params = small_params()
+        dataset = [(random_image(rng), 1), (random_image(rng), 0)]
+        with pytest.raises(ParameterError, match=r"training split has no (natural|underwater) \(label [01]\)"):
+            train_prompts(dataset, params, PromptTrainConfig(epochs=2, seed=0))
+
+    def test_divergence_aborts_with_epoch(self, monkeypatch):
         # the bounded cosine logit keeps BCE below ~2.13, so a genuine 10x
         # blowup cannot occur; drive the abort path with a sub-unity threshold
+        monkeypatch.setattr(jointnet, "_PROMPT_LEARNING_RATE", 50.0)
+        monkeypatch.setattr(jointnet, "_DIVERGENCE_FACTOR", 0.9)
         params = small_params()
         dataset = separable_dataset(count=8)
         with pytest.raises(TrainingDivergedError, match="epoch"):
-            train_prompts(
-                dataset,
-                params,
-                PromptTrainConfig(epochs=400, learning_rate=50.0, seed=0, divergence_factor=0.9),
-            )
+            train_prompts(dataset, params, PromptTrainConfig(epochs=400, seed=0))

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from uwdiff import autodiff as ad
 from uwdiff.autodiff import Tensor
 from uwdiff.denoiser import ConditionalDenoiser
-from uwdiff.diffusion import default_schedule, make_linear_schedule
+from uwdiff.diffusion import default_schedule, make_linear_schedule, stream_rng
 from uwdiff.errors import ParameterError, ShapeMismatchError, TrainingDivergedError
 from uwdiff.training import (
     Adam,
-    AugmentationConfig,
     LossWeights,
     OptimizerConfig,
     _apply_transform,
@@ -108,17 +107,12 @@ class TestLearningRateSchedule:
         assert applied_lr(base, total + 1, total) == 0.0
 
 
-def augmented(data, cfg, rng):
+def augmented(data, rng):
     """One draw of the flip/rotation that fine_tune applies to an (H, W, 3) array."""
-    return _apply_transform(data, *_draw_transform(cfg, rng))
+    return _apply_transform(data, *_draw_transform(rng))
 
 
 class TestAugment:
-    def test_disabled_is_identity(self, rng):
-        data = rng.uniform(0, 1, (6, 8, 3))
-        cfg = AugmentationConfig(enable_rotation=False, enable_hflip=False, probability=1.0)
-        assert np.array_equal(augmented(data, cfg, np.random.default_rng(0)), data)
-
     def test_double_hflip_is_identity(self, rng):
         data = rng.uniform(0, 1, (5, 7, 3))
         flipped = _apply_transform(data, True, 0)
@@ -127,16 +121,14 @@ class TestAugment:
 
     def test_pixel_multiset_invariant(self, rng):
         data = rng.uniform(0, 1, (6, 6, 3))
-        cfg = AugmentationConfig(probability=1.0)
         for seed in range(8):
-            out = augmented(data, cfg, np.random.default_rng(seed))
+            out = augmented(data, np.random.default_rng(seed))
             assert np.array_equal(np.sort(out.reshape(-1, 3), axis=0), np.sort(data.reshape(-1, 3), axis=0))
 
     def test_rotation_changes_layout(self, rng):
         data = rng.uniform(0, 1, (6, 6, 3))
-        cfg = AugmentationConfig(enable_hflip=False, probability=1.0)
-        seen = {augmented(data, cfg, np.random.default_rng(s)).tobytes() for s in range(12)}
-        assert len(seen) > 1
+        seen = {_apply_transform(data, False, q).tobytes() for q in range(4)}
+        assert len(seen) == 4
 
 
 class TestGradCheck:
@@ -316,6 +308,44 @@ class TestFineTune:
         first = np.mean([r.total for r in result.log[:20]])
         last = np.mean([r.total for r in result.log[-20:]])
         assert last < first
+
+    def test_image_pairs_draw_augmentation_before_each_timestep(self, rng):
+        # stream (seed, 78) per step: pair index, flip draw, rotation draw,
+        # quarter turns when the rotation draw is < 0.5, timestep, then noise
+        sched = make_linear_schedule(40, 1e-4, 0.2)
+        pairs = [(rng.uniform(-1, 1, (3, 8, 8)), rng.uniform(-1, 1, (3, 8, 8))) for _ in range(3)]
+        steps, seed = 12, 9
+        result = fine_tune(
+            ConditionalDenoiser(width=2, seed=0),
+            pairs,
+            sched,
+            weights=LossWeights(1.0, 0.0),
+            optimizer=OptimizerConfig(learning_rate=1e-3, total_steps=steps, seed=seed),
+        )
+        replay = stream_rng(seed, 78)
+        want = []
+        for _ in range(steps):
+            replay.integers(0, len(pairs))
+            replay.random()
+            if replay.random() < 0.5:
+                replay.integers(1, 4)
+            want.append(int(replay.integers(1, sched.steps + 1)))
+            replay.standard_normal((3, 8, 8))
+        assert [r.t for r in result.log] == want
+
+    def test_denoiser_records_a_graph_only_once_fine_tuned(self, rng):
+        sched = make_linear_schedule(10, 1e-4, 0.2)
+        x0, condition = rng.uniform(-1, 1, (2, 3, 8, 8))
+        model = ConditionalDenoiser(width=2, seed=0)
+        assert not model.noise_graph(Tensor(x0), condition, 5, sched)._parents
+        fine_tune(
+            model,
+            [(x0, condition)],
+            sched,
+            weights=LossWeights(1.0, 0.0),
+            optimizer=OptimizerConfig(learning_rate=1e-3, total_steps=1, seed=0),
+        )
+        assert model.noise_graph(Tensor(x0), condition, 5, sched)._parents
 
 
 class TestAdam:
