@@ -26,6 +26,43 @@ class TestConfigParsing:
         parsed = parse_config_text(resolve_text(config))
         assert parsed == config
 
+    # every stage prints these bytes and every checkpoint embeds them
+    DEFAULT_TEXT = (
+        "[run]\nseed = 0\n\n"
+        "[schedule]\nsteps = 200\nbeta_start = 1e-05\nbeta_end = 0.1\n\n"
+        "[guidance]\ngamma2 = 0.0\n\n"
+        "[loss]\nlambda1 = 0.6\nlambda2 = 0.4\n\n"
+        "[optimizer]\nlearning_rate = 0.001\nsteps = 200\nt_min = 1\n\n"
+        "[synthesis]\nmethod = color_transfer\nbeta_direct_min = 0.1\nbeta_direct_max = 1.5\n"
+        "beta_backscatter_min = 0.05\nbeta_backscatter_max = 1.0\nveil_min = 0.05\nveil_max = 0.95\n"
+        "depth_min = 0.5\ndepth_max = 4.0\n\n"
+        "[classifier]\nwidth = 64\nembed_dim = 16\nepochs = 200\n\n"
+        "[denoiser]\nwidth = 16\n"
+    )
+
+    def test_default_config_renders_to_pinned_text(self):
+        assert resolve_text(RunConfig()) == self.DEFAULT_TEXT
+
+    def test_non_default_config_renders_to_pinned_text(self):
+        config = RunConfig(
+            seed=7, beta_end=0.2, gamma2=0.25, lambda2=0.0, train_t_min=3,
+            synth_method="scatter", depth_max=5.5, embed_dim=8, denoiser_width=4,
+        )
+        expected = (
+            "[run]\nseed = 7\n\n"
+            "[schedule]\nsteps = 200\nbeta_start = 1e-05\nbeta_end = 0.2\n\n"
+            "[guidance]\ngamma2 = 0.25\n\n"
+            "[loss]\nlambda1 = 0.6\nlambda2 = 0.0\n\n"
+            "[optimizer]\nlearning_rate = 0.001\nsteps = 200\nt_min = 3\n\n"
+            "[synthesis]\nmethod = scatter\nbeta_direct_min = 0.1\nbeta_direct_max = 1.5\n"
+            "beta_backscatter_min = 0.05\nbeta_backscatter_max = 1.0\nveil_min = 0.05\nveil_max = 0.95\n"
+            "depth_min = 0.5\ndepth_max = 5.5\n\n"
+            "[classifier]\nwidth = 64\nembed_dim = 8\nepochs = 200\n\n"
+            "[denoiser]\nwidth = 4\n"
+        )
+        assert resolve_text(config) == expected
+        assert parse_config_text(expected) == config
+
     def test_values_parse_with_sections(self):
         text = """
         [run]
