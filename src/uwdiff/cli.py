@@ -14,6 +14,7 @@ import ctypes
 import math
 import os
 import sys
+from dataclasses import fields
 
 from .config import RunConfig, load_config, resolve_text
 from .denoiser import ConditionalDenoiser
@@ -107,10 +108,8 @@ def cmd_finetune(args) -> int:
     out = _resolve_out(args)
     pairs = pairs_from_manifest(args.manifest)
     model = ConditionalDenoiser(width=config.denoiser_width, seed=config.seed)
-    context = None
-    if args.prompts:
-        context = joint_context_from_checkpoint(args.prompts)
-    guidance = config.guidance()
+    guidance = config.guidance()  # checked even where no --prompts lets it guide
+    context = joint_context_from_checkpoint(args.prompts, guidance) if args.prompts else None
     weights = config.loss_weights()
     if weights.lambda2 > 0 and context is None:
         print("note: no prompts checkpoint given; disabling the semantic loss term")
@@ -121,7 +120,6 @@ def cmd_finetune(args) -> int:
         config.schedule(),
         weights=weights,
         optimizer=config.optimizer(),
-        guidance=guidance if context is not None else None,
         context=context,
         t_range=(config.train_t_min, config.schedule_steps),
     )
@@ -134,19 +132,11 @@ def cmd_finetune(args) -> int:
     return EXIT_OK
 
 
-# config keys that define the timestep features a denoiser was trained on
-_SCHEDULE_KEYS = (
-    ("schedule.steps", "schedule_steps"),
-    ("schedule.beta_start", "beta_start"),
-    ("schedule.beta_end", "beta_end"),
-)
-
-
 def _require_model_schedule(config: RunConfig, model_config: RunConfig, model_path) -> None:
     differ = [
-        f"{key} = {getattr(config, attr)} (checkpoint: {getattr(model_config, attr)})"
-        for key, attr in _SCHEDULE_KEYS
-        if getattr(config, attr) != getattr(model_config, attr)
+        f"{f.metadata['key']} = {getattr(config, f.name)} (checkpoint: {getattr(model_config, f.name)})"
+        for f in fields(RunConfig)
+        if f.metadata["key"].startswith("schedule.") and getattr(config, f.name) != getattr(model_config, f.name)
     ]
     if differ:
         raise ConfigError(
@@ -160,16 +150,14 @@ def cmd_enhance(args) -> int:
     out = _resolve_out(args)
     model, model_config = load_model_checkpoint(args.model)
     _require_model_schedule(config, model_config, args.model)
-    context = None
-    if args.prompts:
-        context = joint_context_from_checkpoint(args.prompts)
+    guidance = config.guidance()  # checked even where no --prompts lets it guide
+    context = joint_context_from_checkpoint(args.prompts, guidance) if args.prompts else None
     written = enhance_directory(
         args.input,
         out,
         model,
         config.schedule(),
         seed=config.seed,
-        guidance=config.guidance() if context is not None else None,
         context=context,
         progress=print,
     )

@@ -8,7 +8,7 @@ merged configuration, which every CLI subcommand prints before running.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .diffusion import GuidanceConfig, NoiseSchedule, make_linear_schedule
 from .errors import ConfigError
@@ -17,39 +17,55 @@ from .synthesis import METHODS, ScatterRanges
 from .training import LossWeights, OptimizerConfig
 
 
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
+def _choice(options) -> callable:
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"must be one of {tuple(options)}, got {text!r}")
+        return text
+
+    return parse
+
+
+def _key(name: str, default, parse=None):
+    """A RunConfig field read from key `name` ("section.key"), by `parse` or its default's type."""
+    parse = parse or {int: int, float: _float}[type(default)]
+    return field(default=default, metadata={"key": name, "parse": parse})
+
+
 @dataclass
 class RunConfig:
-    # [run]
-    seed: int = 0
-    # [schedule] desk-scale default; endpoints follow the reference ramp scaled by 2000/steps
-    schedule_steps: int = 200
-    beta_start: float = 1e-5
-    beta_end: float = 1e-1
-    # [guidance] weight of the classifier's alignment gradient
-    gamma2: float = 0.0
-    # [loss]
-    lambda1: float = 0.6
-    lambda2: float = 0.4
-    # [optimizer]
-    learning_rate: float = 1e-3
-    train_steps: int = 200
-    train_t_min: int = 1  # smallest diffusion step sampled during fine-tuning
-    # [synthesis]
-    synth_method: str = "color_transfer"
-    beta_direct_min: float = 0.1
-    beta_direct_max: float = 1.5
-    beta_backscatter_min: float = 0.05
-    beta_backscatter_max: float = 1.0
-    veil_min: float = 0.05
-    veil_max: float = 0.95
-    depth_min: float = 0.5
-    depth_max: float = 4.0
-    # [classifier]
-    classifier_width: int = 64
-    embed_dim: int = 16
-    prompt_epochs: int = 200
-    # [denoiser]
-    denoiser_width: int = 16
+    seed: int = _key("run.seed", 0)
+    # desk-scale default; endpoints follow the reference ramp scaled by 2000/steps
+    schedule_steps: int = _key("schedule.steps", 200)
+    beta_start: float = _key("schedule.beta_start", 1e-5)
+    beta_end: float = _key("schedule.beta_end", 1e-1)
+    # weight of the classifier's alignment gradient
+    gamma2: float = _key("guidance.gamma2", 0.0)
+    lambda1: float = _key("loss.lambda1", 0.6)
+    lambda2: float = _key("loss.lambda2", 0.4)
+    learning_rate: float = _key("optimizer.learning_rate", 1e-3)
+    train_steps: int = _key("optimizer.steps", 200)
+    train_t_min: int = _key("optimizer.t_min", 1)  # smallest diffusion step sampled during fine-tuning
+    synth_method: str = _key("synthesis.method", "color_transfer", _choice(METHODS))
+    beta_direct_min: float = _key("synthesis.beta_direct_min", 0.1)
+    beta_direct_max: float = _key("synthesis.beta_direct_max", 1.5)
+    beta_backscatter_min: float = _key("synthesis.beta_backscatter_min", 0.05)
+    beta_backscatter_max: float = _key("synthesis.beta_backscatter_max", 1.0)
+    veil_min: float = _key("synthesis.veil_min", 0.05)
+    veil_max: float = _key("synthesis.veil_max", 0.95)
+    depth_min: float = _key("synthesis.depth_min", 0.5)
+    depth_max: float = _key("synthesis.depth_max", 4.0)
+    classifier_width: int = _key("classifier.width", 64)
+    embed_dim: int = _key("classifier.embed_dim", 16)
+    prompt_epochs: int = _key("classifier.epochs", 200)
+    denoiser_width: int = _key("denoiser.width", 16)
 
     # derived builders -----------------------------------------------------
     def schedule(self) -> NoiseSchedule:
@@ -83,62 +99,10 @@ class RunConfig:
         return PromptTrainConfig(epochs=self.prompt_epochs, seed=self.seed)
 
 
-# (section, key) -> (attribute, parser)
-def _float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {text!r}")
-    return value
-
-
-def _choice(options) -> callable:
-    def parse(text: str) -> str:
-        if text not in options:
-            raise ValueError(f"must be one of {tuple(options)}, got {text!r}")
-        return text
-
-    return parse
-
-
-_SCHEMA: dict[str, dict[str, tuple[str, callable]]] = {
-    "run": {"seed": ("seed", int)},
-    "schedule": {
-        "steps": ("schedule_steps", int),
-        "beta_start": ("beta_start", _float),
-        "beta_end": ("beta_end", _float),
-    },
-    "guidance": {"gamma2": ("gamma2", _float)},
-    "loss": {
-        "lambda1": ("lambda1", _float),
-        "lambda2": ("lambda2", _float),
-    },
-    "optimizer": {
-        "learning_rate": ("learning_rate", _float),
-        "steps": ("train_steps", int),
-        "t_min": ("train_t_min", int),
-    },
-    "synthesis": {
-        "method": ("synth_method", _choice(METHODS)),
-        "beta_direct_min": ("beta_direct_min", _float),
-        "beta_direct_max": ("beta_direct_max", _float),
-        "beta_backscatter_min": ("beta_backscatter_min", _float),
-        "beta_backscatter_max": ("beta_backscatter_max", _float),
-        "veil_min": ("veil_min", _float),
-        "veil_max": ("veil_max", _float),
-        "depth_min": ("depth_min", _float),
-        "depth_max": ("depth_max", _float),
-    },
-    "classifier": {
-        "width": ("classifier_width", int),
-        "embed_dim": ("embed_dim", int),
-        "epochs": ("prompt_epochs", int),
-    },
-    "denoiser": {"width": ("denoiser_width", int)},
-}
-
-
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     config = RunConfig()
+    keys = {f.metadata["key"]: f for f in fields(RunConfig)}
+    sections = {name.partition(".")[0] for name in keys}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -146,7 +110,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in sections:
                 raise ConfigError(f"{source}:{lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -155,12 +119,11 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: key outside any [section]")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _SCHEMA[section]:
+        f = keys.get(f"{section}.{key}")
+        if f is None:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in section [{section}]")
-        attribute, parser = _SCHEMA[section][key]
         try:
-            setattr(config, attribute, parser(value))
+            setattr(config, f.name, f.metadata["parse"](value.strip()))
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {section}.{key}: {exc}") from exc
     return config
@@ -174,19 +137,13 @@ def load_config(path=None) -> RunConfig:
 
 
 def resolve_text(config: RunConfig) -> str:
-    """Render the merged configuration in file syntax (section by section)."""
-    by_attr = {
-        attr: (section, key)
-        for section, keys in _SCHEMA.items()
-        for key, (attr, _) in keys.items()
-    }
-    lines: dict[str, list[str]] = {section: [] for section in _SCHEMA}
+    """Render the merged configuration in file syntax, one block per section."""
+    lines = []
+    section = None
     for f in fields(RunConfig):
-        section, key = by_attr[f.name]
-        lines[section].append(f"{key} = {getattr(config, f.name)}")
-    chunks = []
-    for section in _SCHEMA:
-        chunks.append(f"[{section}]")
-        chunks.extend(lines[section])
-        chunks.append("")
-    return "\n".join(chunks).rstrip() + "\n"
+        name, _, key = f.metadata["key"].partition(".")
+        if name != section:
+            lines += ["", f"[{name}]"]
+            section = name
+        lines.append(f"{key} = {getattr(config, f.name)}")
+    return "\n".join(lines[1:]) + "\n"

@@ -114,8 +114,8 @@ def combine_scores_lambda(
 
 def guided_noise_prediction(
     eps_theta: np.ndarray,
-    grad_y1: np.ndarray,
-    grad_y2: np.ndarray,
+    grad_y1: np.ndarray | None,
+    grad_y2: np.ndarray | None,
     t: int,
     sched: NoiseSchedule,
     cfg: GuidanceConfig,
@@ -124,13 +124,17 @@ def guided_noise_prediction(
 
     eps' = eps_theta - gamma1 sqrt(1 - alpha_bar_t) grad_y1
                      - gamma2 sqrt(1 - alpha_bar_t) grad_y2
+
+    A gradient passed as None is absent and its term is skipped.
     """
-    eps_theta = np.asarray(eps_theta, dtype=np.float64)
-    grad_y1 = np.asarray(grad_y1, dtype=np.float64)
-    grad_y2 = np.asarray(grad_y2, dtype=np.float64)
-    _check_same_shape(eps_theta, grad_y1, grad_y2)
+    eps = np.asarray(eps_theta, dtype=np.float64)
     root = math.sqrt(1.0 - sched.alpha_bar_at(t))
-    return eps_theta - cfg.gamma1 * root * grad_y1 - cfg.gamma2 * root * grad_y2
+    for gamma, grad in ((cfg.gamma1, grad_y1), (cfg.gamma2, grad_y2)):
+        if grad is not None:
+            grad = np.asarray(grad, dtype=np.float64)
+            _check_same_shape(eps, grad)
+            eps = eps - gamma * root * grad
+    return eps
 
 
 def reverse_step(
@@ -236,13 +240,10 @@ def sample_terminal(
     if len(observations) > 2:
         raise ParameterError("at most two observations are supported")
     x = rng.standard_normal(n_trajectories)
-    zero = np.zeros_like(x)
     for t in range(sched.steps, 0, -1):
         eps = world.exact_noise_prediction(x, t, sched)
         if observations:
-            grads = [world.observation_score(x, y, t, sched) for y in observations]
-            if len(grads) == 1:
-                grads.append(zero)
+            grads = [world.observation_score(x, y, t, sched) for y in observations] + [None]  # y2 may be absent
             eps = guided_noise_prediction(eps, grads[0], grads[1], t, sched, cfg or GuidanceConfig(gamma1=1.0))
         x = reverse_step(x, eps, t, sched, rng)
     return x

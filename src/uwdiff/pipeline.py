@@ -76,27 +76,19 @@ def save_prompts_checkpoint(
     write_checkpoint(path, tensors, config_echo=resolve_text(config))
 
 
-def load_prompts_checkpoint(path) -> tuple[JointNetParams, PromptTensor, PromptTensor, RunConfig]:
+def joint_context_from_checkpoint(path, guidance: GuidanceConfig) -> JointContext:
+    """The frozen classifier and encoded prompts of a prompts checkpoint, guiding by `guidance`."""
     tensors, echo = read_checkpoint(path)
     config = parse_config_text(echo, source=f"{path}:echo")
     params = init_params(config.classifier(), config.seed)
     prompt_shape = (params.config.token_count, params.config.token_width)
     prompts = {name: Tensor(np.empty(prompt_shape)) for name in ("prompt.natural", "prompt.underwater")}
     _load_tensors(path, tensors, {**params.named_tensors(), **prompts})
-    return (
-        params,
-        PromptTensor(prompts["prompt.natural"].data),
-        PromptTensor(prompts["prompt.underwater"].data),
-        config,
-    )
-
-
-def joint_context_from_checkpoint(path) -> JointContext:
-    params, prompt_n, prompt_u, _ = load_prompts_checkpoint(path)
     return JointContext(
         params=params,
-        theta_natural=encode_prompt(prompt_n, params),
-        theta_underwater=encode_prompt(prompt_u, params),
+        theta_natural=encode_prompt(PromptTensor(prompts["prompt.natural"].data), params),
+        theta_underwater=encode_prompt(PromptTensor(prompts["prompt.underwater"].data), params),
+        guidance=guidance,
     )
 
 
@@ -150,24 +142,23 @@ def enhance_image(
     degraded: RgbImage,
     model: ConditionalDenoiser,
     sched: NoiseSchedule,
-    guidance: GuidanceConfig | None,
     context: JointContext | None,
     rng: np.random.Generator,
 ) -> RgbImage:
     """Run the full conditional reverse chain for one degraded image.
 
-    Raises SamplingDivergedError, naming the step, as soon as x_{t-1} holds a
-    non-finite value.
+    The chain is classifier-guided when a context with a positive gamma2 is
+    given. Raises SamplingDivergedError, naming the step, as soon as x_{t-1}
+    holds a non-finite value.
     """
     condition = to_model_space(degraded)
     x = rng.standard_normal(condition.shape)
-    zeros = np.zeros_like(x)
-    use_guidance = guidance is not None and context is not None and guidance.gamma2 > 0
+    guided = context is not None and context.guidance.gamma2 > 0
     for t in range(sched.steps, 0, -1):
         eps_hat = model(x, condition, t, sched)
-        if use_guidance:
+        if guided:
             grad2 = guidance_pixel_grad(x, context)
-            eps_hat = guided_noise_prediction(eps_hat, zeros, grad2, t, sched, guidance)
+            eps_hat = guided_noise_prediction(eps_hat, None, grad2, t, sched, context.guidance)
         x = reverse_step(x, eps_hat, t, sched, rng)
         if not np.isfinite(x).all():
             bad = int(np.count_nonzero(~np.isfinite(x)))
@@ -183,7 +174,6 @@ def enhance_directory(
     model: ConditionalDenoiser,
     sched: NoiseSchedule,
     seed: int,
-    guidance: GuidanceConfig | None = None,
     context: JointContext | None = None,
     progress=None,
 ) -> list[str]:
@@ -195,7 +185,7 @@ def enhance_directory(
     for index, name in enumerate(names):
         img = load_image(os.path.join(os.fspath(input_dir), name))
         try:
-            enhanced = enhance_image(img, model, sched, guidance, context, stream_rng(seed, index))
+            enhanced = enhance_image(img, model, sched, context, stream_rng(seed, index))
         except SamplingDivergedError as exc:
             raise SamplingDivergedError(f"{name}: {exc}") from exc
         out_path = os.path.join(os.fspath(out_dir), os.path.splitext(name)[0] + ".png")

@@ -110,11 +110,13 @@ def _apply_transform(data: np.ndarray, flip: bool, quarters: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class JointContext:
-    """Frozen classifier pieces used for the semantic term and for guidance."""
+    """Frozen classifier pieces used for the semantic term and, when
+    guidance.gamma2 > 0, for classifier guidance."""
 
     params: JointNetParams
     theta_natural: np.ndarray
     theta_underwater: np.ndarray
+    guidance: GuidanceConfig
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,6 @@ def fine_tune(
     sched: NoiseSchedule,
     weights: LossWeights,
     optimizer: OptimizerConfig,
-    guidance: GuidanceConfig | None = None,
     context: JointContext | None = None,
     t_range: tuple[int, int] | None = None,
 ) -> FineTuneResult:
@@ -177,7 +178,7 @@ def fine_tune(
     pairs is a sequence of (x0, condition) arrays in model space ([-1, 1] for
     images, any shape for scalar worlds). Each step samples one pair, a random
     flip/rotation of it when it is a (3, H, W) image, a timestep, and a noise
-    draw; the optional guidance context folds the classifier alignment
+    draw; a context whose guidance.gamma2 > 0 folds the classifier alignment
     gradient into the prediction before the loss. The model's parameters are
     marked as requiring gradients here, so a model records graphs only once
     it trains.
@@ -186,12 +187,11 @@ def fine_tune(
         raise ParameterError("fine_tune needs a nonempty dataset")
     if weights.lambda2 > 0 and context is None:
         raise ParameterError("semantic loss weight > 0 requires a JointContext")
-    if guidance is not None and context is None and guidance.gamma2 > 0:
-        raise ParameterError("guidance with a gamma2 weight needs a JointContext")
     t_lo, t_hi = t_range if t_range is not None else (1, sched.steps)
     if not (1 <= t_lo <= t_hi <= sched.steps):
         raise ParameterError(f"t_range {t_range} outside 1..{sched.steps}")
 
+    guided = context is not None and context.guidance.gamma2 > 0
     rng = stream_rng(optimizer.seed, 78)
     params = model.parameters()
     for param in params:
@@ -216,8 +216,8 @@ def fine_tune(
 
         x_t_tensor = Tensor(x_t)
         eps_prime = model.noise_graph(x_t_tensor, condition, t, sched)
-        if guidance is not None and context is not None and guidance.gamma2 > 0:
-            eps_prime = eps_prime - Tensor(guidance.gamma2 * root * guidance_pixel_grad(x_t, context))
+        if guided:
+            eps_prime = eps_prime - Tensor(context.guidance.gamma2 * root * guidance_pixel_grad(x_t, context))
         emb_gen = emb_target = None
         if weights.lambda2 > 0:
             x0_hat = (x_t_tensor - root * eps_prime) * (1.0 / math.sqrt(ab))
