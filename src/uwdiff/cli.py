@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .config import RunConfig, load_config, resolve_text
+from .config import RunConfig, load_config, resolve_text, set_key
 from .denoiser import ConditionalDenoiser
 from .errors import ConfigError, SamplingDivergedError, ShapeMismatchError, TrainingDivergedError, UwdiffError
 from .imageio import list_images, load_image, write_atomic
@@ -53,7 +53,7 @@ def _resolve_out(args) -> str:
 def _load_config(args) -> RunConfig:
     config = load_config(args.config)
     if args.seed is not None:
-        config.seed = args.seed
+        set_key(config, "run.seed", args.seed, "--seed")
     print("# resolved configuration")
     print(resolve_text(config), end="")
     print(f"# seed in effect: {config.seed}")
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, needs_out: bool = True):
         p.add_argument("--config", default=None, help="path to a key = value config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", default=None, help="override the config seed")
         if needs_out:
             p.add_argument("--out", default=None, help=f"output directory (or ${ENV_OUT_DIR})")
 

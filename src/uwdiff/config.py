@@ -1,8 +1,10 @@
 """Declarative run configuration: sectioned key = value files with strict parsing.
 
-Every key has a documented default; unknown sections or keys are an error so
-typos cannot silently fall back to defaults. `resolve_text` renders the fully
-merged configuration, which every CLI subcommand prints before running.
+Each RunConfig field declares its key ("section.key"), its default and, where
+the default's type is not enough, its parser; nothing else lists the keys.
+Unknown sections or keys are an error so typos cannot silently fall back to
+defaults. `resolve_text` renders the fully merged configuration, which every
+CLI subcommand prints before running.
 """
 
 from __future__ import annotations
@@ -33,6 +35,16 @@ def _choice(options) -> callable:
     return parse
 
 
+def _int_from(low: int) -> callable:
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _key(name: str, default, parse=None):
     """A RunConfig field read from key `name` ("section.key"), by `parse` or its default's type."""
     parse = parse or {int: int, float: _float}[type(default)]
@@ -41,7 +53,7 @@ def _key(name: str, default, parse=None):
 
 @dataclass
 class RunConfig:
-    seed: int = _key("run.seed", 0)
+    seed: int = _key("run.seed", 0, _int_from(0))
     # desk-scale default; endpoints follow the reference ramp scaled by 2000/steps
     schedule_steps: int = _key("schedule.steps", 200)
     beta_start: float = _key("schedule.beta_start", 1e-5)
@@ -62,9 +74,9 @@ class RunConfig:
     veil_max: float = _key("synthesis.veil_max", 0.95)
     depth_min: float = _key("synthesis.depth_min", 0.5)
     depth_max: float = _key("synthesis.depth_max", 4.0)
-    classifier_width: int = _key("classifier.width", 64)
-    embed_dim: int = _key("classifier.embed_dim", 16)
-    prompt_epochs: int = _key("classifier.epochs", 200)
+    classifier_width: int = _key("classifier.width", 64, _int_from(1))
+    embed_dim: int = _key("classifier.embed_dim", 16, _int_from(1))
+    prompt_epochs: int = _key("classifier.epochs", 200, _int_from(1))
     denoiser_width: int = _key("denoiser.width", 16)
 
     # derived builders -----------------------------------------------------
@@ -101,8 +113,7 @@ class RunConfig:
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     config = RunConfig()
-    keys = {f.metadata["key"]: f for f in fields(RunConfig)}
-    sections = {name.partition(".")[0] for name in keys}
+    sections = {f.metadata["key"].partition(".")[0] for f in fields(RunConfig)}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -118,15 +129,21 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         if section is None:
             raise ConfigError(f"{source}:{lineno}: key outside any [section]")
         key, _, value = line.partition("=")
-        key = key.strip()
-        f = keys.get(f"{section}.{key}")
-        if f is None:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in section [{section}]")
-        try:
-            setattr(config, f.name, f.metadata["parse"](value.strip()))
-        except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: bad value for {section}.{key}: {exc}") from exc
+        set_key(config, f"{section}.{key.strip()}", value.strip(), f"{source}:{lineno}")
     return config
+
+
+def set_key(config: RunConfig, name: str, text: str, where: str) -> None:
+    """Parse text into the field declared as key `name`; errors name `where` and the key."""
+    for f in fields(RunConfig):
+        if f.metadata["key"] == name:
+            try:
+                setattr(config, f.name, f.metadata["parse"](text))
+            except ValueError as exc:
+                raise ConfigError(f"{where}: bad value for {name}: {exc}") from exc
+            return
+    section, _, key = name.partition(".")
+    raise ConfigError(f"{where}: unknown key {key!r} in section [{section}]")
 
 
 def load_config(path=None) -> RunConfig:

@@ -233,15 +233,26 @@ def encode_ppm(img: RgbImage) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+# what load_image raises for a file that does not decode
+UNDECODABLE = (UnsupportedFormatError, TruncatedFileError, DimensionLimitError)
+
+
 def load_image(path) -> RgbImage:
-    """Load a PNG or PPM file, sniffing the format from its magic bytes."""
+    """Load a PNG or PPM file, sniffing the format from its magic bytes.
+
+    A file that does not decode raises the decoder's error type with the path
+    before its message; the decoder's own error is the __cause__.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob.startswith(_PNG_SIGNATURE[:4]):
-        return decode_png(blob)
-    if blob.startswith(b"P6"):
-        return decode_ppm(blob)
-    raise UnsupportedFormatError(f"{os.fspath(path)!r}: unrecognized image format")
+    try:
+        if blob.startswith(_PNG_SIGNATURE[:4]):
+            return decode_png(blob)
+        if blob.startswith(b"P6"):
+            return decode_ppm(blob)
+        raise UnsupportedFormatError("unrecognized image format")
+    except UNDECODABLE as exc:
+        raise type(exc)(f"{os.fspath(path)!r}: {exc}") from exc
 
 
 def list_images(directory) -> list[str]:

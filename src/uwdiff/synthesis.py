@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import stream_rng
-from .errors import ParameterError, TruncatedFileError, UnsupportedFormatError
+from .errors import ParameterError
 from .images import ChannelStats, LabImage, RgbImage, channel_stats, lab_to_srgb, srgb_to_lab
-from .imageio import list_images, load_image, require_unique_stems, save_image, write_atomic
+from .imageio import UNDECODABLE, list_images, load_image, require_unique_stems, save_image, write_atomic
 
 _SIGMA_FLOOR = 1e-8
 
@@ -111,14 +111,16 @@ class TemplatePool:
         return len(self.stats)
 
     @classmethod
-    def from_dir(cls, template_dir) -> "TemplatePool":
-        stats, sources, skipped = [], [], []
+    def from_dir(cls, template_dir, skip=None) -> "TemplatePool":
+        """Pool the decodable templates; skip(path, error) hears of each other one."""
+        stats, sources = [], []
         for name in list_images(template_dir):
             path = os.path.join(os.fspath(template_dir), name)
             try:
                 img = load_image(path)
-            except (UnsupportedFormatError, TruncatedFileError) as exc:
-                skipped.append((path, str(exc)))
+            except UNDECODABLE as exc:
+                if skip is not None:
+                    skip(path, exc)
                 continue
             stats.append(channel_stats(srgb_to_lab(img)))
             sources.append(path)
@@ -258,28 +260,34 @@ def synthesize_dataset(
 
     One template is drawn per clean image from a generator keyed by
     (seed, image index), so reruns reproduce the same assignments whatever
-    order the images are processed in. Undecodable inputs are skipped and
-    recorded in the manifest. Returns the manifest, which is also written to out_dir/manifest.tsv.
+    order the images are processed in. Undecodable clean images and
+    templates are skipped, passed to warn and recorded in the manifest.
+    Returns the manifest, which is also written to out_dir/manifest.tsv.
     """
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
     ranges = ranges or ScatterRanges()
-    pool = TemplatePool.from_dir(template_dir)
+    manifest = DatasetManifest(seed=seed, method=method, params_note=_ranges_note(method, ranges))
+
+    def skip(path: str, exc: Exception) -> None:
+        reason = str(exc.__cause__)  # the decoder's words, without load_image's path
+        if warn is not None:
+            warn(f"skipping {path}: {reason}")
+        manifest.skipped.append((path, reason))
+
+    pool = TemplatePool.from_dir(template_dir, skip)
     clean_names = list_images(clean_dir)
     require_unique_stems(clean_dir, clean_names)
     out_dir = os.fspath(out_dir)
     os.makedirs(os.path.join(out_dir, "degraded"), exist_ok=True)
     manifest_dir = os.path.realpath(out_dir)
 
-    manifest = DatasetManifest(seed=seed, method=method, params_note=_ranges_note(method, ranges))
     for index, name in enumerate(clean_names):
         clean_path = os.path.join(os.fspath(clean_dir), name)
         try:
             clean = load_image(clean_path)
-        except (UnsupportedFormatError, TruncatedFileError) as exc:
-            if warn is not None:
-                warn(f"skipping {clean_path}: {exc}")
-            manifest.skipped.append((clean_path, str(exc)))
+        except UNDECODABLE as exc:
+            skip(clean_path, exc)
             continue
         rng = stream_rng(seed, index)
         template_index = int(rng.integers(0, len(pool)))

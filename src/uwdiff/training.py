@@ -179,9 +179,9 @@ def fine_tune(
     images, any shape for scalar worlds). Each step samples one pair, a random
     flip/rotation of it when it is a (3, H, W) image, a timestep, and a noise
     draw; a context whose guidance.gamma2 > 0 folds the classifier alignment
-    gradient into the prediction before the loss. The model's parameters are
-    marked as requiring gradients here, so a model records graphs only once
-    it trains.
+    gradient into the prediction before the loss. The model's parameters
+    require gradients only while this runs, so a model records graphs only
+    as it trains.
     """
     if not pairs:
         raise ParameterError("fine_tune needs a nonempty dataset")
@@ -194,47 +194,51 @@ def fine_tune(
     guided = context is not None and context.guidance.gamma2 > 0
     rng = stream_rng(optimizer.seed, 78)
     params = model.parameters()
-    for param in params:
-        param.requires_grad = True
     adam = Adam(params)
     result = FineTuneResult(model=model)
+    for param in params:
+        param.requires_grad = True
+    try:
+        for step in range(1, optimizer.total_steps + 1):
+            x0, condition = pairs[int(rng.integers(0, len(pairs)))]
+            x0 = np.asarray(x0, dtype=np.float64)
+            condition = None if condition is None else np.asarray(condition, dtype=np.float64)
+            if x0.ndim == 3:
+                flip, quarters = _draw_transform(rng)
+                x0 = _apply_transform(x0.transpose(1, 2, 0), flip, quarters).transpose(2, 0, 1)
+                if condition is not None:
+                    condition = _apply_transform(condition.transpose(1, 2, 0), flip, quarters).transpose(2, 0, 1)
+            t = int(rng.integers(t_lo, t_hi + 1))
+            eps = rng.standard_normal(x0.shape)
+            x_t = forward_sample(x0, t, eps, sched)
+            ab = sched.alpha_bar_at(t)
+            root = math.sqrt(1.0 - ab)
 
-    for step in range(1, optimizer.total_steps + 1):
-        x0, condition = pairs[int(rng.integers(0, len(pairs)))]
-        x0 = np.asarray(x0, dtype=np.float64)
-        condition = None if condition is None else np.asarray(condition, dtype=np.float64)
-        if x0.ndim == 3:
-            flip, quarters = _draw_transform(rng)
-            x0 = _apply_transform(x0.transpose(1, 2, 0), flip, quarters).transpose(2, 0, 1)
-            if condition is not None:
-                condition = _apply_transform(condition.transpose(1, 2, 0), flip, quarters).transpose(2, 0, 1)
-        t = int(rng.integers(t_lo, t_hi + 1))
-        eps = rng.standard_normal(x0.shape)
-        x_t = forward_sample(x0, t, eps, sched)
-        ab = sched.alpha_bar_at(t)
-        root = math.sqrt(1.0 - ab)
+            x_t_tensor = Tensor(x_t)
+            eps_prime = model.noise_graph(x_t_tensor, condition, t, sched)
+            if guided:
+                eps_prime = eps_prime - Tensor(context.guidance.gamma2 * root * guidance_pixel_grad(x_t, context))
+            emb_gen = emb_target = None
+            if weights.lambda2 > 0:
+                x0_hat = (x_t_tensor - root * eps_prime) * (1.0 / math.sqrt(ab))
+                emb_gen = embed_image_graph((x0_hat + 1.0) * 0.5, context.params)
+                emb_target = embed_image_graph(Tensor(_to_image_space(x0)), context.params).data
+            total, l1, semantic = composite_loss(eps, eps_prime, emb_gen, emb_target, weights)
 
-        x_t_tensor = Tensor(x_t)
-        eps_prime = model.noise_graph(x_t_tensor, condition, t, sched)
-        if guided:
-            eps_prime = eps_prime - Tensor(context.guidance.gamma2 * root * guidance_pixel_grad(x_t, context))
-        emb_gen = emb_target = None
-        if weights.lambda2 > 0:
-            x0_hat = (x_t_tensor - root * eps_prime) * (1.0 / math.sqrt(ab))
-            emb_gen = embed_image_graph((x0_hat + 1.0) * 0.5, context.params)
-            emb_target = embed_image_graph(Tensor(_to_image_space(x0)), context.params).data
-        total, l1, semantic = composite_loss(eps, eps_prime, emb_gen, emb_target, weights)
-
-        value = total.item()
-        if not math.isfinite(value):
-            raise TrainingDivergedError(f"non-finite loss at step {step}")
-        total.backward()
-        lr = applied_lr(optimizer.learning_rate, step, optimizer.total_steps)
-        adam.step(lr)
-        result.log.append(
-            LogRecord(step, t, float(l1.item()), float(semantic.item()), value, lr)
-        )
-    return result
+            value = total.item()
+            if not math.isfinite(value):
+                raise TrainingDivergedError(f"non-finite loss at step {step}")
+            total.backward()
+            lr = applied_lr(optimizer.learning_rate, step, optimizer.total_steps)
+            adam.step(lr)
+            result.log.append(
+                LogRecord(step, t, float(l1.item()), float(semantic.item()), value, lr)
+            )
+        return result
+    finally:  # plain leaves again, so later sampling records no graph
+        for param in params:
+            param.requires_grad = False
+            param.grad = None
 
 
 # ---------------------------------------------------------------------------

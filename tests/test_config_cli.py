@@ -10,14 +10,16 @@ from uwdiff.checkpoint import read_checkpoint, write_checkpoint
 from uwdiff.cli import main
 from uwdiff.config import RunConfig, load_config, parse_config_text, resolve_text
 from uwdiff.denoiser import ConditionalDenoiser
-from uwdiff.diffusion import GuidanceConfig
+from uwdiff.diffusion import GuidanceConfig, make_linear_schedule, stream_rng
 from uwdiff.errors import ConfigError, TruncatedFileError, UnsupportedFormatError
 from uwdiff.images import RgbImage
 from uwdiff.imageio import save_image
 from uwdiff.jointnet import JointNetConfig, PromptTrainConfig, init_params, init_prompts
-from uwdiff.pipeline import save_model_checkpoint, save_prompts_checkpoint
-from uwdiff.synthesis import ScatterRanges
-from uwdiff.training import LossWeights, OptimizerConfig
+from uwdiff.pipeline import enhance_image, save_model_checkpoint, save_prompts_checkpoint
+from uwdiff.synthesis import DatasetManifest, ScatterRanges
+from uwdiff.training import JointContext, LossWeights, OptimizerConfig
+
+from test_imageio import png_blob
 
 
 class TestConfigParsing:
@@ -599,3 +601,129 @@ class TestCheckpointLoads:
         assert main(["enhance", *args, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert str(model) in err and "'denoiser." in err
+
+
+class TestUncheckedValues:
+    @pytest.mark.parametrize("key", ["width", "embed_dim", "epochs"])
+    def test_non_positive_classifier_size_exits_2_before_training(self, tmp_path, capsys, key):
+        _write_scene_dir(tmp_path / "imgs", 2, 0)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[classifier]\n{key} = 0\n")
+        args = ["--natural", str(tmp_path / "imgs"), "--underwater", str(tmp_path / "imgs")]
+        assert main(["train-prompts", "--config", str(cfg), *args, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2" in err and f"classifier.{key}" in err and "must be >= 1, got 0" in err
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_exits_2_naming_where_it_was_set(self, tmp_path, capsys, where):
+        _write_scene_dir(tmp_path / "clean", 2, 0)
+        _write_scene_dir(tmp_path / "tpl", 1, 1)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[run]\nseed = -1\n")
+        seed = ["--config", str(cfg)] if where == "config" else ["--seed", "-1"]
+        args = ["--clean", str(tmp_path / "clean"), "--templates", str(tmp_path / "tpl")]
+        assert main(["synth", *seed, *args, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert (f"{cfg}:2" if where == "config" else "--seed") in err
+        assert "run.seed" in err and "must be >= 0, got -1" in err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_checkpoint_echo_values_parse_the_same_way(self, tmp_path, capsys):
+        _write_scene_dir(tmp_path / "imgs", 1, 0)
+        model = tmp_path / "model.ckpt"
+        echo = resolve_text(RunConfig()).replace("seed = 0", "seed = -1")
+        named = ConditionalDenoiser(width=RunConfig().denoiser_width).named_tensors()
+        write_checkpoint(model, {name: tensor.data for name, tensor in named.items()}, echo)
+        args = ["--input", str(tmp_path / "imgs"), "--model", str(model)]
+        assert main(["enhance", *args, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{model}:echo:2" in err and "run.seed" in err
+
+
+class TestUndecodableInputs:
+    def test_eval_names_the_truncated_file_once(self, tmp_path, capsys):
+        _write_scene_dir(tmp_path / "imgs", 2, 0)
+        bad = tmp_path / "imgs" / "s01.png"
+        bad.write_bytes(bad.read_bytes()[:20])
+        assert main(["eval", "--enhanced", str(tmp_path / "imgs"), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(str(bad)) == 1 and "PNG ends inside chunk b'IHDR'" in err
+
+    @pytest.mark.parametrize(
+        "blob, reason",
+        [
+            (png_blob(0, 16, 8, 2, b""), "degenerate image dimensions 0x16"),
+            (png_blob(2, 2, 8, 2, b"")[:20], "PNG ends inside chunk b'IHDR'"),
+        ],
+        ids=["0x16", "truncated"],
+    )
+    @pytest.mark.parametrize("directory", ["clean", "tpl"])
+    def test_synth_skips_and_records_an_undecodable_file(self, tmp_path, capsys, directory, blob, reason):
+        _write_scene_dir(tmp_path / "clean", 2, 0)
+        _write_scene_dir(tmp_path / "tpl", 2, 1)
+        bad = tmp_path / directory / "zz.png"
+        bad.write_bytes(blob)
+        args = ["--clean", str(tmp_path / "clean"), "--templates", str(tmp_path / "tpl")]
+        assert main(["synth", *args, "--out", str(tmp_path / "out")]) == 0
+        manifest = tmp_path / "out" / "manifest.tsv"
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        skips = [line for line in manifest.read_text().splitlines() if line.startswith("# skip")]
+        assert len(warnings) == 1 and len(skips) == 1
+        for line in warnings + skips:
+            assert line.count(str(bad)) == 1 and line.endswith(reason)
+        assert len(DatasetManifest.read(manifest).entries) == 2
+
+
+def _guidance_inputs(tmp_path) -> dict[str, str]:
+    """A manifest, a model checkpoint and a prompts checkpoint for a 2-step schedule."""
+    _write_scene_dir(tmp_path / "clean", 2, 0)
+    _write_scene_dir(tmp_path / "tpl", 1, 1)
+    args = ["--clean", str(tmp_path / "clean"), "--templates", str(tmp_path / "tpl")]
+    assert main(["synth", *args, "--out", str(tmp_path / "synth")]) == 0
+    config = RunConfig(schedule_steps=2)
+    save_model_checkpoint(tmp_path / "model.ckpt", ConditionalDenoiser(width=config.denoiser_width), config)
+    _prompts_checkpoint(tmp_path / "prompts.ckpt", config)
+    return {
+        "manifest": str(tmp_path / "synth" / "manifest.tsv"),
+        "input": str(tmp_path / "synth" / "degraded"),
+        "model": str(tmp_path / "model.ckpt"),
+        "prompts": str(tmp_path / "prompts.ckpt"),
+    }
+
+
+class TestGuidanceSwitch:
+    @pytest.mark.parametrize("prompts", [True, False], ids=["prompts", "no-prompts"])
+    @pytest.mark.parametrize("command", ["finetune", "enhance"])
+    def test_negative_gamma2_exits_2(self, tmp_path, capsys, command, prompts):
+        paths = _guidance_inputs(tmp_path)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[schedule]\nsteps = 2\n[optimizer]\nsteps = 1\n[guidance]\ngamma2 = -1\n")
+        args = {
+            "finetune": ["--manifest", paths["manifest"]],
+            "enhance": ["--input", paths["input"], "--model", paths["model"]],
+        }[command]
+        if prompts:
+            args += ["--prompts", paths["prompts"]]
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), *args, "--out", str(tmp_path / "out")]) == 2
+        assert "gamma weights must be >= 0" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_context_with_zero_gamma2_samples_the_bytes_of_no_context(self):
+        sched = make_linear_schedule(4, 1e-3, 2e-2)
+        model = ConditionalDenoiser(width=2, seed=0)
+        params = init_params(JointNetConfig(width=4, embed_dim=4, token_count=3, token_width=4, text_hidden=4), 0)
+        theta = np.eye(4)
+        image = RgbImage.from_array(np.random.default_rng(3).uniform(0, 1, (8, 8, 3)))
+
+        def sample(context):
+            return enhance_image(image, model, sched, context, stream_rng(0, 0)).data.tobytes()
+
+        def context(gamma2):
+            guidance = GuidanceConfig(gamma2=gamma2)
+            return JointContext(params=params, theta_natural=theta[0], theta_underwater=theta[1], guidance=guidance)
+
+        unguided = sample(None)
+        assert sample(context(0.0)) == unguided
+        assert sample(context(1e3)) != unguided

@@ -220,6 +220,24 @@ class TestPathApi:
         with pytest.raises(UnsupportedFormatError):
             load_image(path)
 
+    @pytest.mark.parametrize(
+        "blob, error, reason",
+        [
+            (png_blob(2, 2, 8, 2, b"")[:20], TruncatedFileError, "PNG ends inside chunk b'IHDR'"),
+            (png_blob(0, 16, 8, 2, b""), DimensionLimitError, "degenerate image dimensions 0x16"),
+            (b"P6\n2 2\n255\n\x00", TruncatedFileError, "PPM pixel data is shorter than the header declares"),
+            (b"GIF89a", UnsupportedFormatError, "unrecognized image format"),
+        ],
+        ids=["truncated-png", "zero-width-png", "short-ppm", "unknown-magic"],
+    )
+    def test_decode_error_names_the_path_once(self, tmp_path, blob, error, reason):
+        path = tmp_path / "bad.png"
+        path.write_bytes(blob)
+        with pytest.raises(error) as info:
+            load_image(path)
+        assert str(info.value) == f"{str(path)!r}: {reason}"
+        assert str(info.value.__cause__) == reason
+
     @pytest.mark.parametrize("writer", ["save_image", "write_checkpoint"])
     def test_failed_replace_keeps_old_target_and_leaves_no_temp(self, writer, tmp_path, monkeypatch):
         def write(path):

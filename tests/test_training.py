@@ -333,7 +333,7 @@ class TestFineTune:
             replay.standard_normal((3, 8, 8))
         assert [r.t for r in result.log] == want
 
-    def test_denoiser_records_a_graph_only_once_fine_tuned(self, rng):
+    def test_denoiser_records_no_graph_after_fine_tune_returns(self, rng):
         sched = make_linear_schedule(10, 1e-4, 0.2)
         x0, condition = rng.uniform(-1, 1, (2, 3, 8, 8))
         model = ConditionalDenoiser(width=2, seed=0)
@@ -345,7 +345,21 @@ class TestFineTune:
             weights=LossWeights(1.0, 0.0),
             optimizer=OptimizerConfig(learning_rate=1e-3, total_steps=1, seed=0),
         )
-        assert model.noise_graph(Tensor(x0), condition, 5, sched)._parents
+        assert not model.noise_graph(Tensor(x0), condition, 5, sched)._parents
+        assert all(not p.requires_grad and p.grad is None for p in model.parameters())
+
+    def test_parameters_are_plain_leaves_after_a_diverging_fine_tune(self):
+        sched = make_linear_schedule(40, 1e-4, 0.05)
+        model = LinearDenoiser(a=float("nan"))
+        with pytest.raises(TrainingDivergedError):
+            fine_tune(
+                model,
+                scalar_pairs(4, 0),
+                sched,
+                weights=LossWeights(1.0, 0.0),
+                optimizer=OptimizerConfig(learning_rate=0.01, total_steps=3, seed=0),
+            )
+        assert all(not p.requires_grad and p.grad is None for p in model.parameters())
 
 
 class TestAdam:
