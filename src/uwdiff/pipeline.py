@@ -142,23 +142,24 @@ def enhance_image(
     degraded: RgbImage,
     model: ConditionalDenoiser,
     sched: NoiseSchedule,
+    guidance: GuidanceConfig | None,
     context: JointContext | None,
     rng: np.random.Generator,
 ) -> RgbImage:
     """Run the full conditional reverse chain for one degraded image.
 
-    The chain is classifier-guided when a context with a positive gamma2 is
-    given. Raises SamplingDivergedError, naming the step, as soon as x_{t-1}
-    holds a non-finite value.
+    The chain is classifier-guided when a context is given and
+    guidance.gamma2 > 0, and guidance is read only then. Raises
+    SamplingDivergedError, naming the step, when x_{t-1} goes non-finite.
     """
     condition = to_model_space(degraded)
     x = rng.standard_normal(condition.shape)
-    guided = context is not None and context.guidance.gamma2 > 0
+    guided = context is not None and guidance.gamma2 > 0
     for t in range(sched.steps, 0, -1):
         eps_hat = model(x, condition, t, sched)
         if guided:
             grad2 = guidance_pixel_grad(x, context)
-            eps_hat = guided_noise_prediction(eps_hat, None, grad2, t, sched, context.guidance)
+            eps_hat = guided_noise_prediction(eps_hat, None, grad2, t, sched, guidance)
         x = reverse_step(x, eps_hat, t, sched, rng)
         if not np.isfinite(x).all():
             bad = int(np.count_nonzero(~np.isfinite(x)))
@@ -178,6 +179,7 @@ def enhance_directory(
     progress=None,
 ) -> list[str]:
     """Enhance every image in input_dir; per-image generators come from (seed, index)."""
+    guidance = None if context is None else context.guidance  # the context carries the run's weight
     names = list_images(input_dir)
     require_unique_stems(input_dir, names)
     os.makedirs(out_dir, exist_ok=True)
@@ -185,7 +187,7 @@ def enhance_directory(
     for index, name in enumerate(names):
         img = load_image(os.path.join(os.fspath(input_dir), name))
         try:
-            enhanced = enhance_image(img, model, sched, context, stream_rng(seed, index))
+            enhanced = enhance_image(img, model, sched, guidance, context, stream_rng(seed, index))
         except SamplingDivergedError as exc:
             raise SamplingDivergedError(f"{name}: {exc}") from exc
         out_path = os.path.join(os.fspath(out_dir), os.path.splitext(name)[0] + ".png")

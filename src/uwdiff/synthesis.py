@@ -111,7 +111,7 @@ class TemplatePool:
         return len(self.stats)
 
     @classmethod
-    def from_dir(cls, template_dir, skip=None) -> "TemplatePool":
+    def from_dir(cls, template_dir, skip) -> "TemplatePool":
         """Pool the decodable templates; skip(path, error) hears of each other one."""
         stats, sources = [], []
         for name in list_images(template_dir):
@@ -119,8 +119,7 @@ class TemplatePool:
             try:
                 img = load_image(path)
             except UNDECODABLE as exc:
-                if skip is not None:
-                    skip(path, exc)
+                skip(path, exc)
                 continue
             stats.append(channel_stats(srgb_to_lab(img)))
             sources.append(path)

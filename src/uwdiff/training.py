@@ -111,12 +111,12 @@ def _apply_transform(data: np.ndarray, flip: bool, quarters: int) -> np.ndarray:
 @dataclass(frozen=True)
 class JointContext:
     """Frozen classifier pieces used for the semantic term and, when
-    guidance.gamma2 > 0, for classifier guidance."""
+    guidance.gamma2 > 0, for classifier guidance (off by default)."""
 
     params: JointNetParams
     theta_natural: np.ndarray
     theta_underwater: np.ndarray
-    guidance: GuidanceConfig
+    guidance: GuidanceConfig = GuidanceConfig()
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from uwdiff.errors import ConfigError, TruncatedFileError, UnsupportedFormatErro
 from uwdiff.images import RgbImage
 from uwdiff.imageio import save_image
 from uwdiff.jointnet import JointNetConfig, PromptTrainConfig, init_params, init_prompts
-from uwdiff.pipeline import enhance_image, save_model_checkpoint, save_prompts_checkpoint
+from uwdiff.pipeline import enhance_directory, enhance_image, save_model_checkpoint, save_prompts_checkpoint
 from uwdiff.synthesis import DatasetManifest, ScatterRanges
 from uwdiff.training import JointContext, LossWeights, OptimizerConfig
 
@@ -710,20 +710,32 @@ class TestGuidanceSwitch:
         assert "gamma weights must be >= 0" in capsys.readouterr().err
         assert os.listdir(tmp_path / "out") == []
 
-    def test_context_with_zero_gamma2_samples_the_bytes_of_no_context(self):
+    def test_context_with_zero_gamma2_samples_the_bytes_of_no_context(self, tmp_path):
         sched = make_linear_schedule(4, 1e-3, 2e-2)
         model = ConditionalDenoiser(width=2, seed=0)
         params = init_params(JointNetConfig(width=4, embed_dim=4, token_count=3, token_width=4, text_hidden=4), 0)
         theta = np.eye(4)
         image = RgbImage.from_array(np.random.default_rng(3).uniform(0, 1, (8, 8, 3)))
-
-        def sample(context):
-            return enhance_image(image, model, sched, context, stream_rng(0, 0)).data.tobytes()
+        os.makedirs(tmp_path / "in")
+        save_image(image, tmp_path / "in" / "a.png")
 
         def context(gamma2):
             guidance = GuidanceConfig(gamma2=gamma2)
             return JointContext(params=params, theta_natural=theta[0], theta_underwater=theta[1], guidance=guidance)
 
-        unguided = sample(None)
-        assert sample(context(0.0)) == unguided
-        assert sample(context(1e3)) != unguided
+        def directory(name, context):  # guided by the context's own weight
+            (path,) = enhance_directory(tmp_path / "in", tmp_path / name, model, sched, 0, context)
+            with open(path, "rb") as fh:
+                return fh.read()
+
+        def single(gamma2, context):  # guided by the weight it is given
+            guidance = GuidanceConfig(gamma2=gamma2)
+            return enhance_image(image, model, sched, guidance, context, stream_rng(0, 0)).data.tobytes()
+
+        unguided = directory("none", None)
+        assert directory("zero", context(0.0)) == unguided
+        assert directory("strong", context(1e3)) != unguided
+        unguided = single(0.0, None)
+        assert single(0.0, context(1e3)) == unguided
+        assert single(1e3, None) == unguided
+        assert single(1e3, context(0.0)) != unguided

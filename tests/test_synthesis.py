@@ -182,5 +182,7 @@ class TestSynthesizeDataset:
     def test_template_pool_needs_decodable_images(self, tmp_path):
         os.makedirs(tmp_path / "tpl")
         (tmp_path / "tpl" / "bad.png").write_bytes(b"nope")
+        skipped = []
         with pytest.raises(ParameterError):
-            TemplatePool.from_dir(tmp_path / "tpl")
+            TemplatePool.from_dir(tmp_path / "tpl", lambda path, exc: skipped.append(path))
+        assert skipped == [os.path.join(tmp_path / "tpl", "bad.png")]
