@@ -16,8 +16,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .config import RunConfig, load_config, resolve_text, set_key
-from .denoiser import ConditionalDenoiser
+from .config import RunConfig, load_config, resolve_text
 from .errors import ConfigError, SamplingDivergedError, ShapeMismatchError, TrainingDivergedError, UwdiffError
 from .imageio import list_images, load_image, write_atomic
 from .images import RgbImage
@@ -51,9 +50,7 @@ def _resolve_out(args) -> str:
 
 
 def _load_config(args) -> RunConfig:
-    config = load_config(args.config)
-    if args.seed is not None:
-        set_key(config, "run.seed", args.seed, "--seed")
+    config = load_config(args.config, args.seed)
     print("# resolved configuration")
     print(resolve_text(config), end="")
     print(f"# seed in effect: {config.seed}")
@@ -105,15 +102,16 @@ def cmd_train_prompts(args) -> int:
 
 def cmd_finetune(args) -> int:
     config = _load_config(args)
-    out = _resolve_out(args)
-    pairs = pairs_from_manifest(args.manifest)
-    model = ConditionalDenoiser(width=config.denoiser_width, seed=config.seed)
-    guidance = config.guidance()  # checked even where no --prompts lets it guide
-    context = joint_context_from_checkpoint(args.prompts, guidance) if args.prompts else None
     weights = config.loss_weights()
-    if weights.lambda2 > 0 and context is None:
+    if weights.lambda2 > 0 and not args.prompts:
+        if weights.lambda1 == 0:
+            raise ConfigError(f"{config.where['lambda1']} = 0 leaves only the semantic term, which needs --prompts")
         print("note: no prompts checkpoint given; disabling the semantic loss term")
         weights = type(weights)(lambda1=weights.lambda1, lambda2=0.0)
+    out = _resolve_out(args)
+    pairs = pairs_from_manifest(args.manifest)
+    model = config.denoiser()
+    context = joint_context_from_checkpoint(args.prompts, config.guidance()) if args.prompts else None
     result = fine_tune(
         model,
         pairs,
@@ -150,8 +148,7 @@ def cmd_enhance(args) -> int:
     out = _resolve_out(args)
     model, model_config = load_model_checkpoint(args.model)
     _require_model_schedule(config, model_config, args.model)
-    guidance = config.guidance()  # checked even where no --prompts lets it guide
-    context = joint_context_from_checkpoint(args.prompts, guidance) if args.prompts else None
+    context = joint_context_from_checkpoint(args.prompts, config.guidance()) if args.prompts else None
     written = enhance_directory(
         args.input,
         out,

@@ -1,10 +1,10 @@
 """Declarative run configuration: sectioned key = value files with strict parsing.
 
-Each RunConfig field declares its key ("section.key"), its default and, where
-the default's type is not enough, its parser; nothing else lists the keys.
+Each RunConfig field declares its key ("section.key") and its default, whose
+type picks its parser; nothing else lists the keys.
 Unknown sections or keys are an error so typos cannot silently fall back to
-defaults. `resolve_text` renders the fully merged configuration, which every
-CLI subcommand prints before running.
+defaults; making a RunConfig runs each library bound once. `resolve_text`
+renders the fully merged configuration, which every stage prints first.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+from .denoiser import ConditionalDenoiser, check_width
 from .diffusion import GuidanceConfig, NoiseSchedule, make_linear_schedule
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .jointnet import JointNetConfig, PromptTrainConfig
-from .synthesis import METHODS, ScatterRanges
-from .training import LossWeights, OptimizerConfig
+from .synthesis import ScatterRanges, check_method
+from .training import LossWeights, OptimizerConfig, check_t_range
 
 
 def _float(text: str) -> float:
@@ -26,34 +27,15 @@ def _float(text: str) -> float:
     return value
 
 
-def _choice(options) -> callable:
-    def parse(text: str) -> str:
-        if text not in options:
-            raise ValueError(f"must be one of {tuple(options)}, got {text!r}")
-        return text
-
-    return parse
-
-
-def _int_from(low: int) -> callable:
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise ValueError(f"must be >= {low}, got {value}")
-        return value
-
-    return parse
-
-
-def _key(name: str, default, parse=None):
-    """A RunConfig field read from key `name` ("section.key"), by `parse` or its default's type."""
-    parse = parse or {int: int, float: _float}[type(default)]
+def _key(name: str, default):
+    """A RunConfig field read from key `name` ("section.key") by its default's type."""
+    parse = {int: int, float: _float, str: str}[type(default)]
     return field(default=default, metadata={"key": name, "parse": parse})
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    seed: int = _key("run.seed", 0, _int_from(0))
+    seed: int = _key("run.seed", 0)
     # desk-scale default; endpoints follow the reference ramp scaled by 2000/steps
     schedule_steps: int = _key("schedule.steps", 200)
     beta_start: float = _key("schedule.beta_start", 1e-5)
@@ -65,7 +47,7 @@ class RunConfig:
     learning_rate: float = _key("optimizer.learning_rate", 1e-3)
     train_steps: int = _key("optimizer.steps", 200)
     train_t_min: int = _key("optimizer.t_min", 1)  # smallest diffusion step sampled during fine-tuning
-    synth_method: str = _key("synthesis.method", "color_transfer", _choice(METHODS))
+    synth_method: str = _key("synthesis.method", "color_transfer")
     beta_direct_min: float = _key("synthesis.beta_direct_min", 0.1)
     beta_direct_max: float = _key("synthesis.beta_direct_max", 1.5)
     beta_backscatter_min: float = _key("synthesis.beta_backscatter_min", 0.05)
@@ -74,10 +56,21 @@ class RunConfig:
     veil_max: float = _key("synthesis.veil_max", 0.95)
     depth_min: float = _key("synthesis.depth_min", 0.5)
     depth_max: float = _key("synthesis.depth_max", 4.0)
-    classifier_width: int = _key("classifier.width", 64, _int_from(1))
-    embed_dim: int = _key("classifier.embed_dim", 16, _int_from(1))
-    prompt_epochs: int = _key("classifier.epochs", 200, _int_from(1))
+    classifier_width: int = _key("classifier.width", 64)
+    embed_dim: int = _key("classifier.embed_dim", 16)
+    prompt_epochs: int = _key("classifier.epochs", 200)
     denoiser_width: int = _key("denoiser.width", 16)
+
+    where = {}  # not a field: field name -> "<where parse_config_text read it>: section.key"
+
+    def __post_init__(self):
+        """Check every section once, so that no RunConfig holds an out-of-range value."""
+        for check in (self.schedule, self.guidance, self.loss_weights, self.optimizer,
+                      self.scatter_ranges, self.classifier, self.prompt_training):
+            check()
+        check_t_range((self.train_t_min, self.schedule_steps), self.schedule_steps)
+        check_method(self.synth_method)
+        check_width(self.denoiser_width)  # not self.denoiser(), whose weight draw imports numpy.random
 
     # derived builders -----------------------------------------------------
     def schedule(self) -> NoiseSchedule:
@@ -90,11 +83,7 @@ class RunConfig:
         return LossWeights(lambda1=self.lambda1, lambda2=self.lambda2)
 
     def optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            learning_rate=self.learning_rate,
-            total_steps=self.train_steps,
-            seed=self.seed,
-        )
+        return OptimizerConfig(learning_rate=self.learning_rate, total_steps=self.train_steps, seed=self.seed)
 
     def scatter_ranges(self) -> ScatterRanges:
         return ScatterRanges(
@@ -110,10 +99,15 @@ class RunConfig:
     def prompt_training(self) -> PromptTrainConfig:
         return PromptTrainConfig(epochs=self.prompt_epochs, seed=self.seed)
 
+    def denoiser(self) -> ConditionalDenoiser:
+        return ConditionalDenoiser(width=self.denoiser_width, seed=self.seed)
 
-def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    config = RunConfig()
-    sections = {f.metadata["key"].partition(".")[0] for f in fields(RunConfig)}
+
+def parse_config_text(text: str, source: str = "<config>", seed: str | None = None) -> RunConfig:
+    """text's RunConfig with --seed's text `seed` over it; errors name `<source>:<line>` or `--seed`."""
+    declared = {f.metadata["key"]: f for f in fields(RunConfig)}
+    sections = {name.partition(".")[0] for name in declared}
+    settings = []  # ("section.key", value text, where it was set)
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -129,34 +123,46 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         if section is None:
             raise ConfigError(f"{source}:{lineno}: key outside any [section]")
         key, _, value = line.partition("=")
-        set_key(config, f"{section}.{key.strip()}", value.strip(), f"{source}:{lineno}")
+        settings.append((f"{section}.{key.strip()}", value.strip(), f"{source}:{lineno}"))
+    if seed is not None:
+        settings.append(("run.seed", seed, "--seed"))
+    values, where = {}, {}
+    for name, value, at in settings:
+        if name not in declared:
+            section, _, key = name.partition(".")
+            raise ConfigError(f"{at}: unknown key {key!r} in section [{section}]")
+        f = declared[name]
+        try:
+            values[f.name] = f.metadata["parse"](value)
+        except ValueError as exc:
+            raise ConfigError(f"{at}: bad value for {name}: {exc}") from exc
+        where[f.name] = f"{at}: {name}"
+    config = _built(values)
+    if isinstance(config, str):  # name each set key whose reset to its default changes the message
+        blamed = [n for n in values if _built({k: v for k, v in values.items() if k != n}) != config]
+        raise ConfigError("; ".join(where[n] for n in blamed or values) + f": {config}")
+    object.__setattr__(config, "where", where)
     return config
 
 
-def set_key(config: RunConfig, name: str, text: str, where: str) -> None:
-    """Parse text into the field declared as key `name`; errors name `where` and the key."""
-    for f in fields(RunConfig):
-        if f.metadata["key"] == name:
-            try:
-                setattr(config, f.name, f.metadata["parse"](text))
-            except ValueError as exc:
-                raise ConfigError(f"{where}: bad value for {name}: {exc}") from exc
-            return
-    section, _, key = name.partition(".")
-    raise ConfigError(f"{where}: unknown key {key!r} in section [{section}]")
+def _built(values: dict) -> RunConfig | str:
+    """RunConfig(**values), or the message of the ParameterError that stops it."""
+    try:
+        return RunConfig(**values)
+    except ParameterError as exc:
+        return str(exc)
 
 
-def load_config(path=None) -> RunConfig:
+def load_config(path=None, seed: str | None = None) -> RunConfig:
     if path is None:
-        return RunConfig()
+        return parse_config_text("", seed=seed)
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+        return parse_config_text(fh.read(), str(path), seed)
 
 
 def resolve_text(config: RunConfig) -> str:
     """Render the merged configuration in file syntax, one block per section."""
-    lines = []
-    section = None
+    lines, section = [], None
     for f in fields(RunConfig):
         name, _, key = f.metadata["key"].partition(".")
         if name != section:

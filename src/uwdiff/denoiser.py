@@ -18,13 +18,16 @@ from .diffusion import NoiseSchedule, stream_rng
 from .errors import ParameterError
 
 
+def check_width(width: int) -> None:
+    if width < 1:
+        raise ParameterError(f"width must be >= 1, got {width}")
+
+
 class ConditionalDenoiser:
     """eps_hat(x_t, y, t) for (3, H, W) images conditioned on a degraded image."""
 
     def __init__(self, width: int = 16, seed: int = 0):
-        if width < 1:
-            raise ParameterError(f"width must be >= 1, got {width}")
-        self.width = width
+        check_width(width)
         rng = stream_rng(seed, 77)
         in_ch = 8  # x_t (3) + condition (3) + timestep features (2)
         # plain leaves: sampling records no graph; fine_tune marks them trainable

@@ -55,6 +55,11 @@ class JointNetConfig:
     token_width: int = 16
     text_hidden: int = 32
 
+    def __post_init__(self):
+        for name, size in vars(self).items():
+            if size < 1:
+                raise ParameterError(f"{name} must be >= 1, got {size}")
+
     def conv_channels(self) -> tuple[int, int, int]:
         return (max(self.width // 4, 1), max(self.width // 2, 1), self.width)
 
@@ -255,6 +260,10 @@ def alignment_pixel_grad(
 class PromptTrainConfig:
     epochs: int = 200
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass

@@ -99,7 +99,7 @@ def save_model_checkpoint(path, model: ConditionalDenoiser, config: RunConfig) -
 def load_model_checkpoint(path) -> tuple[ConditionalDenoiser, RunConfig]:
     tensors, echo = read_checkpoint(path)
     config = parse_config_text(echo, source=f"{path}:echo")
-    model = ConditionalDenoiser(width=config.denoiser_width, seed=config.seed)
+    model = config.denoiser()
     _load_tensors(path, tensors, model.named_tensors())
     return model, config
 

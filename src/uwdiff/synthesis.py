@@ -75,16 +75,14 @@ class ScatterRanges:
     veil: tuple[float, float] = (0.05, 0.95)
     depth: tuple[float, float] = (0.5, 4.0)
 
-    def validate(self) -> None:
-        for name in ("beta_direct", "beta_backscatter", "veil", "depth"):
-            lo, hi = getattr(self, name)
+    def __post_init__(self):
+        for name, (lo, hi) in vars(self).items():
             if not (np.isfinite(lo) and np.isfinite(hi) and 0 <= lo <= hi):
                 raise ParameterError(f"invalid range for {name}: ({lo}, {hi})")
         if self.veil[1] > 1:
             raise ParameterError("veil range must stay within [0, 1]")
 
     def draw(self, rng: np.random.Generator) -> DegradationParams:
-        self.validate()
         bd = np.sort(rng.uniform(*self.beta_direct, size=3))[::-1]  # red attenuates fastest
         return DegradationParams(
             beta_direct=bd,
@@ -246,6 +244,11 @@ class DatasetManifest:
         return manifest
 
 
+def check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
+
+
 def synthesize_dataset(
     clean_dir,
     template_dir,
@@ -263,8 +266,7 @@ def synthesize_dataset(
     templates are skipped, passed to warn and recorded in the manifest.
     Returns the manifest, which is also written to out_dir/manifest.tsv.
     """
-    if method not in METHODS:
-        raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
+    check_method(method)
     ranges = ranges or ScatterRanges()
     manifest = DatasetManifest(seed=seed, method=method, params_note=_ranges_note(method, ranges))
 

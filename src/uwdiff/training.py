@@ -30,7 +30,7 @@ class LossWeights:
 
     def __post_init__(self):
         if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ParameterError("loss weights must be >= 0")
+            raise ParameterError(f"loss weights must be >= 0, got ({self.lambda1}, {self.lambda2})")
         if self.lambda1 == 0 and self.lambda2 == 0:
             raise ParameterError("at least one loss weight must be positive")
 
@@ -46,6 +46,8 @@ class OptimizerConfig:
             raise ParameterError("learning rate must be >= 0")
         if self.total_steps < 1:
             raise ParameterError("total_steps must be >= 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 def applied_lr(base: float, step: int, total_steps: int) -> float:
@@ -164,6 +166,13 @@ def guidance_pixel_grad(x_t: np.ndarray, context: JointContext) -> np.ndarray:
     return 0.5 * grad
 
 
+def check_t_range(t_range: tuple[int, int], steps: int) -> tuple[int, int]:
+    """t_range, the (lowest, highest) timestep fine-tuning draws, once it lies within 1..steps."""
+    if not (1 <= t_range[0] <= t_range[1] <= steps):
+        raise ParameterError(f"t_range {t_range} outside 1..{steps}")
+    return t_range
+
+
 def fine_tune(
     model,
     pairs,
@@ -187,9 +196,7 @@ def fine_tune(
         raise ParameterError("fine_tune needs a nonempty dataset")
     if weights.lambda2 > 0 and context is None:
         raise ParameterError("semantic loss weight > 0 requires a JointContext")
-    t_lo, t_hi = t_range if t_range is not None else (1, sched.steps)
-    if not (1 <= t_lo <= t_hi <= sched.steps):
-        raise ParameterError(f"t_range {t_range} outside 1..{sched.steps}")
+    t_lo, t_hi = check_t_range(t_range or (1, sched.steps), sched.steps)
 
     guided = context is not None and context.guidance.gamma2 > 0
     rng = stream_rng(optimizer.seed, 78)

@@ -11,11 +11,17 @@ from uwdiff.cli import main
 from uwdiff.config import RunConfig, load_config, parse_config_text, resolve_text
 from uwdiff.denoiser import ConditionalDenoiser
 from uwdiff.diffusion import GuidanceConfig, make_linear_schedule, stream_rng
-from uwdiff.errors import ConfigError, TruncatedFileError, UnsupportedFormatError
+from uwdiff.errors import ConfigError, ParameterError, TruncatedFileError, UnsupportedFormatError
 from uwdiff.images import RgbImage
 from uwdiff.imageio import save_image
 from uwdiff.jointnet import JointNetConfig, PromptTrainConfig, init_params, init_prompts
-from uwdiff.pipeline import enhance_directory, enhance_image, save_model_checkpoint, save_prompts_checkpoint
+from uwdiff.pipeline import (
+    enhance_directory,
+    enhance_image,
+    load_model_checkpoint,
+    save_model_checkpoint,
+    save_prompts_checkpoint,
+)
 from uwdiff.synthesis import DatasetManifest, ScatterRanges
 from uwdiff.training import JointContext, LossWeights, OptimizerConfig
 
@@ -641,6 +647,129 @@ class TestUncheckedValues:
         assert f"{model}:echo:2" in err and "run.seed" in err
 
 
+# (keys set, each to its value; the builder's message): each case exits 2 naming every key it sets
+BAD_SETTINGS = [
+    ({"guidance.gamma2": "-1"}, "gamma weights must be >= 0"),
+    ({"loss.lambda1": "0", "loss.lambda2": "0"}, "at least one loss weight must be positive"),
+    ({"optimizer.learning_rate": "-1"}, "learning rate must be >= 0"),
+    ({"optimizer.steps": "0"}, "total_steps must be >= 1"),
+    ({"optimizer.t_min": "500"}, "t_range (500, 200) outside 1..200"),
+    ({"schedule.beta_start": "0.05", "schedule.beta_end": "0.01"}, "need 0 < beta_start <= beta_end < 1"),
+    ({"schedule.steps": "0"}, "steps must be >= 1, got 0"),
+    ({"denoiser.width": "0"}, "width must be >= 1, got 0"),
+    ({"synthesis.veil_max": "2"}, "veil range must stay within [0, 1]"),
+]
+
+
+def _config_file(path, settings: dict[str, str]) -> dict[str, int]:
+    """Write each "section.key" = value under its own section header; the line of each key."""
+    lines, at = [], {}
+    for name, value in settings.items():
+        section, _, key = name.partition(".")
+        lines += [f"[{section}]", f"{key} = {value}"]
+        at[name] = len(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return at
+
+
+def _echo_checkpoint(path, settings: dict[str, str]) -> dict[str, int]:
+    """A model checkpoint whose echo sets settings over the defaults; the echo line of each key."""
+    lines, at, section = resolve_text(RunConfig()).splitlines(), {}, None
+    for lineno, line in enumerate(lines, start=1):
+        if line.startswith("["):
+            section = line[1:-1]
+        key = line.partition(" = ")[0]
+        if f"{section}.{key}" in settings:
+            lines[lineno - 1] = f"{key} = {settings[f'{section}.{key}']}"
+            at[f"{section}.{key}"] = lineno
+    named = ConditionalDenoiser(width=RunConfig().denoiser_width).named_tensors()
+    write_checkpoint(path, {name: tensor.data for name, tensor in named.items()}, "\n".join(lines) + "\n")
+    return at
+
+
+class TestBounds:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: JointNetConfig(width=0), "width must be >= 1, got 0"),
+            (lambda: JointNetConfig(embed_dim=0), "embed_dim must be >= 1, got 0"),
+            (lambda: PromptTrainConfig(epochs=0), "epochs must be >= 1, got 0"),
+            (lambda: OptimizerConfig(seed=-1), "seed must be >= 0, got -1"),
+            (lambda: ScatterRanges(veil=(0.1, 2.0)), "veil range must stay within [0, 1]"),
+            (lambda: RunConfig(veil_max=2.0), "veil range must stay within [0, 1]"),
+            (lambda: RunConfig(train_t_min=3, schedule_steps=2), "t_range (3, 2) outside 1..2"),
+        ],
+        ids=["classifier-width", "embed-dim", "epochs", "seed", "veil", "run-config", "run-config-cross-key"],
+    )
+    def test_builder_rejects_out_of_range_value_at_construction(self, build, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            build()
+
+    @pytest.mark.parametrize("source", ["config", "echo"])
+    @pytest.mark.parametrize(
+        "settings, message", BAD_SETTINGS, ids=["+".join(settings) for settings, _ in BAD_SETTINGS]
+    )
+    def test_out_of_range_value_exits_2_naming_where_each_key_was_set(
+        self, tmp_path, capsys, settings, message, source
+    ):
+        _write_scene_dir(tmp_path / "imgs", 1, 0)
+        path, imgs = tmp_path / "bad", str(tmp_path / "imgs")
+        write, args, where = {
+            "config": (_config_file, ["finetune", "--config", str(path), "--manifest", str(path)], f"{path}"),
+            "echo": (_echo_checkpoint, ["enhance", "--input", imgs, "--model", str(path)], f"{path}:echo"),
+        }[source]
+        at = write(path, settings)
+        assert main([*args, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        for name, line in at.items():
+            assert f"{where}:{line}: {name}" in err
+        assert message in err
+
+    @pytest.mark.parametrize("source", ["config", "echo"])
+    def test_two_bad_keys_name_only_the_key_of_the_message(self, tmp_path, source):
+        path = tmp_path / "bad"
+        write, load, where = {
+            "config": (_config_file, load_config, f"{path}"),
+            "echo": (_echo_checkpoint, load_model_checkpoint, f"{path}:echo"),
+        }[source]
+        line = write(path, {"guidance.gamma2": "-1", "optimizer.learning_rate": "-1"})["guidance.gamma2"]
+        with pytest.raises(ConfigError) as caught:
+            load(path)
+        assert str(caught.value) == f"{where}:{line}: guidance.gamma2: gamma weights must be >= 0"
+
+    def test_finetune_without_prompts_and_zero_lambda1_exits_2_before_any_work(self, tmp_path, capsys):
+        paths = _guidance_inputs(tmp_path)
+        cfg = tmp_path / "l1.cfg"
+        cfg.write_text("[loss]\nlambda1 = 0\n")
+        capsys.readouterr()
+        args = ["--config", str(cfg), "--manifest", paths["manifest"], "--out", str(tmp_path / "out")]
+        assert main(["finetune", *args]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: loss.lambda1 = 0" in err and "needs --prompts" in err
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("command", ["synth", "train-prompts", "finetune", "enhance", "eval", "verify"])
+    def test_every_stage_rejects_a_bad_key_of_any_section_before_any_work(self, tmp_path, capsys, command):
+        paths = _guidance_inputs(tmp_path)
+        cfg = tmp_path / "veil.cfg"
+        cfg.write_text("[synthesis]\nveil_max = 2\n")
+        clean, tpl = str(tmp_path / "clean"), str(tmp_path / "tpl")
+        args = {
+            "synth": ["--clean", clean, "--templates", tpl],
+            "train-prompts": ["--natural", clean, "--underwater", tpl],
+            "finetune": ["--manifest", paths["manifest"]],
+            "enhance": ["--input", paths["input"], "--model", paths["model"]],
+            "eval": ["--enhanced", paths["input"]],
+            "verify": [],
+        }[command]
+        if command != "verify":
+            args += ["--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), *args]) == 2
+        assert f"{cfg}:2: synthesis.veil_max: veil range must stay within [0, 1]" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+
 class TestUndecodableInputs:
     def test_eval_names_the_truncated_file_once(self, tmp_path, capsys):
         _write_scene_dir(tmp_path / "imgs", 2, 0)
@@ -708,7 +837,7 @@ class TestGuidanceSwitch:
         capsys.readouterr()
         assert main([command, "--config", str(cfg), *args, "--out", str(tmp_path / "out")]) == 2
         assert "gamma weights must be >= 0" in capsys.readouterr().err
-        assert os.listdir(tmp_path / "out") == []
+        assert not os.path.exists(tmp_path / "out")
 
     def test_context_with_zero_gamma2_samples_the_bytes_of_no_context(self, tmp_path):
         sched = make_linear_schedule(4, 1e-3, 2e-2)
