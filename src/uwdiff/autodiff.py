@@ -2,9 +2,9 @@
 
 Covers exactly the operator set the toolkit trains with: broadcast
 arithmetic, matmul, 2-D convolution, smooth pointwise nonlinearities,
-reductions, and concatenation, plus the Adam optimizer that every
-training loop uses. Every gradient is validated against central finite
-differences in the test suite.
+reductions, and concatenation, plus the weight initialization and the Adam
+optimizer that every model uses. Every gradient is validated against central
+finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -371,8 +371,19 @@ def dot(a, b) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Optimizer
+# Parameters and the optimizer
 # ---------------------------------------------------------------------------
+
+
+def init_layers(rng: np.random.Generator, shapes: dict[str, tuple[int, ...]]) -> dict[str, Tensor]:
+    """Named parameters in table order: a 1-D entry is a zero bias, any other a
+    weight drawn from rng as N(0, 1/sqrt(fan_in)) with fan_in = prod(shape[1:])."""
+    tensors = {}
+    for name, shape in shapes.items():
+        scale = 1.0 / np.sqrt(np.prod(shape[1:]))
+        tensors[name] = Tensor(np.zeros(shape) if len(shape) == 1 else rng.normal(0.0, scale, shape))
+    return tensors
+
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999

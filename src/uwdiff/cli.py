@@ -4,7 +4,7 @@ Every subcommand prints its resolved configuration (defaults merged with the
 config file and the --seed override) before doing any work, and obeys a fixed
 exit-code contract: 0 success, 1 verification, training or sampling failure,
 2 usage or input errors. The output directory comes from --out or the UWDIFF_OUT
-environment variable.
+environment variable, and is created only when the stage writes its first file.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import fields
 
+from .autodiff import Tensor
 from .config import RunConfig, load_config, resolve_text
 from .errors import ConfigError, SamplingDivergedError, ShapeMismatchError, TrainingDivergedError, UwdiffError
 from .imageio import list_images, load_image, write_atomic
@@ -27,8 +28,7 @@ from .pipeline import (
     joint_context_from_checkpoint,
     load_model_checkpoint,
     pairs_from_manifest,
-    save_model_checkpoint,
-    save_prompts_checkpoint,
+    save_checkpoint,
 )
 from .synthesis import synthesize_dataset
 from .training import fine_tune
@@ -45,7 +45,8 @@ def _resolve_out(args) -> str:
     out = args.out or os.environ.get(ENV_OUT_DIR)
     if not out:
         raise UwdiffError(f"no output directory: pass --out or set {ENV_OUT_DIR}")
-    os.makedirs(out, exist_ok=True)
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise UwdiffError(f"output directory {out!r} exists and is not a directory")
     return out
 
 
@@ -86,7 +87,10 @@ def cmd_train_prompts(args) -> int:
     params = init_params(config.classifier(), config.seed)
     result = train_prompts(dataset, params, config.prompt_training())
     ckpt_path = os.path.join(out, "prompts.ckpt")
-    save_prompts_checkpoint(ckpt_path, params, result.prompt_natural, result.prompt_underwater, config)
+    tensors = dict(params.tensors)
+    tensors["prompt.natural"] = Tensor(result.prompt_natural.tokens)
+    tensors["prompt.underwater"] = Tensor(result.prompt_underwater.tokens)
+    save_checkpoint(ckpt_path, tensors, config)
     log_path = os.path.join(out, "prompts.log")
     lines = ["epoch\tloss"]
     lines += [f"{epoch}\t{loss:.12e}" for epoch, loss in enumerate(result.losses, start=1)]
@@ -122,7 +126,7 @@ def cmd_finetune(args) -> int:
         t_range=(config.train_t_min, config.schedule_steps),
     )
     ckpt_path = os.path.join(out, "model.ckpt")
-    save_model_checkpoint(ckpt_path, model, config)
+    save_checkpoint(ckpt_path, model.tensors, config)
     log_path = os.path.join(out, "training.log")
     write_atomic(log_path, result.log_text().encode("utf-8"))
     print(f"fine-tuned {len(result.log)} steps on {len(pairs)} pairs")

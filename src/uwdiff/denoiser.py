@@ -28,24 +28,19 @@ class ConditionalDenoiser:
 
     def __init__(self, width: int = 16, seed: int = 0):
         check_width(width)
-        rng = stream_rng(seed, 77)
-        in_ch = 8  # x_t (3) + condition (3) + timestep features (2)
         # plain leaves: sampling records no graph; fine_tune marks them trainable
-        self.w1 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(in_ch * 9), (width, in_ch, 3, 3)))
-        self.b1 = Tensor(np.zeros(width))
-        self.w2 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(width * 9), (3, width, 3, 3)))
-        self.b2 = Tensor(np.zeros(3))
+        self.tensors = ad.init_layers(
+            stream_rng(seed, 77),
+            {
+                "denoiser.w1": (width, 8, 3, 3),  # x_t (3) + condition (3) + timestep features (2)
+                "denoiser.b1": (width,),
+                "denoiser.w2": (3, width, 3, 3),
+                "denoiser.b2": (3,),
+            },
+        )
 
     def parameters(self) -> list[Tensor]:
-        return list(self.named_tensors().values())
-
-    def named_tensors(self) -> dict[str, Tensor]:
-        return {
-            "denoiser.w1": self.w1,
-            "denoiser.b1": self.b1,
-            "denoiser.w2": self.w2,
-            "denoiser.b2": self.b2,
-        }
+        return list(self.tensors.values())
 
     def clean_graph(self, x_t: Tensor, condition: np.ndarray, t: int, sched: NoiseSchedule) -> Tensor:
         """Predicted clean signal x0_hat as an autodiff graph."""
@@ -54,8 +49,9 @@ class ConditionalDenoiser:
         t_feat[0] = t / sched.steps
         t_feat[1] = sched.alpha_bar_at(t)
         stacked = ad.concat([x_t, Tensor(np.asarray(condition, dtype=np.float64)), Tensor(t_feat)], axis=0)
-        hidden = ad.tanh(ad.conv2d(stacked, self.w1, self.b1, stride=1, padding=1))
-        return ad.conv2d(hidden, self.w2, self.b2, stride=1, padding=1)
+        p = self.tensors
+        hidden = ad.tanh(ad.conv2d(stacked, p["denoiser.w1"], p["denoiser.b1"], stride=1, padding=1))
+        return ad.conv2d(hidden, p["denoiser.w2"], p["denoiser.b2"], stride=1, padding=1)
 
     def noise_graph(self, x_t: Tensor, condition: np.ndarray, t: int, sched: NoiseSchedule) -> Tensor:
         """eps_hat = (x_t - sqrt(alpha_bar) x0_hat) / sqrt(1 - alpha_bar)."""

@@ -280,7 +280,7 @@ def require_unique_stems(directory, names) -> None:
 
 
 def write_atomic(path, data: bytes) -> None:
-    """Write `data` to `path` through a temporary file in the same directory.
+    """Write `data` to `path` through a temporary file in its directory, which is created here.
 
     os.replace swaps the finished file in, so a reader sees either the old
     file or the whole new one, never a partial write; on any error the
@@ -289,6 +289,7 @@ def write_atomic(path, data: bytes) -> None:
     """
     path = os.fspath(path)
     directory, name = os.path.split(path)
+    os.makedirs(directory or os.curdir, exist_ok=True)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:

@@ -11,7 +11,7 @@ alignment score whose pixel gradient drives diffusion guidance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,70 +60,35 @@ class JointNetConfig:
             if size < 1:
                 raise ParameterError(f"{name} must be >= 1, got {size}")
 
-    def conv_channels(self) -> tuple[int, int, int]:
-        return (max(self.width // 4, 1), max(self.width // 2, 1), self.width)
-
 
 @dataclass
 class JointNetParams:
-    """Frozen encoder/text parameters; only prompt tensors are ever trained."""
+    """Frozen encoder/text parameters by checkpoint name; only prompt tensors are ever trained."""
 
     config: JointNetConfig
-    conv_weights: list[Tensor] = field(default_factory=list)
-    conv_biases: list[Tensor] = field(default_factory=list)
-    attn_weight: Tensor | None = None
-    attn_bias: Tensor | None = None
-    proj_weight: Tensor | None = None
-    proj_bias: Tensor | None = None
-    token_weight: Tensor | None = None
-    token_bias: Tensor | None = None
-    text_weight: Tensor | None = None
-    text_bias: Tensor | None = None
-
-    def named_tensors(self) -> dict[str, Tensor]:
-        named = {}
-        for i, (w, b) in enumerate(zip(self.conv_weights, self.conv_biases), start=1):
-            named[f"conv{i}.weight"] = w
-            named[f"conv{i}.bias"] = b
-        named.update(
-            {
-                "attn.weight": self.attn_weight,
-                "attn.bias": self.attn_bias,
-                "proj.weight": self.proj_weight,
-                "proj.bias": self.proj_bias,
-                "token.weight": self.token_weight,
-                "token.bias": self.token_bias,
-                "text.weight": self.text_weight,
-                "text.bias": self.text_bias,
-            }
-        )
-        return named
+    tensors: dict[str, Tensor]
 
 
 def init_params(config: JointNetConfig, seed: int) -> JointNetParams:
-    """Deterministic random initialization; weights scale like 1/sqrt(fan_in)."""
-    rng = stream_rng(seed, 74)
-    params = JointNetParams(config=config)
-    in_ch = 3
-    for out_ch in config.conv_channels():
-        scale = 1.0 / np.sqrt(in_ch * 9)
-        params.conv_weights.append(Tensor(rng.normal(0.0, scale, (out_ch, in_ch, 3, 3))))
-        params.conv_biases.append(Tensor(np.zeros(out_ch)))
-        in_ch = out_ch
-    width = config.width
-    params.attn_weight = Tensor(rng.normal(0.0, 1.0 / np.sqrt(width), (1, width, 1, 1)))
-    params.attn_bias = Tensor(np.zeros(1))
-    params.proj_weight = Tensor(rng.normal(0.0, 1.0 / np.sqrt(width), (config.embed_dim, width)))
-    params.proj_bias = Tensor(np.zeros(config.embed_dim))
-    params.token_weight = Tensor(
-        rng.normal(0.0, 1.0 / np.sqrt(config.token_width), (config.text_hidden, config.token_width))
-    )
-    params.token_bias = Tensor(np.zeros(config.text_hidden))
-    params.text_weight = Tensor(
-        rng.normal(0.0, 1.0 / np.sqrt(config.text_hidden), (config.embed_dim, config.text_hidden))
-    )
-    params.text_bias = Tensor(np.zeros(config.embed_dim))
-    return params
+    """Deterministic random initialization of every layer from one (name, shape) table."""
+    c1, c2, c3 = max(config.width // 4, 1), max(config.width // 2, 1), config.width
+    shapes = {
+        "conv1.weight": (c1, 3, 3, 3),
+        "conv1.bias": (c1,),
+        "conv2.weight": (c2, c1, 3, 3),
+        "conv2.bias": (c2,),
+        "conv3.weight": (c3, c2, 3, 3),
+        "conv3.bias": (c3,),
+        "attn.weight": (1, c3, 1, 1),
+        "attn.bias": (1,),
+        "proj.weight": (config.embed_dim, c3),
+        "proj.bias": (config.embed_dim,),
+        "token.weight": (config.text_hidden, config.token_width),
+        "token.bias": (config.text_hidden,),
+        "text.weight": (config.embed_dim, config.text_hidden),
+        "text.bias": (config.embed_dim,),
+    }
+    return JointNetParams(config, ad.init_layers(stream_rng(seed, 74), shapes))
 
 
 def init_prompts(config: JointNetConfig, seed: int) -> tuple[PromptTensor, PromptTensor]:
@@ -152,19 +117,19 @@ def normalize_graph(vec: Tensor) -> Tensor:
 
 
 def encode_graph(x: Tensor, params: JointNetParams) -> Tensor:
-    h = x
-    for w, b in zip(params.conv_weights, params.conv_biases):
-        h = ad.tanh(ad.conv2d(h, w, b, stride=2, padding=1))
+    h, p = x, params.tensors
+    for i in (1, 2, 3):
+        h = ad.tanh(ad.conv2d(h, p[f"conv{i}.weight"], p[f"conv{i}.bias"], stride=2, padding=1))
     return h
 
 
 def attention_graph(features: Tensor, params: JointNetParams) -> Tensor:
-    return ad.sigmoid(ad.conv2d(features, params.attn_weight, params.attn_bias))
+    return ad.sigmoid(ad.conv2d(features, params.tensors["attn.weight"], params.tensors["attn.bias"]))
 
 
 def pool_graph(attended: Tensor, params: JointNetParams) -> Tensor:
     pooled = ad.tmean(attended, axis=(1, 2))
-    projected = ad.matmul(params.proj_weight, pooled) + params.proj_bias
+    projected = ad.matmul(params.tensors["proj.weight"], pooled) + params.tensors["proj.bias"]
     return normalize_graph(projected)
 
 
@@ -177,9 +142,10 @@ def embed_image_graph(x: Tensor, params: JointNetParams) -> Tensor:
 
 def prompt_graph(tokens: Tensor, params: JointNetParams) -> Tensor:
     """Token-wise linear map, mean over positions, projection, normalization."""
-    mixed = ad.tanh(ad.matmul(tokens, Tensor(params.token_weight.data.T)) + params.token_bias)
+    p = params.tensors
+    mixed = ad.tanh(ad.matmul(tokens, Tensor(p["token.weight"].data.T)) + p["token.bias"])
     pooled = ad.tmean(mixed, axis=0)
-    projected = ad.matmul(params.text_weight, pooled) + params.text_bias
+    projected = ad.matmul(p["text.weight"], pooled) + p["text.bias"]
     return normalize_graph(projected)
 
 

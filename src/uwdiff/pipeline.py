@@ -25,12 +25,7 @@ from .diffusion import (
 from .errors import ParameterError, SamplingDivergedError, ShapeMismatchError, UnsupportedFormatError
 from .images import RgbImage
 from .imageio import list_images, load_image, require_unique_stems, save_image
-from .jointnet import (
-    JointNetParams,
-    PromptTensor,
-    encode_prompt,
-    init_params,
-)
+from .jointnet import PromptTensor, encode_prompt, init_params
 from .synthesis import DatasetManifest, load_pair
 from .training import JointContext, guidance_pixel_grad
 
@@ -50,8 +45,10 @@ def from_model_space(chw: np.ndarray) -> RgbImage:
 # ---------------------------------------------------------------------------
 
 
-def _named_arrays(named: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    return {name: tensor.data for name, tensor in named.items()}
+def save_checkpoint(path, tensors: dict[str, Tensor], config: RunConfig) -> None:
+    """Write the named tensors in order, with the run's resolved configuration as the echo."""
+    arrays = {name: tensor.data for name, tensor in tensors.items()}
+    write_checkpoint(path, arrays, config_echo=resolve_text(config))
 
 
 def _load_tensors(path, tensors: dict[str, np.ndarray], targets: dict[str, Tensor]) -> None:
@@ -67,15 +64,6 @@ def _load_tensors(path, tensors: dict[str, np.ndarray], targets: dict[str, Tenso
         target.data = tensors[name]
 
 
-def save_prompts_checkpoint(
-    path, params: JointNetParams, prompt_n: PromptTensor, prompt_u: PromptTensor, config: RunConfig
-) -> None:
-    tensors = _named_arrays(params.named_tensors())
-    tensors["prompt.natural"] = prompt_n.tokens
-    tensors["prompt.underwater"] = prompt_u.tokens
-    write_checkpoint(path, tensors, config_echo=resolve_text(config))
-
-
 def joint_context_from_checkpoint(path, guidance: GuidanceConfig) -> JointContext:
     """The frozen classifier and encoded prompts of a prompts checkpoint, guiding by `guidance`."""
     tensors, echo = read_checkpoint(path)
@@ -83,7 +71,7 @@ def joint_context_from_checkpoint(path, guidance: GuidanceConfig) -> JointContex
     params = init_params(config.classifier(), config.seed)
     prompt_shape = (params.config.token_count, params.config.token_width)
     prompts = {name: Tensor(np.empty(prompt_shape)) for name in ("prompt.natural", "prompt.underwater")}
-    _load_tensors(path, tensors, {**params.named_tensors(), **prompts})
+    _load_tensors(path, tensors, {**params.tensors, **prompts})
     return JointContext(
         params=params,
         theta_natural=encode_prompt(PromptTensor(prompts["prompt.natural"].data), params),
@@ -92,15 +80,11 @@ def joint_context_from_checkpoint(path, guidance: GuidanceConfig) -> JointContex
     )
 
 
-def save_model_checkpoint(path, model: ConditionalDenoiser, config: RunConfig) -> None:
-    write_checkpoint(path, _named_arrays(model.named_tensors()), config_echo=resolve_text(config))
-
-
 def load_model_checkpoint(path) -> tuple[ConditionalDenoiser, RunConfig]:
     tensors, echo = read_checkpoint(path)
     config = parse_config_text(echo, source=f"{path}:echo")
     model = config.denoiser()
-    _load_tensors(path, tensors, model.named_tensors())
+    _load_tensors(path, tensors, model.tensors)
     return model, config
 
 
@@ -182,7 +166,6 @@ def enhance_directory(
     guidance = None if context is None else context.guidance  # the context carries the run's weight
     names = list_images(input_dir)
     require_unique_stems(input_dir, names)
-    os.makedirs(out_dir, exist_ok=True)
     written = []
     for index, name in enumerate(names):
         img = load_image(os.path.join(os.fspath(input_dir), name))

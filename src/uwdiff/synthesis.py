@@ -280,7 +280,6 @@ def synthesize_dataset(
     clean_names = list_images(clean_dir)
     require_unique_stems(clean_dir, clean_names)
     out_dir = os.fspath(out_dir)
-    os.makedirs(os.path.join(out_dir, "degraded"), exist_ok=True)
     manifest_dir = os.path.realpath(out_dir)
 
     for index, name in enumerate(clean_names):

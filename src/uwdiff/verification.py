@@ -208,7 +208,7 @@ def check_gradients(seed: int) -> CheckResult:
         emb = embed_image_graph(x, params)
         return 1.0 - ad.dot(emb, Tensor(target))
 
-    report = grad_check(loss, {"pixels": x, "conv1": params.conv_weights[0]}, seed=seed)
+    report = grad_check(loss, {"pixels": x, "conv1": params.tensors["conv1.weight"]}, seed=seed)
     detail = ", ".join(f"{k}={v:.2e}" for k, v in report.max_rel_error.items())
     return CheckResult("gradient_checks", report.passed, detail or "; ".join(report.failures))
 

@@ -3,14 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from criteria import CRITERIA
+
 _HERE = Path(__file__).parent
-
-_CRITERIA: list[tuple[str, bool, str]] = []
-
-
-def record_criterion(name: str, passed: bool, detail: str = "") -> None:
-    """Collect one acceptance-criterion verdict for the end-of-run summary."""
-    _CRITERIA.append((name, passed, detail))
 
 
 def pytest_collection_modifyitems(config, items):
@@ -21,10 +16,10 @@ def pytest_collection_modifyitems(config, items):
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _CRITERIA:
+    if not CRITERIA:
         return
     terminalreporter.section("acceptance criteria")
-    for name, passed, detail in _CRITERIA:
+    for name, passed, detail in CRITERIA:
         status = "PASS" if passed else "FAIL"
         line = f"[{status}] {name}"
         if detail:

@@ -40,7 +40,7 @@ from uwdiff.verification import (
     check_prior_recovery,
 )
 
-from conftest import record_criterion
+from criteria import record_criterion
 from oracles import cpbd_ref, logistic_accuracy, uciqe_ref, uiqm_ref
 
 
@@ -231,7 +231,7 @@ def test_c08_gradient_checks_every_path():
         return 1.0 - ad.dot(embed_image_graph(x_img, params), Tensor(target))
 
     groups = {"pixels": x_img}
-    groups.update({k: v for k, v in params.named_tensors().items() if "token" not in k and "text" not in k})
+    groups.update({k: v for k, v in params.tensors.items() if "token" not in k and "text" not in k})
     for tensor in groups.values():
         tensor.requires_grad = True
     report = grad_check(embed_loss, groups, tolerance=1e-4, samples_per_group=12, seed=1)
@@ -275,13 +275,7 @@ def test_c08_gradient_checks_every_path():
 
         return loss
 
-    denoiser_groups = {
-        "denoiser.w1": model.w1,
-        "denoiser.b1": model.b1,
-        "denoiser.w2": model.w2,
-        "denoiser.b2": model.b2,
-        "x_t": x_t_leaf,
-    }
+    denoiser_groups = {**model.tensors, "x_t": x_t_leaf}
     for name, fn in (
         ("l1_only", chain_loss(1.0, 0.0)),
         ("semantic_only", chain_loss(0.0, 1.0)),

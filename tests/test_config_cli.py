@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from uwdiff.autodiff import Tensor
 from uwdiff.checkpoint import read_checkpoint, write_checkpoint
 from uwdiff.cli import main
 from uwdiff.config import RunConfig, load_config, parse_config_text, resolve_text
@@ -19,8 +20,7 @@ from uwdiff.pipeline import (
     enhance_directory,
     enhance_image,
     load_model_checkpoint,
-    save_model_checkpoint,
-    save_prompts_checkpoint,
+    save_checkpoint,
 )
 from uwdiff.synthesis import DatasetManifest, ScatterRanges
 from uwdiff.training import JointContext, LossWeights, OptimizerConfig
@@ -252,7 +252,7 @@ class TestCliContract:
         imgs = tmp_path / "imgs"
         _write_scene_dir(imgs, 2, 0)
         model = tmp_path / "model.ckpt"
-        save_model_checkpoint(model, ConditionalDenoiser(width=RunConfig().denoiser_width), RunConfig())
+        save_checkpoint(model, ConditionalDenoiser(width=RunConfig().denoiser_width).tensors, RunConfig())
         inputs = {
             "synth": {"--clean": imgs, "--templates": imgs},
             "train-prompts": {"--natural": imgs, "--underwater": imgs},
@@ -343,7 +343,7 @@ class TestCliContract:
         _write_scene_dir(tmp_path / "imgs", 1, 0)
         model = tmp_path / "model.ckpt"
         echo = resolve_text(RunConfig()).replace(old, new)
-        named = ConditionalDenoiser(width=RunConfig().denoiser_width).named_tensors()
+        named = ConditionalDenoiser(width=RunConfig().denoiser_width).tensors
         write_checkpoint(model, {name: tensor.data for name, tensor in named.items()}, echo)
         code = main(
             ["enhance", "--input", str(tmp_path / "imgs"), "--model", str(model), "--out", str(tmp_path / "out")]
@@ -425,7 +425,7 @@ class TestCliContract:
         _write_scene_dir(imgs, 2, 0)
         save_image(RgbImage.from_array(np.full((16, 16, 3), 0.5)), imgs / "s01.ppm")
         model = tmp_path / "model.ckpt"
-        save_model_checkpoint(model, ConditionalDenoiser(width=RunConfig().denoiser_width), RunConfig())
+        save_checkpoint(model, ConditionalDenoiser(width=RunConfig().denoiser_width).tensors, RunConfig())
         args = {
             "synth": ["--clean", str(imgs), "--templates", str(imgs)],
             "enhance": ["--input", str(imgs), "--model", str(model)],
@@ -433,7 +433,34 @@ class TestCliContract:
         assert main([command, *args, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert str(imgs) in err and "['s01']" in err
-        assert os.listdir(tmp_path / "out") == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train-prompts", "finetune", "enhance", "eval"])
+    def test_bad_input_exits_2_and_leaves_no_out(self, tmp_path, capsys, command):
+        paths = _guidance_inputs(tmp_path)
+        missing = str(tmp_path / "missing")
+        _rewrite_tensor(paths["prompts"], "prompt.natural", None)
+        bad_model = tmp_path / "bad_model.ckpt"
+        _echo_checkpoint(bad_model, {"synthesis.veil_max": "2"})
+        args, culprit = {
+            "synth": (["--clean", paths["input"], "--templates", missing], missing),
+            "train-prompts": (["--natural", paths["input"], "--underwater", missing], missing),
+            "finetune": (["--manifest", paths["manifest"], "--prompts", paths["prompts"]], "'prompt.natural'"),
+            "enhance": (["--input", paths["input"], "--model", str(bad_model)], "synthesis.veil_max"),
+            "eval": (["--enhanced", paths["input"], "--reference", str(tmp_path / "tpl")], "'s01.png'"),
+        }[command]
+        assert main([command, *args, "--out", str(tmp_path / "out")]) == 2
+        assert culprit in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_out_naming_a_file_exits_2_before_any_work(self, tmp_path, capsys):
+        _write_scene_dir(tmp_path / "imgs", 1, 0)
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["eval", "--enhanced", str(tmp_path / "imgs"), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"{str(out)!r} exists and is not a directory" in captured.err
+        assert "\t" not in captured.out  # no metric table was computed
 
     def test_env_var_out_dir(self, tmp_path, capsys, monkeypatch):
         _write_scene_dir(tmp_path / "imgs", 1, 0, size=64)
@@ -467,7 +494,7 @@ class TestCliContract:
     def test_enhance_schedule_mismatch_exits_2_naming_checkpoint_and_keys(self, tmp_path, capsys):
         _write_scene_dir(tmp_path / "imgs", 1, 0)
         model = tmp_path / "model.ckpt"
-        save_model_checkpoint(model, ConditionalDenoiser(width=RunConfig().denoiser_width), RunConfig())
+        save_checkpoint(model, ConditionalDenoiser(width=RunConfig().denoiser_width).tensors, RunConfig())
         cfg = tmp_path / "other.cfg"
         cfg.write_text("[schedule]\nsteps = 5\nbeta_end = 0.2\n")
         code = main(
@@ -485,7 +512,7 @@ class TestCliContract:
         assert "schedule.steps = 5 (checkpoint: 200)" in err
         assert "schedule.beta_end = 0.2 (checkpoint: 0.1)" in err
         assert "beta_start" not in err
-        assert os.listdir(tmp_path / "out") == []
+        assert not (tmp_path / "out").exists()
 
     def test_diverging_chain_exits_1_naming_image_and_step(self, tmp_path, capsys):
         _write_scene_dir(tmp_path / "imgs", 2, 0)
@@ -493,9 +520,9 @@ class TestCliContract:
         cfg.write_text("[schedule]\nsteps = 5\n")
         config = load_config(cfg)
         denoiser = ConditionalDenoiser(width=config.denoiser_width)
-        denoiser.w2.data[0, 0, 1, 1] = np.nan
+        denoiser.tensors["denoiser.w2"].data[0, 0, 1, 1] = np.nan
         model = tmp_path / "model.ckpt"
-        save_model_checkpoint(model, denoiser, config)
+        save_checkpoint(model, denoiser.tensors, config)
         code = main(
             [
                 "enhance",
@@ -509,7 +536,7 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert "s00.png" in err
         assert "step t=5 of 5" in err
-        assert os.listdir(tmp_path / "out") == []
+        assert not (tmp_path / "out").exists()
 
     def test_verify_passes_with_exit_0(self, capsys):
         assert main(["verify", "--seed", "0"]) == 0
@@ -556,7 +583,9 @@ class TestCliContract:
 
 def _prompts_checkpoint(path, config: RunConfig) -> None:
     params = init_params(config.classifier(), config.seed)
-    save_prompts_checkpoint(path, params, *init_prompts(params.config, config.seed), config)
+    prompt_n, prompt_u = init_prompts(params.config, config.seed)
+    prompts = {"prompt.natural": Tensor(prompt_n.tokens), "prompt.underwater": Tensor(prompt_u.tokens)}
+    save_checkpoint(path, {**params.tensors, **prompts}, config)
 
 
 def _rewrite_tensor(path, name, value) -> None:
@@ -585,7 +614,7 @@ class TestCheckpointLoads:
         _write_scene_dir(tmp_path / "imgs", 1, 0)
         config = RunConfig(schedule_steps=2)
         ckpts = {"model": tmp_path / "model.ckpt", "prompts": tmp_path / "prompts.ckpt"}
-        save_model_checkpoint(ckpts["model"], ConditionalDenoiser(width=config.denoiser_width), config)
+        save_checkpoint(ckpts["model"], ConditionalDenoiser(width=config.denoiser_width).tensors, config)
         _prompts_checkpoint(ckpts["prompts"], config)
         _rewrite_tensor(ckpts[which], name, value)
         cfg = tmp_path / "short.cfg"
@@ -594,13 +623,13 @@ class TestCheckpointLoads:
         assert main(["enhance", "--config", str(cfg), *args, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert str(ckpts[which]) in err and repr(name) in err
-        assert os.listdir(tmp_path / "out") == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cut", [9, 200])
     def test_truncated_checkpoint_exits_2_naming_it(self, tmp_path, capsys, cut):
         _write_scene_dir(tmp_path / "imgs", 1, 0)
         model = tmp_path / "model.ckpt"
-        save_model_checkpoint(model, ConditionalDenoiser(width=RunConfig().denoiser_width), RunConfig())
+        save_checkpoint(model, ConditionalDenoiser(width=RunConfig().denoiser_width).tensors, RunConfig())
         blob = model.read_bytes()
         model.write_bytes(blob[: len(blob) - cut])
         args = ["--input", str(tmp_path / "imgs"), "--model", str(model)]
@@ -639,7 +668,7 @@ class TestUncheckedValues:
         _write_scene_dir(tmp_path / "imgs", 1, 0)
         model = tmp_path / "model.ckpt"
         echo = resolve_text(RunConfig()).replace("seed = 0", "seed = -1")
-        named = ConditionalDenoiser(width=RunConfig().denoiser_width).named_tensors()
+        named = ConditionalDenoiser(width=RunConfig().denoiser_width).tensors
         write_checkpoint(model, {name: tensor.data for name, tensor in named.items()}, echo)
         args = ["--input", str(tmp_path / "imgs"), "--model", str(model)]
         assert main(["enhance", *args, "--out", str(tmp_path / "out")]) == 2
@@ -682,7 +711,7 @@ def _echo_checkpoint(path, settings: dict[str, str]) -> dict[str, int]:
         if f"{section}.{key}" in settings:
             lines[lineno - 1] = f"{key} = {settings[f'{section}.{key}']}"
             at[f"{section}.{key}"] = lineno
-    named = ConditionalDenoiser(width=RunConfig().denoiser_width).named_tensors()
+    named = ConditionalDenoiser(width=RunConfig().denoiser_width).tensors
     write_checkpoint(path, {name: tensor.data for name, tensor in named.items()}, "\n".join(lines) + "\n")
     return at
 
@@ -811,7 +840,7 @@ def _guidance_inputs(tmp_path) -> dict[str, str]:
     args = ["--clean", str(tmp_path / "clean"), "--templates", str(tmp_path / "tpl")]
     assert main(["synth", *args, "--out", str(tmp_path / "synth")]) == 0
     config = RunConfig(schedule_steps=2)
-    save_model_checkpoint(tmp_path / "model.ckpt", ConditionalDenoiser(width=config.denoiser_width), config)
+    save_checkpoint(tmp_path / "model.ckpt", ConditionalDenoiser(width=config.denoiser_width).tensors, config)
     _prompts_checkpoint(tmp_path / "prompts.ckpt", config)
     return {
         "manifest": str(tmp_path / "synth" / "manifest.tsv"),

@@ -63,8 +63,21 @@ EXPECTED = {
     "eval:UCIQE": 4.9228,
 }
 
+# each checkpoint's tensor names in file order: a checkpoint's bytes follow
+# this order, which the norms above, compared by name, do not see
+CHECKPOINT_NAMES = {
+    "prompts.ckpt": [
+        "conv1.weight", "conv1.bias", "conv2.weight", "conv2.bias", "conv3.weight", "conv3.bias",
+        "attn.weight", "attn.bias", "proj.weight", "proj.bias",
+        "token.weight", "token.bias", "text.weight", "text.bias",
+        "prompt.natural", "prompt.underwater",
+    ],
+    "model.ckpt": ["denoiser.w1", "denoiser.b1", "denoiser.w2", "denoiser.b2"],
+}
 
-def run_pipeline(tmp_path) -> dict:
+
+def run_pipeline(tmp_path) -> tuple[dict, dict]:
+    """The fingerprint's numbers, and each checkpoint's tensor names in file order."""
     gen = np.random.default_rng(111)
     clean_dir, tpl_dir = tmp_path / "clean", tmp_path / "tpl"
     os.makedirs(clean_dir)
@@ -89,11 +102,12 @@ def run_pipeline(tmp_path) -> dict:
     ):
         assert cli_main([str(a) for a in argv] + ["--config", str(cfg)]) == 0, argv[0]
 
-    found = {}
+    found, names = {}, {}
     manifest = DatasetManifest.read(synth / "manifest.tsv")
     found["template_indices"] = [e.template_index for e in manifest.entries]
     for ckpt in (prompts / "prompts.ckpt", model / "model.ckpt"):
         tensors, _ = read_checkpoint(ckpt)
+        names[ckpt.name] = list(tensors)
         for name, values in sorted(tensors.items()):
             found[f"{ckpt.name}:{name}"] = float(np.linalg.norm(values))
     last = (model / "training.log").read_text().splitlines()[-1].split("\t")
@@ -104,11 +118,12 @@ def run_pipeline(tmp_path) -> dict:
     header, *_, means = [row.split("\t") for row in (scores / "metrics.tsv").read_text().splitlines()]
     for column, value in zip(header[1:], means[1:]):
         found[f"eval:{column}"] = float(value)
-    return found
+    return found, names
 
 
 def test_toy_pipeline_matches_pinned_fingerprint(tmp_path):
-    found = run_pipeline(tmp_path)
+    found, names = run_pipeline(tmp_path)
+    assert names == CHECKPOINT_NAMES
     assert found.keys() == EXPECTED.keys(), sorted(found.keys() ^ EXPECTED.keys())
     off = {}
     for key, want in EXPECTED.items():

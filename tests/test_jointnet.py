@@ -57,7 +57,8 @@ def p_natural(phi, theta_n, theta_u) -> float:
 class TestEncoder:
     def test_zero_weights_give_zero_features(self, rng):
         params = small_params()
-        for w in params.conv_weights:
+        for i in (1, 2, 3):
+            w = params.tensors[f"conv{i}.weight"]
             w.data = np.zeros_like(w.data)
         features = features_of(random_image(rng), params)
         assert np.allclose(features.data, 0.0)  # tanh(0) = 0 through every block
@@ -73,10 +74,9 @@ class TestEncoder:
         # analytic configuration: run only the first conv block by hand
         params = small_params()
         x = rng.uniform(0, 1, (3, 8, 8))
-        out = ad.conv2d(
-            Tensor(x), params.conv_weights[0], params.conv_biases[0], stride=2, padding=1
-        )
-        ref = conv2d_loop(x, params.conv_weights[0].data, params.conv_biases[0].data, 2, 1)
+        w, b = params.tensors["conv1.weight"], params.tensors["conv1.bias"]
+        out = ad.conv2d(Tensor(x), w, b, stride=2, padding=1)
+        ref = conv2d_loop(x, w.data, b.data, 2, 1)
         assert np.allclose(out.data, ref, atol=1e-10)
 
     def test_undersized_input_rejected(self, rng):
@@ -87,14 +87,14 @@ class TestEncoder:
 class TestAttention:
     def test_zero_params_give_half_mask(self, rng):
         params = small_params()
-        params.attn_weight.data = np.zeros_like(params.attn_weight.data)
-        params.attn_bias.data = np.zeros_like(params.attn_bias.data)
+        params.tensors["attn.weight"].data = np.zeros_like(params.tensors["attn.weight"].data)
+        params.tensors["attn.bias"].data = np.zeros_like(params.tensors["attn.bias"].data)
         mask = attention_graph(features_of(random_image(rng), params), params)
         assert np.allclose(mask.data, 0.5)
 
     def test_large_bias_saturates(self, rng):
         params = small_params()
-        params.attn_bias.data = np.full_like(params.attn_bias.data, 25.0)
+        params.tensors["attn.bias"].data = np.full_like(params.tensors["attn.bias"].data, 25.0)
         mask = attention_graph(features_of(random_image(rng), params), params)
         assert np.all(mask.data > 1 - 1e-8)
 
@@ -111,11 +111,11 @@ class TestAttention:
         params = small_params()
         img = random_image(rng)
         x = Tensor(img.data.transpose(2, 0, 1))
-        params.attn_weight.data = np.zeros_like(params.attn_weight.data)
-        params.attn_bias.data = np.full_like(params.attn_bias.data, 50.0)
+        params.tensors["attn.weight"].data = np.zeros_like(params.tensors["attn.weight"].data)
+        params.tensors["attn.bias"].data = np.full_like(params.tensors["attn.bias"].data, 50.0)
         unmasked = pool_graph(features_of(img, params), params).data
         assert np.array_equal(embed_image_graph(x, params).data, unmasked)
-        params.attn_bias.data = np.full_like(params.attn_bias.data, -800.0)
+        params.tensors["attn.bias"].data = np.full_like(params.tensors["attn.bias"].data, -800.0)
         with np.errstate(over="ignore"):
             assert np.array_equal(embed_image_graph(x, params).data, np.eye(4)[0])
 
@@ -137,7 +137,7 @@ class TestPooling:
     def test_constant_features_pool_to_constants(self):
         # identity projection exposes the pooled vector (up to normalization)
         params = init_params(JointNetConfig(width=8, embed_dim=8, token_count=5, token_width=4, text_hidden=6), 0)
-        params.proj_weight.data = np.eye(8)
+        params.tensors["proj.weight"].data = np.eye(8)
         values = np.stack([np.full((3, 3), c + 1.0) for c in range(8)])
         pooled = pool_graph(Tensor(values), params).data
         assert np.allclose(pooled, unit(np.arange(1.0, 9.0)))
@@ -160,8 +160,8 @@ class TestPooling:
 class TestPromptEncoder:
     def test_zero_prompt_zero_bias_hits_normalization_guard(self):
         params = small_params()
-        params.token_bias.data = np.zeros_like(params.token_bias.data)
-        params.text_bias.data = np.zeros_like(params.text_bias.data)
+        params.tensors["token.bias"].data = np.zeros_like(params.tensors["token.bias"].data)
+        params.tensors["text.bias"].data = np.zeros_like(params.tensors["text.bias"].data)
         emb = encode_prompt(PromptTensor(np.zeros((5, 4))), params)
         basis = np.zeros(4)
         basis[0] = 1.0
@@ -177,8 +177,8 @@ class TestPromptEncoder:
         params = init_params(config, 0)
         token = rng.standard_normal((1, 4))
         emb = encode_prompt(PromptTensor(token), params)
-        mixed = np.tanh(params.token_weight.data @ token[0] + params.token_bias.data)
-        projected = params.text_weight.data @ mixed + params.text_bias.data
+        mixed = np.tanh(params.tensors["token.weight"].data @ token[0] + params.tensors["token.bias"].data)
+        projected = params.tensors["text.weight"].data @ mixed + params.tensors["text.bias"].data
         assert np.allclose(emb, projected / np.linalg.norm(projected), atol=1e-12)
 
     def test_width_mismatch(self):
