@@ -1,16 +1,15 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Covers exactly the operator set the toolkit trains with: broadcast
-arithmetic, matmul, 2-D convolution, smooth pointwise nonlinearities,
-reductions, and concatenation, plus the weight initialization and the Adam
-optimizer that every model uses. Every gradient is validated against central
-finite differences in the test suite.
+arithmetic, matmul, batched 2-D convolution, smooth pointwise
+nonlinearities, reductions, reshaping and concatenation, plus the weight
+initialization and the Adam optimizer that every model uses. Every gradient
+is validated against central finite differences in the test suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeMismatchError
 
@@ -33,7 +32,13 @@ class Tensor:
         return float(self.data)
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable leaf."""
+        """Accumulate gradients of this scalar into every reachable tensor that requires one.
+
+        A parent's gradient is computed only when that parent requires a
+        gradient, so frozen weights and constant inputs cost nothing and keep
+        grad None. Flags must therefore not change between building a graph
+        and calling backward().
+        """
         if self.data.size != 1:
             raise ShapeMismatchError("backward() requires a scalar output")
         order: list[Tensor] = []
@@ -55,7 +60,9 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                for parent, grad_fn in zip(node._parents, node._backward):
+                    if parent.requires_grad:
+                        _accumulate(parent, grad_fn(node.grad))
 
     # operator sugar -------------------------------------------------------
     def __add__(self, other):
@@ -92,9 +99,10 @@ def _ensure(value) -> Tensor:
 
 
 def _accumulate(node: Tensor, grad: np.ndarray) -> None:
-    if node.grad is None:
-        node.grad = np.zeros_like(node.data)
-    node.grad = node.grad + grad
+    """Add grad to node.grad. A first gradient is stored as given, often a view
+    of another node's gradient; that is safe because no backward mutates a
+    gradient in place."""
+    node.grad = grad if node.grad is None else node.grad + grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -108,9 +116,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """An op's result; `backward` holds one function per parent that maps the
+    result's gradient to that parent's. The graph is recorded only when some
+    parent requires a gradient."""
     out = Tensor(data)
-    if any(p.requires_grad or p._parents for p in parents):
-        out.requires_grad = any(p.requires_grad for p in parents)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = parents
         out._backward = backward
     return out
@@ -118,132 +129,95 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
-    data = a.data + b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return _node(data, (a, b), backward)
+    return _node(
+        a.data + b.data,
+        (a, b),
+        (lambda g: _unbroadcast(g, a.data.shape), lambda g: _unbroadcast(g, b.data.shape)),
+    )
 
 
 def sub(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
-    data = a.data - b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return _node(data, (a, b), backward)
+    return _node(
+        a.data - b.data,
+        (a, b),
+        (lambda g: _unbroadcast(g, a.data.shape), lambda g: _unbroadcast(-g, b.data.shape)),
+    )
 
 
 def mul(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
-    data = a.data * b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _node(data, (a, b), backward)
+    return _node(
+        a.data * b.data,
+        (a, b),
+        (lambda g: _unbroadcast(g * b.data, a.data.shape), lambda g: _unbroadcast(g * a.data, b.data.shape)),
+    )
 
 
 def power(a, exponent: float) -> Tensor:
     a = _ensure(a)
-    data = a.data**exponent
-
-    def backward(g):
-        _accumulate(a, g * exponent * a.data ** (exponent - 1))
-
-    return _node(data, (a,), backward)
+    return _node(a.data**exponent, (a,), (lambda g: g * exponent * a.data ** (exponent - 1),))
 
 
 def matmul(a, b) -> Tensor:
+    """numpy's matmul: a leading stack axis runs one BLAS call per stacked
+    matrix, and the gradient of an operand shared across the stack sums over it."""
     a, b = _ensure(a), _ensure(b)
-    data = a.data @ b.data
 
-    def backward(g):
-        ad, bd = a.data, b.data
-        if ad.ndim == 1 and bd.ndim == 1:
-            _accumulate(a, g * bd)
-            _accumulate(b, g * ad)
-        elif ad.ndim == 2 and bd.ndim == 1:
-            _accumulate(a, np.outer(g, bd))
-            _accumulate(b, ad.T @ g)
-        elif ad.ndim == 1 and bd.ndim == 2:
-            _accumulate(a, g @ bd.T)
-            _accumulate(b, np.outer(ad, g))
-        else:
-            _accumulate(a, g @ bd.T)
-            _accumulate(b, ad.T @ g)
+    def grad_a(g):
+        bd = b.data
+        if bd.ndim == 1:
+            return g * bd if a.data.ndim == 1 else np.outer(g, bd)
+        return _unbroadcast(g @ bd.swapaxes(-1, -2), a.data.shape)
 
-    return _node(data, (a, b), backward)
+    def grad_b(g):
+        ad = a.data
+        if ad.ndim == 1:
+            return g * ad if b.data.ndim == 1 else np.outer(ad, g)
+        return _unbroadcast(ad.swapaxes(-1, -2) @ g, b.data.shape)
+
+    return _node(a.data @ b.data, (a, b), (grad_a, grad_b))
 
 
 def log(a) -> Tensor:
     a = _ensure(a)
-    data = np.log(a.data)
-
-    def backward(g):
-        _accumulate(a, g / a.data)
-
-    return _node(data, (a,), backward)
+    return _node(np.log(a.data), (a,), (lambda g: g / a.data,))
 
 
 def tanh(a) -> Tensor:
     a = _ensure(a)
     data = np.tanh(a.data)
-
-    def backward(g):
-        _accumulate(a, g * (1.0 - data**2))
-
-    return _node(data, (a,), backward)
+    return _node(data, (a,), (lambda g: g * (1.0 - data**2),))
 
 
 def sigmoid(a) -> Tensor:
     a = _ensure(a)
     data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        _accumulate(a, g * data * (1.0 - data))
-
-    return _node(data, (a,), backward)
+    return _node(data, (a,), (lambda g: g * data * (1.0 - data),))
 
 
 def absolute(a) -> Tensor:
     a = _ensure(a)
-    data = np.abs(a.data)
-
-    def backward(g):
-        _accumulate(a, g * np.sign(a.data))
-
-    return _node(data, (a,), backward)
+    return _node(np.abs(a.data), (a,), (lambda g: g * np.sign(a.data),))
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes through only in the interior."""
     a = _ensure(a)
-    data = np.clip(a.data, lo, hi)
-
-    def backward(g):
-        _accumulate(a, g * ((a.data > lo) & (a.data < hi)))
-
-    return _node(data, (a,), backward)
+    return _node(np.clip(a.data, lo, hi), (a,), (lambda g: g * ((a.data > lo) & (a.data < hi)),))
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _ensure(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def backward(g):
-        g_arr = np.asarray(g)
+    def grad(g):
+        g = np.asarray(g)
         if axis is not None and not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
-            g_arr = np.expand_dims(g_arr, tuple(ax % a.data.ndim for ax in axes))
-        _accumulate(a, np.broadcast_to(g_arr, a.data.shape).copy())
+            g = np.expand_dims(g, tuple(ax % a.data.ndim for ax in axes))
+        return np.broadcast_to(g, a.data.shape).copy()
 
-    return _node(data, (a,), backward)
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), (grad,))
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -254,87 +228,118 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(count))
 
 
+def reshape(a, shape: tuple[int, ...]) -> Tensor:
+    a = _ensure(a)
+    return _node(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.data.shape),))
+
+
 def concat(parts, axis: int = 0) -> Tensor:
     parts = [_ensure(p) for p in parts]
     data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
 
-    def backward(g):
-        for part, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(start, stop)
-            _accumulate(part, g[tuple(index)])
+    def part_grad(start, stop):
+        index = [slice(None)] * data.ndim
+        index[axis] = slice(start, stop)
+        return lambda g: g[tuple(index)]
 
-    return _node(data, tuple(parts), backward)
+    return _node(data, tuple(parts), tuple(part_grad(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])))
 
 
-def _conv_im2col(xp: np.ndarray, weight: np.ndarray, stride: int, h_out: int, w_out: int):
-    """Convolution as one GEMM over the (C·kh·kw, H·W) column matrix."""
+def _conv_im2col(xp: np.ndarray, weight: np.ndarray, stride: int, h_out: int, w_out: int, keep_cols: bool):
+    """Convolution as one GEMM per image over its (C·kh·kw, H·W) column matrix.
+
+    The column matrices are built one image at a time and kept, for the weight
+    gradient, only when keep_cols is set.
+    """
+    n = xp.shape[0]
     c_out, c_in, kh, kw = weight.shape
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, h_out * w_out)
     w2 = weight.reshape(c_out, c_in * kh * kw)
-    out = (w2 @ cols).reshape(c_out, h_out, w_out)
+    out = np.empty((n, c_out, h_out * w_out))
+    kept = []
+    for i in range(n):
+        cols = np.empty((c_in, kh, kw, h_out, w_out))
+        for di in range(kh):
+            for dj in range(kw):
+                cols[:, di, dj] = xp[i, :, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride]
+        cols = cols.reshape(c_in * kh * kw, h_out * w_out)
+        np.matmul(w2, cols, out=out[i])
+        if keep_cols:
+            kept.append(cols)
 
-    def grads(g):
-        g2 = g.reshape(c_out, h_out * w_out)
-        grad_w = (g2 @ cols.T).reshape(weight.shape)
-        gcols = (w2.T @ g2).reshape(c_in, kh, kw, h_out, w_out)
+    def grad_x(g):
+        gcols = (w2.T @ g.reshape(n, c_out, h_out * w_out)).reshape(n, c_in, kh, kw, h_out, w_out)
         gxp = np.zeros_like(xp)
         for di in range(kh):
             for dj in range(kw):
-                gxp[:, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride] += gcols[
-                    :, di, dj
+                gxp[:, :, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride] += gcols[
+                    :, :, di, dj
                 ]
-        return grad_w, gxp
+        return gxp
 
-    return out, grads
+    def grad_w(g):
+        g2 = g.reshape(n, c_out, h_out * w_out)
+        return np.sum([g2[i] @ cols.T for i, cols in enumerate(kept)], axis=0).reshape(weight.shape)
+
+    return out.reshape(n, c_out, h_out, w_out), grad_x, grad_w
 
 
 def _conv_taps(xp: np.ndarray, weight: np.ndarray, h_out: int, w_out: int):
-    """Stride-1 convolution as one small GEMM per kernel tap, with no column matrix.
+    """Stride-1 convolution as one small stacked GEMM per kernel tap, with no column matrix.
 
     Output pixel (i, j) sits at i·Wp + j of a row-major (h_out, Wp) grid, and
     tap (di, dj) reads the flattened padded input at that index plus
-    di·Wp + dj, so each tap is a GEMM over one contiguous slice; the grid's
-    last Wp − w_out columns wrap across rows and are dropped (Anderson et al.
-    2017, "Low-memory GEMM-based convolution algorithms").
+    di·Wp + dj, so each tap is a GEMM over one contiguous slice per image; the
+    grid's last Wp − w_out columns wrap across rows and are dropped (Anderson
+    et al. 2017, "Low-memory GEMM-based convolution algorithms").
     """
+    n = xp.shape[0]
     c_out, c_in, kh, kw = weight.shape
-    hp, wp = xp.shape[1:]
+    hp, wp = xp.shape[2:]
     span = (h_out - 1) * wp + w_out
-    flat = xp.reshape(c_in, hp * wp)
+    flat = xp.reshape(n, c_in, hp * wp)
     w_taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))
     taps = [(di, dj, di * wp + dj) for di in range(kh) for dj in range(kw)]
-    acc = np.zeros((c_out, h_out * wp))
+    acc = np.zeros((n, c_out, h_out * wp))
     for di, dj, off in taps:
-        acc[:, :span] += w_taps[di, dj] @ flat[:, off : off + span]
-    out = np.ascontiguousarray(acc.reshape(c_out, h_out, wp)[:, :, :w_out])
+        acc[:, :, :span] += w_taps[di, dj] @ flat[:, :, off : off + span]
+    out = np.ascontiguousarray(acc.reshape(n, c_out, h_out, wp)[..., :w_out])
 
-    def grads(g):
-        g_grid = np.zeros((c_out, h_out, wp))
-        g_grid[:, :, :w_out] = g
-        g_flat = g_grid.reshape(c_out, h_out * wp)[:, :span]
-        grad_w = np.empty_like(weight)
+    def on_grid(g):  # the output gradient laid on the (h_out, Wp) grid, first `span` entries
+        g_grid = np.zeros((n, c_out, h_out, wp))
+        g_grid[..., :w_out] = g
+        return g_grid.reshape(n, c_out, h_out * wp)[:, :, :span]
+
+    def grad_x(g):
+        g_flat = on_grid(g)
         gflat = np.zeros_like(flat)
         for di, dj, off in taps:
-            grad_w[:, :, di, dj] = g_flat @ flat[:, off : off + span].T
-            gflat[:, off : off + span] += w_taps[di, dj].T @ g_flat
-        return grad_w, gflat.reshape(xp.shape)
+            gflat[:, :, off : off + span] += w_taps[di, dj].T @ g_flat
+        return gflat.reshape(xp.shape)
 
-    return out, grads
+    def grad_w(g):
+        g_flat = on_grid(g)
+        grad = np.empty_like(weight)
+        for di, dj, off in taps:
+            grad[:, :, di, dj] = (g_flat @ flat[:, :, off : off + span].swapaxes(-1, -2)).sum(axis=0)
+        return grad
+
+    return out, grad_x, grad_w
 
 
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation) of a (C,H,W) input with (O,C,kh,kw) filters.
+    """2-D convolution (cross-correlation) of an (N, C, H, W) batch with (O, C, kh, kw) filters.
 
     Stride-1 convolutions with fewer output than input channels run per kernel
     tap (`_conv_taps`), where the column matrix would dwarf the output; every
-    other shape runs through im2col, which is faster for wide outputs.
+    other shape runs through im2col, which is faster for wide outputs. Either
+    way each image gets the BLAS calls it would get alone, so an image's
+    output does not depend on the rest of its batch.
     """
     x, weight = _ensure(x), _ensure(weight)
-    c_in, height, width = x.data.shape
+    if x.data.ndim != 4:
+        raise ShapeMismatchError(f"conv2d input must be an (N, C, H, W) batch, got shape {x.data.shape}")
+    n, c_in, height, width = x.data.shape
     c_out, c_in2, kh, kw = weight.data.shape
     if c_in != c_in2:
         raise ShapeMismatchError(f"conv2d channels mismatch: input {c_in}, weight {c_in2}")
@@ -345,25 +350,23 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeMismatchError("conv2d input is smaller than the kernel")
     xp = x.data
     if pad:
-        xp = np.zeros((c_in, height + 2 * pad, width + 2 * pad))
-        xp[:, pad : pad + height, pad : pad + width] = x.data
+        xp = np.zeros((n, c_in, height + 2 * pad, width + 2 * pad))
+        xp[:, :, pad : pad + height, pad : pad + width] = x.data
     if stride == 1 and c_out < c_in:
-        out, grads = _conv_taps(xp, weight.data, h_out, w_out)
+        out, grad_xp, grad_w = _conv_taps(xp, weight.data, h_out, w_out)
     else:
-        out, grads = _conv_im2col(xp, weight.data, stride, h_out, w_out)
+        out, grad_xp, grad_w = _conv_im2col(xp, weight.data, stride, h_out, w_out, weight.requires_grad)
+    grads = [
+        (lambda g: grad_xp(g)[:, :, pad : pad + height, pad : pad + width]) if pad else grad_xp,
+        grad_w,
+    ]
+    parents = [x, weight]
     if bias is not None:
         bias = _ensure(bias)
         out += bias.data[:, None, None]
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g):
-        grad_w, gxp = grads(g)
-        _accumulate(weight, grad_w)
-        if bias is not None:
-            _accumulate(bias, g.reshape(c_out, h_out * w_out).sum(axis=1))
-        _accumulate(x, gxp[:, pad : pad + height, pad : pad + width] if pad else gxp)
-
-    return _node(out, parents, backward)
+        parents.append(bias)
+        grads.append(lambda g: g.reshape(n, c_out, h_out * w_out).sum(axis=2).sum(axis=0))
+    return _node(out, tuple(parents), tuple(grads))
 
 
 def dot(a, b) -> Tensor:

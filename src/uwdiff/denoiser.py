@@ -24,7 +24,7 @@ def check_width(width: int) -> None:
 
 
 class ConditionalDenoiser:
-    """eps_hat(x_t, y, t) for (3, H, W) images conditioned on a degraded image."""
+    """eps_hat(x_t, y, t) for (N, 3, H, W) batches, each image conditioned on its degraded image."""
 
     def __init__(self, width: int = 16, seed: int = 0):
         check_width(width)
@@ -44,11 +44,11 @@ class ConditionalDenoiser:
 
     def clean_graph(self, x_t: Tensor, condition: np.ndarray, t: int, sched: NoiseSchedule) -> Tensor:
         """Predicted clean signal x0_hat as an autodiff graph."""
-        _, height, width = x_t.data.shape
-        t_feat = np.empty((2, height, width))
-        t_feat[0] = t / sched.steps
-        t_feat[1] = sched.alpha_bar_at(t)
-        stacked = ad.concat([x_t, Tensor(np.asarray(condition, dtype=np.float64)), Tensor(t_feat)], axis=0)
+        n, _, height, width = x_t.data.shape
+        t_feat = np.empty((n, 2, height, width))
+        t_feat[:, 0] = t / sched.steps
+        t_feat[:, 1] = sched.alpha_bar_at(t)
+        stacked = ad.concat([x_t, Tensor(np.asarray(condition, dtype=np.float64)), Tensor(t_feat)], axis=1)
         p = self.tensors
         hidden = ad.tanh(ad.conv2d(stacked, p["denoiser.w1"], p["denoiser.b1"], stride=1, padding=1))
         return ad.conv2d(hidden, p["denoiser.w2"], p["denoiser.b2"], stride=1, padding=1)

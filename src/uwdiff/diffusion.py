@@ -137,18 +137,29 @@ def guided_noise_prediction(
     return eps
 
 
+def draw_normal(rng, shape: tuple[int, ...]) -> np.ndarray:
+    """Unit normal draws of `shape` from one generator, or from a sequence of
+    generators that each draw one row of the leading axis, as they would alone."""
+    if isinstance(rng, np.random.Generator):
+        return rng.standard_normal(shape)
+    if len(rng) != shape[0]:
+        raise ShapeMismatchError(f"{len(rng)} generators for a batch of {shape[0]}")
+    return np.stack([r.standard_normal(shape[1:]) for r in rng])
+
+
 def reverse_step(
     x_t: np.ndarray,
     eps_prime: np.ndarray,
     t: int,
     sched: NoiseSchedule,
-    rng: np.random.Generator,
+    rng,
 ) -> np.ndarray:
     """One ancestral step x_t -> x_{t-1}; deterministic at t = 1.
 
     The added noise has variance beta_t, which is exact for unit-Gaussian
     data; the analytic-world acceptance checks need its accuracy at
-    desk-scale step counts.
+    desk-scale step counts. rng is a generator, or one generator per row of
+    a batch (see draw_normal).
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_prime = np.asarray(eps_prime, dtype=np.float64)
@@ -158,7 +169,7 @@ def reverse_step(
     mean = (x_t - beta / math.sqrt(1.0 - ab) * eps_prime) / math.sqrt(sched.alpha_at(t))
     if t == 1:
         return mean
-    return mean + math.sqrt(beta) * rng.standard_normal(x_t.shape)
+    return mean + math.sqrt(beta) * draw_normal(rng, x_t.shape)
 
 
 def stream_rng(seed: int, key: int) -> np.random.Generator:

@@ -38,4 +38,9 @@ class TrainingDivergedError(UwdiffError, RuntimeError):
 
 
 class SamplingDivergedError(UwdiffError, RuntimeError):
-    """Raised when a reverse diffusion chain produces non-finite samples."""
+    """Raised when a reverse diffusion chain produces non-finite samples;
+    `image` is the batch position of the first image that did."""
+
+    def __init__(self, message: str, image: int = 0):
+        super().__init__(message)
+        self.image = image

@@ -107,13 +107,17 @@ def init_prompts(config: JointNetConfig, seed: int) -> tuple[PromptTensor, Promp
 
 
 def normalize_graph(vec: Tensor) -> Tensor:
-    """L2 normalization; near-zero vectors map to the first basis vector."""
-    norm_sq = ad.tsum(vec * vec)
-    if float(np.sqrt(norm_sq.data)) < _NORM_GUARD:
-        basis = np.zeros(vec.data.shape)
-        basis[0] = 1.0
+    """L2 normalization of each row (the last axis); a near-zero row maps to the first basis vector."""
+    norm_sq = ad.tsum(vec * vec, axis=-1, keepdims=True)
+    small = np.sqrt(norm_sq.data) < _NORM_GUARD
+    if not small.any():
+        return vec * ad.power(norm_sq, -0.5)
+    basis = np.zeros(vec.data.shape)
+    basis[..., 0] = 1.0
+    if small.all():
         return Tensor(basis)
-    return vec * ad.power(norm_sq, -0.5)
+    # a batch with both kinds: guarded rows divide by 1, then give way to the basis vector
+    return vec * ad.power(norm_sq + small, -0.5) * ~small + basis * small
 
 
 def encode_graph(x: Tensor, params: JointNetParams) -> Tensor:
@@ -128,13 +132,17 @@ def attention_graph(features: Tensor, params: JointNetParams) -> Tensor:
 
 
 def pool_graph(attended: Tensor, params: JointNetParams) -> Tensor:
-    pooled = ad.tmean(attended, axis=(1, 2))
-    projected = ad.matmul(params.tensors["proj.weight"], pooled) + params.tensors["proj.bias"]
+    """Spatial mean, projection and normalization of each map of an (N, C, H, W) batch, to (N, E)."""
+    n, c = attended.shape[:2]
+    weight = params.tensors["proj.weight"]
+    pooled = ad.reshape(ad.tmean(attended, axis=(2, 3)), (n, c, 1))
+    # one matrix-vector product per image, the BLAS call a lone image gets
+    projected = ad.reshape(ad.matmul(weight, pooled), (n, weight.shape[0])) + params.tensors["proj.bias"]
     return normalize_graph(projected)
 
 
 def embed_image_graph(x: Tensor, params: JointNetParams) -> Tensor:
-    """Full encoder -> attention -> pooling chain to a normalized embedding."""
+    """Full encoder -> attention -> pooling chain from an (N, 3, H, W) batch to (N, E) unit embeddings."""
     features = encode_graph(x, params)
     mask = attention_graph(features, params)
     return pool_graph(features * mask, params)
@@ -175,7 +183,7 @@ def encode_prompt(prompt: PromptTensor, params: JointNetParams) -> np.ndarray:
 def embed_image(img: RgbImage, params: JointNetParams) -> np.ndarray:
     """Unit image embedding; the strided encoder needs at least 8x8 pixels."""
     _require_min_size(img.height, img.width)
-    return embed_image_graph(Tensor(_chw(img)), params).data
+    return embed_image_graph(Tensor(_chw(img)[None]), params).data[0]
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +210,20 @@ def prompt_bce_graph(p_natural: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def alignment_graph(x: Tensor, params: JointNetParams, theta_n: np.ndarray, theta_u: np.ndarray) -> Tensor:
-    """Alignment scalar as a graph over pixels, for input-gradient guidance."""
+    """Alignment score of each image of an (N, 3, H, W) batch, as a graph over pixels."""
     emb = embed_image_graph(x, params)
-    logit = ad.dot(emb, Tensor(theta_u)) - ad.dot(emb, Tensor(theta_n))
+    logit = ad.tsum(emb * Tensor(theta_u), axis=-1) - ad.tsum(emb * Tensor(theta_n), axis=-1)
     return ad.sigmoid(logit)
 
 
 def alignment_pixel_grad(
-    image_chw: np.ndarray, params: JointNetParams, theta_n: np.ndarray, theta_u: np.ndarray
+    images: np.ndarray, params: JointNetParams, theta_n: np.ndarray, theta_u: np.ndarray
 ) -> np.ndarray:
-    """Gradient of the alignment scalar with respect to the input pixels."""
-    x = Tensor(np.asarray(image_chw, dtype=np.float64), requires_grad=True)
-    alignment_graph(x, params, theta_n, theta_u).backward()
+    """Gradient of each image's alignment score with respect to its own pixels, for an
+    (N, 3, H, W) batch. Images never mix, so the gradient of the scores' sum is
+    every image's own gradient."""
+    x = Tensor(np.asarray(images, dtype=np.float64), requires_grad=True)
+    ad.tsum(alignment_graph(x, params, theta_n, theta_u)).backward()
     return x.grad if x.grad is not None else np.zeros_like(x.data)
 
 

@@ -18,6 +18,7 @@ from .denoiser import ConditionalDenoiser
 from .diffusion import (
     GuidanceConfig,
     NoiseSchedule,
+    draw_normal,
     guided_noise_prediction,
     reverse_step,
     stream_rng,
@@ -122,35 +123,69 @@ def pairs_from_manifest(manifest_path) -> list[tuple[np.ndarray, np.ndarray]]:
 # ---------------------------------------------------------------------------
 
 
+# Most pixels sampled as one batch: four 32 px images share each step's
+# classifier pass, and a 64 px image runs alone. Outputs do not depend on it.
+_RUN_PIXELS = 4096
+
+
 def enhance_image(
-    degraded: RgbImage,
+    degraded,
     model: ConditionalDenoiser,
     sched: NoiseSchedule,
     guidance: GuidanceConfig | None,
     context: JointContext | None,
-    rng: np.random.Generator,
-) -> RgbImage:
-    """Run the full conditional reverse chain for one degraded image.
+    rng,
+):
+    """Run the full conditional reverse chain for one degraded image and its
+    generator, or for a list of same-size images with one generator each.
 
-    The chain is classifier-guided when a context is given and
-    guidance.gamma2 > 0, and guidance is read only then. Raises
-    SamplingDivergedError, naming the step, when x_{t-1} goes non-finite.
+    A list is sampled as one (N, 3, H, W) chain: the denoiser sees one image
+    at a time, while the classifier guidance, the reverse step and the
+    finiteness check run once per step for all of them. Each image draws only
+    from its own generator, so it gets the bytes it would get alone. Returns
+    the enhanced image, or the list of them. The chain is classifier-guided
+    when a context is given and guidance.gamma2 > 0, and guidance is read
+    only then. Raises SamplingDivergedError, naming the step and, in its
+    `image`, the first image whose x_{t-1} goes non-finite.
     """
-    condition = to_model_space(degraded)
-    x = rng.standard_normal(condition.shape)
+    single = isinstance(degraded, RgbImage)
+    images, rngs = ([degraded], [rng]) if single else (degraded, rng)
+    condition = np.stack([to_model_space(img) for img in images])
+    x = draw_normal(rngs, condition.shape)
     guided = context is not None and guidance.gamma2 > 0
     for t in range(sched.steps, 0, -1):
-        eps_hat = model(x, condition, t, sched)
+        eps_hat = np.concatenate([model(x[i : i + 1], condition[i : i + 1], t, sched) for i in range(len(x))])
         if guided:
             grad2 = guidance_pixel_grad(x, context)
             eps_hat = guided_noise_prediction(eps_hat, None, grad2, t, sched, guidance)
-        x = reverse_step(x, eps_hat, t, sched, rng)
-        if not np.isfinite(x).all():
-            bad = int(np.count_nonzero(~np.isfinite(x)))
+        x = reverse_step(x, eps_hat, t, sched, rngs)
+        finite = np.isfinite(x)
+        if not finite.all():
+            first = int(np.argmin(finite.reshape(len(x), -1).all(axis=1)))
+            bad = int(np.count_nonzero(~finite[first]))
             raise SamplingDivergedError(
-                f"reverse chain diverged at step t={t} of {sched.steps}: {bad} non-finite values in x_{t - 1}"
+                f"reverse chain diverged at step t={t} of {sched.steps}: {bad} non-finite values in x_{t - 1}",
+                image=first,
             )
-    return from_model_space(x)
+    enhanced = [from_model_space(chw) for chw in x]
+    return enhanced[0] if single else enhanced
+
+
+def _same_size_runs(input_dir, names: list[str]):
+    """Lists of (index, name, image) for consecutive same-size images of at most
+    _RUN_PIXELS pixels in all, decoding each image only as its run fills."""
+    run = []
+    for index, name in enumerate(names):
+        img = load_image(os.path.join(os.fspath(input_dir), name))
+        if run and (
+            (img.height, img.width) != (run[0][2].height, run[0][2].width)
+            or (len(run) + 1) * img.height * img.width > _RUN_PIXELS
+        ):
+            yield run
+            run = []
+        run.append((index, name, img))
+    if run:
+        yield run
 
 
 def enhance_directory(
@@ -162,20 +197,25 @@ def enhance_directory(
     context: JointContext | None = None,
     progress=None,
 ) -> list[str]:
-    """Enhance every image in input_dir; per-image generators come from (seed, index)."""
+    """Enhance every image in input_dir; per-image generators come from (seed, index).
+
+    Consecutive same-size images in name order are sampled together, in runs
+    of at most _RUN_PIXELS pixels; no output depends on the runs.
+    """
     guidance = None if context is None else context.guidance  # the context carries the run's weight
     names = list_images(input_dir)
     require_unique_stems(input_dir, names)
     written = []
-    for index, name in enumerate(names):
-        img = load_image(os.path.join(os.fspath(input_dir), name))
+    for run in _same_size_runs(input_dir, names):
+        rngs = [stream_rng(seed, index) for index, _, _ in run]
         try:
-            enhanced = enhance_image(img, model, sched, guidance, context, stream_rng(seed, index))
+            enhanced = enhance_image([img for _, _, img in run], model, sched, guidance, context, rngs)
         except SamplingDivergedError as exc:
-            raise SamplingDivergedError(f"{name}: {exc}") from exc
-        out_path = os.path.join(os.fspath(out_dir), os.path.splitext(name)[0] + ".png")
-        save_image(enhanced, out_path)
-        written.append(out_path)
-        if progress is not None:
-            progress(f"[{index + 1}/{len(names)}] {name}")
+            raise SamplingDivergedError(f"{run[exc.image][1]}: {exc}") from exc
+        for (index, name, _), image in zip(run, enhanced):
+            out_path = os.path.join(os.fspath(out_dir), os.path.splitext(name)[0] + ".png")
+            save_image(image, out_path)
+            written.append(out_path)
+            if progress is not None:
+                progress(f"[{index + 1}/{len(names)}] {name}")
     return written

@@ -105,6 +105,11 @@ def _apply_transform(data: np.ndarray, flip: bool, quarters: int) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
+def _augmented_batch(chw: np.ndarray, flip: bool, quarters: int) -> np.ndarray:
+    """A (3, H, W) image flipped and rotated, as a (1, 3, H', W') batch of one."""
+    return _apply_transform(chw.transpose(1, 2, 0), flip, quarters).transpose(2, 0, 1)[None]
+
+
 # ---------------------------------------------------------------------------
 # Fine-tuning
 # ---------------------------------------------------------------------------
@@ -139,7 +144,6 @@ class LogRecord:
 
 @dataclass
 class FineTuneResult:
-    model: object
     log: list[LogRecord] = field(default_factory=list)
 
     def log_text(self) -> str:
@@ -186,7 +190,8 @@ def fine_tune(
 
     pairs is a sequence of (x0, condition) arrays in model space ([-1, 1] for
     images, any shape for scalar worlds). Each step samples one pair, a random
-    flip/rotation of it when it is a (3, H, W) image, a timestep, and a noise
+    flip/rotation of it when it is a (3, H, W) image (which the model then
+    sees as a batch of one), a timestep, and a noise
     draw; a context whose guidance.gamma2 > 0 folds the classifier alignment
     gradient into the prediction before the loss. The model's parameters
     require gradients only while this runs, so a model records graphs only
@@ -202,7 +207,7 @@ def fine_tune(
     rng = stream_rng(optimizer.seed, 78)
     params = model.parameters()
     adam = Adam(params)
-    result = FineTuneResult(model=model)
+    result = FineTuneResult()
     for param in params:
         param.requires_grad = True
     try:
@@ -212,9 +217,9 @@ def fine_tune(
             condition = None if condition is None else np.asarray(condition, dtype=np.float64)
             if x0.ndim == 3:
                 flip, quarters = _draw_transform(rng)
-                x0 = _apply_transform(x0.transpose(1, 2, 0), flip, quarters).transpose(2, 0, 1)
+                x0 = _augmented_batch(x0, flip, quarters)
                 if condition is not None:
-                    condition = _apply_transform(condition.transpose(1, 2, 0), flip, quarters).transpose(2, 0, 1)
+                    condition = _augmented_batch(condition, flip, quarters)
             t = int(rng.integers(t_lo, t_hi + 1))
             eps = rng.standard_normal(x0.shape)
             x_t = forward_sample(x0, t, eps, sched)
@@ -274,16 +279,27 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare reverse-mode gradients of the scalar fn() against central differences.
 
-    Checks up to samples_per_group coordinates per parameter group (chosen by
-    a seeded draw). Relative error uses a 1e-4 denominator floor, so tiny
-    gradients are held to an absolute 1e-8-scale agreement instead.
+    Every checked tensor requires a gradient while fn() is differentiated, and
+    gets its own flag back afterwards. Checks up to samples_per_group
+    coordinates per parameter group (chosen by a seeded draw). Relative error
+    uses a 1e-4 denominator floor, so tiny gradients are held to an absolute
+    1e-8-scale agreement instead.
     """
     report = GradCheckReport(tolerance=tolerance)
-    out = fn()
-    out.backward()
+    flags = [(tensor, tensor.requires_grad) for tensor in params.values()]
+    for tensor, _ in flags:
+        tensor.requires_grad = True
+    try:
+        fn().backward()
+        analytic = {name: tensor.grad for name, tensor in params.items()}
+    finally:
+        for tensor, flag in flags:
+            tensor.requires_grad = flag
+            if not flag:
+                tensor.grad = None
     grads: dict[str, np.ndarray] = {}
     for name, tensor in params.items():
-        grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
+        grad = analytic[name] if analytic[name] is not None else np.zeros_like(tensor.data)
         if not np.all(np.isfinite(grad)):
             report.failures.append(f"non-finite gradient in group {name!r}")
             continue

@@ -200,7 +200,7 @@ def check_gradients(seed: int) -> CheckResult:
     config = JointNetConfig(width=8, embed_dim=4, token_count=5, token_width=4, text_hidden=6)
     params = init_params(config, seed)
     rng = stream_rng(seed, 16)
-    x = Tensor(rng.uniform(0, 1, (3, 16, 16)), requires_grad=True)
+    x = Tensor(rng.uniform(0, 1, (1, 3, 16, 16)), requires_grad=True)
     target = rng.standard_normal(4)
     target /= np.linalg.norm(target)
 

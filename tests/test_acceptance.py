@@ -223,7 +223,7 @@ def test_c08_gradient_checks_every_path():
     all_ok = True
 
     # encoder + attention + pooling + input pixels, through the embedding chain
-    x_img = Tensor(gen.uniform(0.1, 0.9, (3, 16, 16)), requires_grad=True)
+    x_img = Tensor(gen.uniform(0.1, 0.9, (1, 3, 16, 16)), requires_grad=True)
     target = gen.standard_normal(4)
     target /= np.linalg.norm(target)
 
@@ -256,9 +256,9 @@ def test_c08_gradient_checks_every_path():
     # L1 term, semantic term, and the full composite chain through the denoiser
     sched = default_schedule(200)
     model = ConditionalDenoiser(width=6, seed=3)
-    condition = gen.uniform(-1, 1, (3, 16, 16))
-    x_t_leaf = Tensor(gen.uniform(-1, 1, (3, 16, 16)), requires_grad=True)
-    eps_const = gen.standard_normal((3, 16, 16))
+    condition = gen.uniform(-1, 1, (1, 3, 16, 16))
+    x_t_leaf = Tensor(gen.uniform(-1, 1, (1, 3, 16, 16)), requires_grad=True)
+    eps_const = gen.standard_normal((1, 3, 16, 16))
     t_step = 120
     ab = sched.alpha_bar_at(t_step)
     emb_target = gen.standard_normal(4)

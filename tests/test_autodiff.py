@@ -83,6 +83,9 @@ class TestReductionsAndShaping:
     def test_concat(self):
         check_op(lambda a, b: ad.tsum(ad.concat([a, b], axis=0) ** 2.0), (2, 3), (4, 3))
 
+    def test_reshape(self):
+        check_op(lambda a, b: ad.tsum(ad.reshape(a, (3, 4)) * b), (2, 6), (4,))
+
 
 class TestMatmul:
     def test_matrix_vector(self):
@@ -97,30 +100,41 @@ class TestMatmul:
     def test_vector_matrix(self):
         check_op(lambda a, b: ad.tsum(a @ b), (3,), (3, 4))
 
+    def test_matrix_times_stacked_columns(self):
+        check_op(lambda a, b: ad.tsum((a @ b) ** 2.0), (3, 4), (2, 4, 1))
+
 
 # (x shape, weight shape, stride, padding, with bias); the first four keep
 # c_out >= c_in and run through im2col, the "narrow" ones (c_out < c_in,
-# stride 1) through the per-tap path
+# stride 1) through the per-tap path; the "batch" ones hold two images
 CONV_CASES = [
-    pytest.param((3, 8, 9), (4, 3, 3, 3), 1, 0, True, id="1-0"),
-    pytest.param((3, 8, 9), (4, 3, 3, 3), 1, 1, True, id="1-1"),
-    pytest.param((3, 8, 9), (4, 3, 3, 3), 2, 1, True, id="2-1"),
-    pytest.param((3, 8, 9), (4, 3, 3, 3), 2, 0, True, id="2-0"),
-    pytest.param((5, 8, 9), (2, 5, 3, 3), 1, 1, True, id="narrow-3x3-pad1"),
-    pytest.param((5, 8, 9), (2, 5, 3, 3), 1, 0, True, id="narrow-3x3-pad0"),
-    pytest.param((6, 5, 7), (1, 6, 1, 1), 1, 0, True, id="narrow-1x1-pad0"),
-    pytest.param((4, 11, 4), (3, 4, 3, 3), 1, 1, True, id="narrow-tall"),
-    pytest.param((5, 8, 9), (2, 5, 3, 3), 1, 1, False, id="narrow-no-bias"),
+    pytest.param((1, 3, 8, 9), (4, 3, 3, 3), 1, 0, True, id="1-0"),
+    pytest.param((1, 3, 8, 9), (4, 3, 3, 3), 1, 1, True, id="1-1"),
+    pytest.param((1, 3, 8, 9), (4, 3, 3, 3), 2, 1, True, id="2-1"),
+    pytest.param((1, 3, 8, 9), (4, 3, 3, 3), 2, 0, True, id="2-0"),
+    pytest.param((1, 5, 8, 9), (2, 5, 3, 3), 1, 1, True, id="narrow-3x3-pad1"),
+    pytest.param((1, 5, 8, 9), (2, 5, 3, 3), 1, 0, True, id="narrow-3x3-pad0"),
+    pytest.param((1, 6, 5, 7), (1, 6, 1, 1), 1, 0, True, id="narrow-1x1-pad0"),
+    pytest.param((1, 4, 11, 4), (3, 4, 3, 3), 1, 1, True, id="narrow-tall"),
+    pytest.param((1, 5, 8, 9), (2, 5, 3, 3), 1, 1, False, id="narrow-no-bias"),
+    pytest.param((2, 3, 8, 9), (4, 3, 3, 3), 2, 1, True, id="batch-2-1"),
+    pytest.param((2, 3, 8, 9), (4, 3, 3, 3), 1, 0, True, id="batch-1-0"),
+    pytest.param((2, 5, 8, 9), (2, 5, 3, 3), 1, 1, True, id="batch-narrow-3x3-pad1"),
+    pytest.param((2, 6, 5, 7), (1, 6, 1, 1), 1, 0, True, id="batch-narrow-1x1-pad0"),
 ]
 
 GRAD_CASES = [
-    pytest.param((2, 6, 5), (3, 2, 3, 3), 1, 1, True, id="1-1"),
-    pytest.param((2, 6, 5), (3, 2, 3, 3), 2, 1, True, id="2-1"),
-    pytest.param((5, 6, 5), (2, 5, 3, 3), 1, 1, True, id="narrow-3x3-pad1"),
-    pytest.param((5, 6, 5), (2, 5, 3, 3), 1, 0, True, id="narrow-3x3-pad0"),
-    pytest.param((6, 4, 5), (1, 6, 1, 1), 1, 0, True, id="narrow-1x1-pad0"),
-    pytest.param((3, 7, 4), (2, 3, 3, 3), 1, 1, True, id="narrow-tall"),
-    pytest.param((5, 6, 5), (2, 5, 3, 3), 1, 1, False, id="narrow-no-bias"),
+    pytest.param((1, 2, 6, 5), (3, 2, 3, 3), 1, 1, True, id="1-1"),
+    pytest.param((1, 2, 6, 5), (3, 2, 3, 3), 2, 1, True, id="2-1"),
+    pytest.param((1, 5, 6, 5), (2, 5, 3, 3), 1, 1, True, id="narrow-3x3-pad1"),
+    pytest.param((1, 5, 6, 5), (2, 5, 3, 3), 1, 0, True, id="narrow-3x3-pad0"),
+    pytest.param((1, 6, 4, 5), (1, 6, 1, 1), 1, 0, True, id="narrow-1x1-pad0"),
+    pytest.param((1, 3, 7, 4), (2, 3, 3, 3), 1, 1, True, id="narrow-tall"),
+    pytest.param((1, 5, 6, 5), (2, 5, 3, 3), 1, 1, False, id="narrow-no-bias"),
+    pytest.param((2, 2, 6, 5), (3, 2, 3, 3), 2, 1, True, id="batch-2-1"),
+    pytest.param((2, 2, 6, 5), (3, 2, 3, 3), 1, 0, True, id="batch-1-0"),
+    pytest.param((2, 5, 6, 5), (2, 5, 3, 3), 1, 1, True, id="batch-narrow-3x3-pad1"),
+    pytest.param((2, 6, 4, 5), (1, 6, 1, 1), 1, 0, False, id="batch-narrow-1x1-no-bias"),
 ]
 
 
@@ -131,9 +145,10 @@ class TestConv2d:
         w = rng.standard_normal(w_shape)
         b = rng.standard_normal(w_shape[0]) if with_bias else None
         out = ad.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b), stride=stride, padding=padding)
-        ref = conv2d_loop(x, w, b, stride, padding)
-        assert out.data.shape == ref.shape
-        assert np.allclose(out.data, ref, atol=1e-12)
+        for image, got in zip(x, out.data, strict=True):
+            ref = conv2d_loop(image, w, b, stride, padding)
+            assert got.shape == ref.shape
+            assert np.allclose(got, ref, atol=1e-12)
 
     @pytest.mark.parametrize("x_shape,w_shape,stride,padding,with_bias", GRAD_CASES)
     def test_gradients(self, x_shape, w_shape, stride, padding, with_bias):
@@ -145,9 +160,26 @@ class TestConv2d:
             atol=1e-5,
         )
 
+    @pytest.mark.parametrize("w_shape,stride", [((4, 3, 3, 3), 2), ((2, 3, 3, 3), 1)], ids=["im2col", "taps"])
+    def test_batch_rows_are_the_lone_images_bit_for_bit(self, w_shape, stride, rng):
+        x = Tensor(rng.standard_normal((3, 3, 9, 8)), requires_grad=True)
+        w, b = Tensor(rng.standard_normal(w_shape)), Tensor(rng.standard_normal(w_shape[0]))
+        out = ad.conv2d(x, w, b, stride=stride, padding=1)
+        ad.tsum(out * out).backward()
+        for i in range(3):
+            xi = Tensor(x.data[i : i + 1], requires_grad=True)
+            alone = ad.conv2d(xi, w, b, stride=stride, padding=1)
+            ad.tsum(alone * alone).backward()
+            assert np.array_equal(out.data[i : i + 1], alone.data)
+            assert np.array_equal(x.grad[i : i + 1], xi.grad)
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            ad.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
+            ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
+
+    def test_unbatched_input_rejected(self):
+        with pytest.raises(ShapeMismatchError, match="batch"):
+            ad.conv2d(Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
 
 
 class TestGraphMechanics:
@@ -166,8 +198,19 @@ class TestGraphMechanics:
         x = Tensor(np.ones(3), requires_grad=True)
         c = Tensor(np.ones(3))
         ad.tsum(x * c).backward()
-        assert c.grad is None or np.array_equal(c.grad, np.ones(3))
+        assert c.grad is None
         assert np.array_equal(x.grad, np.ones(3))
+
+    def test_tensors_that_need_no_gradient_get_none(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 6, 6)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)))  # frozen
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        c = Tensor(rng.standard_normal(4))
+        hidden = ad.tanh(ad.conv2d(x, w, b, stride=2, padding=1))
+        out = ad.tsum(ad.matmul(c, ad.reshape(hidden, (2, 4, 9))) ** 2.0)
+        out.backward()
+        assert x.grad is not None and b.grad is not None and hidden.grad is not None
+        assert w.grad is None and c.grad is None
 
     def test_repeated_backward_resets_grads(self):
         x = Tensor(np.array(3.0), requires_grad=True)

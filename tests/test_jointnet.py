@@ -40,8 +40,13 @@ def random_image(rng, size=16):
     return RgbImage.from_array(rng.uniform(0, 1, (size, size, 3)))
 
 
+def batch_of(*imgs):
+    """(N, 3, H, W) pixels of the images."""
+    return np.stack([img.data.transpose(2, 0, 1) for img in imgs])
+
+
 def features_of(img, params):
-    return encode_graph(Tensor(img.data.transpose(2, 0, 1)), params)
+    return encode_graph(Tensor(batch_of(img)), params)
 
 
 def unit(vec):
@@ -75,9 +80,9 @@ class TestEncoder:
         params = small_params()
         x = rng.uniform(0, 1, (3, 8, 8))
         w, b = params.tensors["conv1.weight"], params.tensors["conv1.bias"]
-        out = ad.conv2d(Tensor(x), w, b, stride=2, padding=1)
+        out = ad.conv2d(Tensor(x[None]), w, b, stride=2, padding=1)
         ref = conv2d_loop(x, w.data, b.data, 2, 1)
-        assert np.allclose(out.data, ref, atol=1e-10)
+        assert np.allclose(out.data[0], ref, atol=1e-10)
 
     def test_undersized_input_rejected(self, rng):
         with pytest.raises(ParameterError):
@@ -102,7 +107,7 @@ class TestAttention:
         params = small_params(seed=3)
         for _ in range(5):
             mask = attention_graph(features_of(random_image(rng), params), params)
-            assert mask.data.shape[0] == 1
+            assert mask.data.shape[:2] == (1, 1)
             assert mask.data.min() >= 0.0 and mask.data.max() <= 1.0
 
     def test_apply_attention_identity_and_zero(self, rng):
@@ -110,14 +115,14 @@ class TestAttention:
         # mask removes them, so the embedding falls back to the first basis vector
         params = small_params()
         img = random_image(rng)
-        x = Tensor(img.data.transpose(2, 0, 1))
+        x = Tensor(batch_of(img))
         params.tensors["attn.weight"].data = np.zeros_like(params.tensors["attn.weight"].data)
         params.tensors["attn.bias"].data = np.full_like(params.tensors["attn.bias"].data, 50.0)
         unmasked = pool_graph(features_of(img, params), params).data
         assert np.array_equal(embed_image_graph(x, params).data, unmasked)
         params.tensors["attn.bias"].data = np.full_like(params.tensors["attn.bias"].data, -800.0)
         with np.errstate(over="ignore"):
-            assert np.array_equal(embed_image_graph(x, params).data, np.eye(4)[0])
+            assert np.array_equal(embed_image_graph(x, params).data, np.eye(4)[:1])
 
     def test_apply_attention_matches_scalar_loop(self, rng):
         params = small_params(seed=2)
@@ -125,11 +130,11 @@ class TestAttention:
         features = features_of(img, params).data
         mask = attention_graph(Tensor(features), params).data
         attended = np.empty_like(features)
-        for c in range(features.shape[0]):
-            for i in range(features.shape[1]):
-                for j in range(features.shape[2]):
-                    attended[c, i, j] = features[c, i, j] * mask[0, i, j]
-        x = Tensor(img.data.transpose(2, 0, 1))
+        for c in range(features.shape[1]):
+            for i in range(features.shape[2]):
+                for j in range(features.shape[3]):
+                    attended[0, c, i, j] = features[0, c, i, j] * mask[0, 0, i, j]
+        x = Tensor(batch_of(img))
         assert np.array_equal(embed_image_graph(x, params).data, pool_graph(Tensor(attended), params).data)
 
 
@@ -139,22 +144,32 @@ class TestPooling:
         params = init_params(JointNetConfig(width=8, embed_dim=8, token_count=5, token_width=4, text_hidden=6), 0)
         params.tensors["proj.weight"].data = np.eye(8)
         values = np.stack([np.full((3, 3), c + 1.0) for c in range(8)])
-        pooled = pool_graph(Tensor(values), params).data
+        pooled = pool_graph(Tensor(values[None]), params).data
         assert np.allclose(pooled, unit(np.arange(1.0, 9.0)))
 
     def test_embedding_normalized(self, rng):
         params = small_params()
-        emb = pool_graph(Tensor(rng.standard_normal((8, 4, 4))), params).data
-        assert abs(np.linalg.norm(emb) - 1.0) < 1e-6
+        emb = pool_graph(Tensor(rng.standard_normal((3, 8, 4, 4))), params).data
+        assert np.allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-6)
 
     def test_spatial_permutation_invariance(self, rng):
         params = small_params()
-        values = rng.standard_normal((8, 4, 4))
+        values = rng.standard_normal((1, 8, 4, 4))
         emb = pool_graph(Tensor(values), params).data
         flat = values.reshape(8, -1)
         perm = rng.permutation(16)
-        emb_perm = pool_graph(Tensor(flat[:, perm].reshape(8, 4, 4)), params).data
+        emb_perm = pool_graph(Tensor(flat[:, perm].reshape(1, 8, 4, 4)), params).data
         assert np.allclose(emb, emb_perm, atol=1e-12)
+
+
+class TestNormalize:
+    def test_guarded_row_in_a_batch_leaves_the_other_rows_alone(self, rng):
+        rows = rng.standard_normal((3, 4))
+        rows[1] = 1e-14
+        got = jointnet.normalize_graph(Tensor(rows)).data
+        assert np.array_equal(got[1], np.eye(4)[0])
+        for i in (0, 2):
+            assert np.array_equal(got[i], jointnet.normalize_graph(Tensor(rows[i])).data)
 
 
 class TestPromptEncoder:
@@ -236,9 +251,9 @@ class TestPromptLoss:
 class TestAlignment:
     def test_equal_prompts_give_half(self, rng):
         params = small_params()
-        x = Tensor(random_image(rng).data.transpose(2, 0, 1))
+        x = Tensor(batch_of(random_image(rng), random_image(rng)))
         theta = encode_prompt(PromptTensor(rng.standard_normal((5, 4))), params)
-        assert alignment_graph(x, params, theta, theta).item() == pytest.approx(0.5)
+        assert alignment_graph(x, params, theta, theta).data == pytest.approx([0.5, 0.5])
 
     def test_value_in_unit_interval_and_coherent(self, rng):
         # guidance's alignment is the underwater-side probability of the
@@ -248,7 +263,7 @@ class TestAlignment:
             img = random_image(rng)
             tn = encode_prompt(PromptTensor(rng.standard_normal((5, 4))), params)
             tu = encode_prompt(PromptTensor(rng.standard_normal((5, 4))), params)
-            value = alignment_graph(Tensor(img.data.transpose(2, 0, 1)), params, tn, tu).item()
+            (value,) = alignment_graph(Tensor(batch_of(img)), params, tn, tu).data
             assert 0.0 < value < 1.0
             assert value == pytest.approx(1.0 - p_natural(embed_image(img, params), tn, tu), abs=1e-12)
 
@@ -257,10 +272,10 @@ class TestAlignment:
         tn = encode_prompt(PromptTensor(rng.standard_normal((5, 4))), params)
         tu = encode_prompt(PromptTensor(rng.standard_normal((5, 4))), params)
         x = rng.uniform(0.2, 0.8, (3, 16, 16))
-        grad = alignment_pixel_grad(x, params, tn, tu)
+        (grad,) = alignment_pixel_grad(x[None], params, tn, tu)
 
         def value() -> float:
-            return alignment_graph(Tensor(x), params, tn, tu).item()
+            return alignment_graph(Tensor(x[None]), params, tn, tu).data[0]
 
         h = 1e-5
         gen = np.random.default_rng(0)
@@ -277,6 +292,17 @@ class TestAlignment:
             rel = abs(fd - grad[c, i, j]) / max(abs(fd), abs(grad[c, i, j]), 1e-4)
             worst = max(worst, rel)
         assert worst < 1e-4
+
+    def test_batched_pixel_gradient_is_each_images_own_bit_for_bit(self, rng):
+        params = small_params()
+        tn = encode_prompt(PromptTensor(rng.standard_normal((5, 4))), params)
+        tu = encode_prompt(PromptTensor(rng.standard_normal((5, 4))), params)
+        x = rng.uniform(0.0, 1.0, (4, 3, 16, 16))
+        grad = alignment_pixel_grad(x, params, tn, tu)
+        for i in range(4):
+            assert np.array_equal(grad[i : i + 1], alignment_pixel_grad(x[i : i + 1], params, tn, tu))
+        # the frozen classifier collects no gradient
+        assert all(t.grad is None for t in params.tensors.values())
 
 
 def separable_dataset(count=60, size=16, seed=11):

@@ -150,13 +150,7 @@ class TestGradCheck:
             out = Tensor(t.data**2)
             out.requires_grad = True
             out._parents = (t,)
-
-            def backward(g):
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad = t.grad - g * 2.0 * t.data  # wrong sign on purpose
-
-            out._backward = backward
+            out._backward = (lambda g: -g * 2.0 * t.data,)  # wrong sign on purpose
             return out
 
         def fn():
@@ -176,6 +170,18 @@ class TestGradCheck:
             report = grad_check(fn, {"bad_group": x}, tolerance=1e-4)
         assert not report.passed
         assert any("bad_group" in failure for failure in report.failures)
+
+    def test_frozen_tensor_is_checked_and_stays_frozen(self):
+        w = Tensor(np.array([0.5, -1.5]))  # requires no gradient
+        x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+
+        def fn():
+            return ad.tsum((w * x) ** 2.0)
+
+        report = grad_check(fn, {"w": w, "x": x}, tolerance=1e-6, samples_per_group=2)
+        assert report.passed and report.max_rel_error["w"] < 1e-6
+        assert not w.requires_grad and w.grad is None
+        assert x.requires_grad
 
 
 class LinearDenoiser:
@@ -337,7 +343,7 @@ class TestFineTune:
         sched = make_linear_schedule(10, 1e-4, 0.2)
         x0, condition = rng.uniform(-1, 1, (2, 3, 8, 8))
         model = ConditionalDenoiser(width=2, seed=0)
-        assert not model.noise_graph(Tensor(x0), condition, 5, sched)._parents
+        assert not model.noise_graph(Tensor(x0[None]), condition[None], 5, sched)._parents
         fine_tune(
             model,
             [(x0, condition)],
@@ -345,7 +351,7 @@ class TestFineTune:
             weights=LossWeights(1.0, 0.0),
             optimizer=OptimizerConfig(learning_rate=1e-3, total_steps=1, seed=0),
         )
-        assert not model.noise_graph(Tensor(x0), condition, 5, sched)._parents
+        assert not model.noise_graph(Tensor(x0[None]), condition[None], 5, sched)._parents
         assert all(not p.requires_grad and p.grad is None for p in model.parameters())
 
     def test_parameters_are_plain_leaves_after_a_diverging_fine_tune(self):
