@@ -246,24 +246,36 @@ def concat(parts, axis: int = 0) -> Tensor:
     return _node(data, tuple(parts), tuple(part_grad(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])))
 
 
+# Most bytes of column matrix a graph-free convolution builds at once
+_COLS_BYTES = 640 * 1024
+
+
 def _conv_im2col(xp: np.ndarray, weight: np.ndarray, stride: int, h_out: int, w_out: int, keep_cols: bool):
-    """Convolution as one GEMM per image over its (C·kh·kw, H·W) column matrix.
+    """Convolution as GEMMs per image over its (C·kh·kw, H·W) column matrix.
 
     The column matrices are built one image at a time and kept, for the weight
-    gradient, only when keep_cols is set.
+    gradient, only when keep_cols is set. Otherwise each is built and
+    multiplied in chunks of output rows of at most _COLS_BYTES; a chunk is a
+    column block of the GEMM's right operand, which leaves every output's bits
+    as one GEMM gives them.
     """
     n = xp.shape[0]
     c_out, c_in, kh, kw = weight.shape
     w2 = weight.reshape(c_out, c_in * kh * kw)
     out = np.empty((n, c_out, h_out * w_out))
+    rows = h_out if keep_cols else max(1, _COLS_BYTES // (8 * c_in * kh * kw * w_out))
     kept = []
     for i in range(n):
-        cols = np.empty((c_in, kh, kw, h_out, w_out))
-        for di in range(kh):
-            for dj in range(kw):
-                cols[:, di, dj] = xp[i, :, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride]
-        cols = cols.reshape(c_in * kh * kw, h_out * w_out)
-        np.matmul(w2, cols, out=out[i])
+        for r0 in range(0, h_out, rows):
+            r1 = min(r0 + rows, h_out)
+            cols = np.empty((c_in, kh, kw, r1 - r0, w_out))
+            for di in range(kh):
+                for dj in range(kw):
+                    cols[:, di, dj] = xp[
+                        i, :, di + stride * r0 : di + stride * r1 : stride, dj : dj + stride * w_out : stride
+                    ]
+            cols = cols.reshape(c_in * kh * kw, (r1 - r0) * w_out)
+            np.matmul(w2, cols, out=out[i, :, r0 * w_out : r1 * w_out])
         if keep_cols:
             kept.append(cols)
 

@@ -50,7 +50,11 @@ class ConditionalDenoiser:
         t_feat[:, 1] = sched.alpha_bar_at(t)
         stacked = ad.concat([x_t, Tensor(np.asarray(condition, dtype=np.float64)), Tensor(t_feat)], axis=1)
         p = self.tensors
-        hidden = ad.tanh(ad.conv2d(stacked, p["denoiser.w1"], p["denoiser.b1"], stride=1, padding=1))
+        hidden = ad.conv2d(stacked, p["denoiser.w1"], p["denoiser.b1"], stride=1, padding=1)
+        if hidden.requires_grad:
+            hidden = ad.tanh(hidden)
+        else:  # graph-free: no backward reads the pre-activation, so overwrite it
+            np.tanh(hidden.data, out=hidden.data)
         return ad.conv2d(hidden, p["denoiser.w2"], p["denoiser.b2"], stride=1, padding=1)
 
     def noise_graph(self, x_t: Tensor, condition: np.ndarray, t: int, sched: NoiseSchedule) -> Tensor:

@@ -143,12 +143,24 @@ def sobel_gradients(channel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_extrema(x: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """Max and min of each block x block tile, ragged last tiles included."""
-    rows = np.arange(0, x.shape[0], block)
+    """Max and min of each block x block tile, ragged last tiles included.
+
+    Full groups of `block` rows reduce through a reshape, which is much faster
+    than reduceat over the whole image; reduceat then takes the columns of the
+    small result. Max and min are exact, so either order gives the same bits.
+    """
+    full = x.shape[0] - x.shape[0] % block
+    groups = x[:full].reshape(-1, block, x.shape[1])
+    tail = x[full:]
     cols = np.arange(0, x.shape[1], block)
-    bmax = np.maximum.reduceat(np.maximum.reduceat(x, rows, axis=0), cols, axis=1)
-    bmin = np.minimum.reduceat(np.minimum.reduceat(x, rows, axis=0), cols, axis=1)
-    return bmax, bmin
+
+    def reduce(op):
+        rows = op.reduce(groups, axis=1)
+        if len(tail):
+            rows = np.concatenate([rows, op.reduce(tail, axis=0, keepdims=True)])
+        return op.reduceat(rows, cols, axis=1)
+
+    return reduce(np.maximum), reduce(np.minimum)
 
 
 def _eme(channel_255: np.ndarray, block: int = _EME_BLOCK) -> float:

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from uwdiff import autodiff as ad
 from uwdiff.autodiff import Tensor
+from uwdiff.denoiser import ConditionalDenoiser
+from uwdiff.diffusion import make_linear_schedule
 from uwdiff.errors import ShapeMismatchError
 
 from oracles import conv2d_loop
@@ -173,6 +177,29 @@ class TestConv2d:
             assert np.array_equal(out.data[i : i + 1], alone.data)
             assert np.array_equal(x.grad[i : i + 1], xi.grad)
 
+    @pytest.mark.parametrize("budget", [None, 1], ids=["default-budget", "one-row-chunks"])
+    @pytest.mark.parametrize(
+        "x_shape,w_shape,stride",
+        [
+            ((1, 8, 64, 64), (32, 8, 3, 3), 1),
+            ((2, 3, 64, 64), (4, 3, 3, 3), 2),
+            ((2, 4, 32, 32), (8, 4, 3, 3), 2),
+            ((2, 8, 16, 16), (16, 8, 3, 3), 2),
+        ],
+        ids=["denoiser-conv1-64px", "encoder-conv1", "encoder-conv2", "encoder-conv3"],
+    )
+    def test_graph_free_chunks_equal_the_kept_columns_bit_for_bit(
+        self, x_shape, w_shape, stride, budget, rng, monkeypatch
+    ):
+        if budget is not None:
+            monkeypatch.setattr(ad, "_COLS_BYTES", budget)
+        x = rng.standard_normal(x_shape)
+        w, b = rng.standard_normal(w_shape), rng.standard_normal(w_shape[0])
+        free = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=1)
+        kept = ad.conv2d(Tensor(x), Tensor(w, requires_grad=True), Tensor(b), stride=stride, padding=1)
+        assert kept.requires_grad and not free.requires_grad
+        assert np.array_equal(free.data, kept.data)
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
@@ -221,3 +248,18 @@ class TestGraphMechanics:
             return x.grad
 
         assert run() == pytest.approx(run())
+
+
+def test_a_graph_free_64_px_denoiser_call_peaks_under_3_2_mb(rng):
+    # conv1's whole column matrix (2.4 MB) would take the peak to about 4 MB
+    model = ConditionalDenoiser(width=32, seed=0)
+    sched = make_linear_schedule(200, 1e-4, 2e-2)
+    x, condition = rng.standard_normal((2, 1, 3, 64, 64))
+    model(x, condition, 100, sched)
+    tracemalloc.start()
+    try:
+        model(x, condition, 100, sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2e6

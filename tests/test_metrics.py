@@ -9,6 +9,7 @@ from uwdiff.images import RgbImage
 from uwdiff.metrics import (
     ALL_METRICS,
     MIN_SIDE,
+    _block_extrema,
     _eme,
     _uiconm,
     cpbd,
@@ -171,6 +172,14 @@ class TestBlockScores:
         values = block_score_input(kind, shape)
         assert _eme(values) == pytest.approx(eme_ref(values), rel=1e-12)
         assert _uiconm(values) == pytest.approx(uiconm_ref(values), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(45, 50), (256, 256), (5, 7), (8, 17), (17, 8)])
+    def test_block_extrema_equal_reduceat_over_the_whole_image(self, shape, rng):
+        values = rng.uniform(0.0, 255.0, shape)
+        rows, cols = np.arange(0, shape[0], 8), np.arange(0, shape[1], 8)
+        bmax, bmin = _block_extrema(values, 8)
+        assert np.array_equal(bmax, np.maximum.reduceat(np.maximum.reduceat(values, rows, axis=0), cols, axis=1))
+        assert np.array_equal(bmin, np.minimum.reduceat(np.minimum.reduceat(values, rows, axis=0), cols, axis=1))
 
 
 class TestUiqm:
