@@ -5,6 +5,10 @@ arithmetic, matmul, batched 2-D convolution, smooth pointwise
 nonlinearities, reductions, reshaping and concatenation, plus the weight
 initialization and the Adam optimizer that every model uses. Every gradient
 is validated against central finite differences in the test suite.
+
+Tensors hold float64, except that an array which is already float32 stays
+float32, so a graph-free forward pass can run in single precision. Ops
+follow numpy's promotion: float32 mixed with float64 gives float64.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -262,13 +267,13 @@ def _conv_im2col(xp: np.ndarray, weight: np.ndarray, stride: int, h_out: int, w_
     n = xp.shape[0]
     c_out, c_in, kh, kw = weight.shape
     w2 = weight.reshape(c_out, c_in * kh * kw)
-    out = np.empty((n, c_out, h_out * w_out))
-    rows = h_out if keep_cols else max(1, _COLS_BYTES // (8 * c_in * kh * kw * w_out))
+    out = np.empty((n, c_out, h_out * w_out), dtype=np.result_type(xp, weight))
+    rows = h_out if keep_cols else max(1, _COLS_BYTES // (xp.itemsize * c_in * kh * kw * w_out))
     kept = []
     for i in range(n):
         for r0 in range(0, h_out, rows):
             r1 = min(r0 + rows, h_out)
-            cols = np.empty((c_in, kh, kw, r1 - r0, w_out))
+            cols = np.empty((c_in, kh, kw, r1 - r0, w_out), dtype=xp.dtype)
             for di in range(kh):
                 for dj in range(kw):
                     cols[:, di, dj] = xp[
@@ -312,7 +317,7 @@ def _conv_taps(xp: np.ndarray, weight: np.ndarray, h_out: int, w_out: int):
     flat = xp.reshape(n, c_in, hp * wp)
     w_taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))
     taps = [(di, dj, di * wp + dj) for di in range(kh) for dj in range(kw)]
-    acc = np.zeros((n, c_out, h_out * wp))
+    acc = np.zeros((n, c_out, h_out * wp), dtype=np.result_type(xp, weight))
     for di, dj, off in taps:
         acc[:, :, :span] += w_taps[di, dj] @ flat[:, :, off : off + span]
     out = np.ascontiguousarray(acc.reshape(n, c_out, h_out, wp)[..., :w_out])
@@ -346,7 +351,8 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     tap (`_conv_taps`), where the column matrix would dwarf the output; every
     other shape runs through im2col, which is faster for wide outputs. Either
     way each image gets the BLAS calls it would get alone, so an image's
-    output does not depend on the rest of its batch.
+    output does not depend on the rest of its batch. Every buffer takes the
+    dtype of the input and weight, so float32 operands convolve in float32.
     """
     x, weight = _ensure(x), _ensure(weight)
     if x.data.ndim != 4:
@@ -362,7 +368,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeMismatchError("conv2d input is smaller than the kernel")
     xp = x.data
     if pad:
-        xp = np.zeros((n, c_in, height + 2 * pad, width + 2 * pad))
+        xp = np.zeros((n, c_in, height + 2 * pad, width + 2 * pad), dtype=x.data.dtype)
         xp[:, :, pad : pad + height, pad : pad + width] = x.data
     if stride == 1 and c_out < c_in:
         out, grad_xp, grad_w = _conv_taps(xp, weight.data, h_out, w_out)

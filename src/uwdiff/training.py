@@ -193,9 +193,10 @@ def fine_tune(
     flip/rotation of it when it is a (3, H, W) image (which the model then
     sees as a batch of one), a timestep, and a noise
     draw; a context whose guidance.gamma2 > 0 folds the classifier alignment
-    gradient into the prediction before the loss. The model's parameters
-    require gradients only while this runs, so a model records graphs only
-    as it trains.
+    gradient into the prediction before the loss. The frozen classifier's
+    embedding of a reference depends only on (pair, flip, quarters), so each
+    is computed once per call. The model's parameters require gradients only
+    while this runs, so a model records graphs only as it trains.
     """
     if not pairs:
         raise ParameterError("fine_tune needs a nonempty dataset")
@@ -208,13 +209,16 @@ def fine_tune(
     params = model.parameters()
     adam = Adam(params)
     result = FineTuneResult()
+    targets: dict[tuple[int, bool, int], np.ndarray] = {}
     for param in params:
         param.requires_grad = True
     try:
         for step in range(1, optimizer.total_steps + 1):
-            x0, condition = pairs[int(rng.integers(0, len(pairs)))]
+            index = int(rng.integers(0, len(pairs)))
+            x0, condition = pairs[index]
             x0 = np.asarray(x0, dtype=np.float64)
             condition = None if condition is None else np.asarray(condition, dtype=np.float64)
+            flip, quarters = False, 0
             if x0.ndim == 3:
                 flip, quarters = _draw_transform(rng)
                 x0 = _augmented_batch(x0, flip, quarters)
@@ -234,7 +238,10 @@ def fine_tune(
             if weights.lambda2 > 0:
                 x0_hat = (x_t_tensor - root * eps_prime) * (1.0 / math.sqrt(ab))
                 emb_gen = embed_image_graph((x0_hat + 1.0) * 0.5, context.params)
-                emb_target = embed_image_graph(Tensor(_to_image_space(x0)), context.params).data
+                key = (index, flip, quarters)
+                if key not in targets:
+                    targets[key] = embed_image_graph(Tensor(_to_image_space(x0)), context.params).data
+                emb_target = targets[key]
             total, l1, semantic = composite_loss(eps, eps_prime, emb_gen, emb_target, weights)
 
             value = total.item()

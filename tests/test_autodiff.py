@@ -8,6 +8,7 @@ from uwdiff.autodiff import Tensor
 from uwdiff.denoiser import ConditionalDenoiser
 from uwdiff.diffusion import make_linear_schedule
 from uwdiff.errors import ShapeMismatchError
+from uwdiff.verification import check_gradients
 
 from oracles import conv2d_loop
 
@@ -200,6 +201,39 @@ class TestConv2d:
         assert kept.requires_grad and not free.requires_grad
         assert np.array_equal(free.data, kept.data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_graph_free_chunk_holds_the_most_rows_that_fit_the_budget(self, dtype, monkeypatch):
+        matmul, chunks = np.matmul, []
+
+        def recording(a, b, **kwargs):
+            chunks.append(b)
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        out = ad.conv2d(Tensor(np.ones((1, 8, 64, 64), dtype)), Tensor(np.ones((32, 8, 3, 3), dtype)), padding=1)
+        row = 8 * 3 * 3 * 64 * np.dtype(dtype).itemsize  # one output row's columns, denoiser conv1 at 64 px
+        largest = max(chunk.nbytes for chunk in chunks)
+        assert out.data.dtype == dtype and all(chunk.dtype == dtype for chunk in chunks)
+        assert largest <= ad._COLS_BYTES < largest + row
+
+    @pytest.mark.parametrize(
+        "x_shape,w_shape,stride",
+        [((1, 8, 64, 64), (32, 8, 3, 3), 1), ((2, 3, 64, 64), (4, 3, 3, 3), 2)],
+        ids=["denoiser-conv1-64px", "encoder-conv1"],
+    )
+    def test_float32_chunks_equal_one_chunk_bit_for_bit(self, x_shape, w_shape, stride, rng, monkeypatch):
+        x, w, b = (rng.standard_normal(shape).astype(np.float32) for shape in (x_shape, w_shape, w_shape[:1]))
+
+        def conv(budget):
+            monkeypatch.setattr(ad, "_COLS_BYTES", budget)
+            return ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=1).data
+
+        default = ad._COLS_BYTES
+        whole = conv(1 << 40)
+        assert whole.dtype == np.float32
+        assert np.array_equal(conv(default), whole)
+        assert np.array_equal(conv(1), whole)
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
@@ -207,6 +241,39 @@ class TestConv2d:
     def test_unbatched_input_rejected(self):
         with pytest.raises(ShapeMismatchError, match="batch"):
             ad.conv2d(Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
+
+
+class TestTensorDtype:
+    def test_a_float32_array_stays_float32_and_is_not_copied(self):
+        data = np.ones((2, 3), dtype=np.float32)
+        assert Tensor(data).data is data
+
+    def test_a_float64_array_is_not_copied(self):
+        data = np.ones((2, 3))
+        assert Tensor(data).data is data
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.arange(3), np.ones(3, dtype=np.float16), [1.0, 2.0], [1, 2], 2.5, 3, True],
+        ids=["int-array", "float16", "float-list", "int-list", "float", "int", "bool"],
+    )
+    def test_every_other_input_becomes_float64(self, value):
+        tensor = Tensor(value)
+        assert tensor.data.dtype == np.float64
+        assert np.array_equal(tensor.data, np.asarray(value, dtype=np.float64))
+
+    def test_float32_mixed_with_float64_promotes_to_float64(self):
+        single, double = Tensor(np.ones((1, 2, 4, 4), np.float32)), Tensor(np.ones((1, 2, 4, 4)))
+        assert (single + double).data.dtype == np.float64
+        assert (single * double).data.dtype == np.float64
+        assert (single * 2.0).data.dtype == np.float64  # a Python float becomes a float64 tensor
+        assert ad.concat([single, double], axis=1).data.dtype == np.float64
+        for w_shape in ((3, 2, 3, 3), (1, 2, 3, 3)):  # im2col, taps
+            assert ad.conv2d(single, Tensor(np.ones(w_shape)), padding=1).data.dtype == np.float64
+            assert ad.conv2d(double, Tensor(np.ones(w_shape, np.float32)), padding=1).data.dtype == np.float64
+
+    def test_verify_gradient_checks_read_their_float64_figures(self):
+        assert check_gradients(0).detail == "pixels=5.54e-09, conv1=1.54e-10"
 
 
 class TestGraphMechanics:
@@ -250,8 +317,9 @@ class TestGraphMechanics:
         assert run() == pytest.approx(run())
 
 
-def test_a_graph_free_64_px_denoiser_call_peaks_under_3_2_mb(rng):
-    # conv1's whole column matrix (2.4 MB) would take the peak to about 4 MB
+def test_a_graph_free_64_px_denoiser_call_peaks_under_2_4_mb(rng):
+    # it runs in float32: in float64 the peak is about 2.9 MB, and conv1's whole
+    # float64 column matrix (2.4 MB) would take it to about 4 MB
     model = ConditionalDenoiser(width=32, seed=0)
     sched = make_linear_schedule(200, 1e-4, 2e-2)
     x, condition = rng.standard_normal((2, 1, 3, 64, 64))
@@ -262,4 +330,4 @@ def test_a_graph_free_64_px_denoiser_call_peaks_under_3_2_mb(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.2e6
+    assert peak <= 2.4e6

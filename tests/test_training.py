@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwdiff import autodiff as ad
+from uwdiff import training
 from uwdiff.autodiff import Tensor
 from uwdiff.denoiser import ConditionalDenoiser
 from uwdiff.diffusion import default_schedule, make_linear_schedule, stream_rng
 from uwdiff.errors import ParameterError, ShapeMismatchError, TrainingDivergedError
+from uwdiff.jointnet import JointNetConfig, init_params
 from uwdiff.training import (
     Adam,
+    JointContext,
     LossWeights,
     OptimizerConfig,
     _apply_transform,
@@ -338,6 +341,40 @@ class TestFineTune:
             want.append(int(replay.integers(1, sched.steps + 1)))
             replay.standard_normal((3, 8, 8))
         assert [r.t for r in result.log] == want
+
+    def test_each_reference_transform_is_embedded_once(self, rng, monkeypatch):
+        # the frozen classifier's embedding of a reference depends only on
+        # (pair, flip, quarters), so each is computed once per fine_tune call,
+        # through the module-level name that tracing hooks
+        sched = make_linear_schedule(40, 1e-4, 0.2)
+        pairs = [(rng.uniform(-1, 1, (3, 8, 8)), rng.uniform(-1, 1, (3, 8, 8))) for _ in range(2)]
+        params = init_params(JointNetConfig(width=4, embed_dim=4, token_count=3, token_width=4, text_hidden=4), 0)
+        context = JointContext(params, np.eye(4)[0], np.eye(4)[1])
+        steps, seed = 30, 9
+        embed, references = training.embed_image_graph, []
+
+        def recording(x, params):
+            if not x._parents:
+                references.append(x.data)
+            return embed(x, params)
+
+        monkeypatch.setattr(training, "embed_image_graph", recording)
+        result = fine_tune(
+            ConditionalDenoiser(width=2, seed=0),
+            pairs,
+            sched,
+            weights=LossWeights(0.6, 0.4),
+            optimizer=OptimizerConfig(learning_rate=1e-3, total_steps=steps, seed=seed),
+            context=context,
+        )
+        replay, keys = stream_rng(seed, 78), set()
+        for _ in range(steps):
+            index, flip = int(replay.integers(0, len(pairs))), bool(replay.random() < 0.5)
+            keys.add((index, flip, int(replay.integers(1, 4)) if replay.random() < 0.5 else 0))
+            replay.integers(1, sched.steps + 1)
+            replay.standard_normal((3, 8, 8))
+        assert len(references) == len(keys) < steps
+        assert all(r.semantic_term > 0 for r in result.log)
 
     def test_denoiser_records_no_graph_after_fine_tune_returns(self, rng):
         sched = make_linear_schedule(10, 1e-4, 0.2)
