@@ -10,9 +10,10 @@ renders the fully merged configuration, which every stage prints first.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 
-from .denoiser import ConditionalDenoiser, check_width
+from .denoiser import ConditionalDenoiser, layer_shapes
 from .diffusion import GuidanceConfig, NoiseSchedule, make_linear_schedule
 from .errors import ConfigError, ParameterError
 from .jointnet import JointNetConfig, PromptTrainConfig
@@ -36,7 +37,7 @@ def _key(name: str, default):
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = _key("run.seed", 0)
-    # desk-scale default; endpoints follow the reference ramp scaled by 2000/steps
+    # desk-scale default: the endpoints of a 2000-step 1e-6 -> 1e-2 reference ramp, times 2000/200
     schedule_steps: int = _key("schedule.steps", 200)
     beta_start: float = _key("schedule.beta_start", 1e-5)
     beta_end: float = _key("schedule.beta_end", 1e-1)
@@ -70,7 +71,7 @@ class RunConfig:
             check()
         check_t_range((self.train_t_min, self.schedule_steps), self.schedule_steps)
         check_method(self.synth_method)
-        check_width(self.denoiser_width)  # not self.denoiser(), whose weight draw imports numpy.random
+        layer_shapes(self.denoiser_width)  # not self.denoiser(), whose weight draw imports numpy.random
 
     # derived builders -----------------------------------------------------
     def schedule(self) -> NoiseSchedule:
@@ -138,8 +139,9 @@ def parse_config_text(text: str, source: str = "<config>", seed: str | None = No
             raise ConfigError(f"{at}: bad value for {name}: {exc}") from exc
         where[f.name] = f"{at}: {name}"
     config = _built(values)
-    if isinstance(config, str):  # name each set key whose reset to its default changes the message
-        blamed = [n for n in values if _built({k: v for k, v in values.items() if k != n}) != config]
+    if isinstance(config, str):  # name each set key the message names, or whose reset to its default changes it
+        named = {n for n in values if re.search(rf"\b{n}\b", config)}
+        blamed = [n for n in values if n in named or _built({k: v for k, v in values.items() if k != n}) != config]
         raise ConfigError("; ".join(where[n] for n in blamed or values) + f": {config}")
     object.__setattr__(config, "where", where)
     return config

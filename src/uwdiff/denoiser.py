@@ -3,7 +3,10 @@
 ConditionalDenoiser is a two-layer convolutional model over the concatenation
 of the noisy state, the conditioning image, and two timestep channels. It is
 parameterized to predict the clean signal and converts that prediction to
-noise analytically, which keeps toy-scale training well conditioned.
+noise analytically, which keeps toy-scale training well conditioned. Its
+weights follow one (name, shape) table, layer_shapes(width): a new model draws
+them from its seed, and a checkpoint load hands in the checked tensors and
+draws nothing.
 
 The weights are float64, and training and every gradient use them. Calling
 the model, the graph-free path that sampling takes, runs in float32 on a
@@ -23,26 +26,25 @@ from .diffusion import NoiseSchedule, stream_rng
 from .errors import ParameterError
 
 
-def check_width(width: int) -> None:
+def layer_shapes(width: int) -> dict[str, tuple[int, ...]]:
+    """Every weight's (name, shape) at this width, in checkpoint order."""
     if width < 1:
         raise ParameterError(f"width must be >= 1, got {width}")
+    return {
+        "denoiser.w1": (width, 8, 3, 3),  # x_t (3) + condition (3) + timestep features (2)
+        "denoiser.b1": (width,),
+        "denoiser.w2": (3, width, 3, 3),
+        "denoiser.b2": (3,),
+    }
 
 
 class ConditionalDenoiser:
     """eps_hat(x_t, y, t) for (N, 3, H, W) batches, each image conditioned on its degraded image."""
 
-    def __init__(self, width: int = 16, seed: int = 0):
-        check_width(width)
-        # plain leaves: sampling records no graph; fine_tune marks them trainable
-        self.tensors = ad.init_layers(
-            stream_rng(seed, 77),
-            {
-                "denoiser.w1": (width, 8, 3, 3),  # x_t (3) + condition (3) + timestep features (2)
-                "denoiser.b1": (width,),
-                "denoiser.w2": (3, width, 3, 3),
-                "denoiser.b2": (3,),
-            },
-        )
+    def __init__(self, width: int = 16, seed: int = 0, tensors: dict[str, Tensor] | None = None):
+        # drawn from seed, or a checkpoint's tensors as given; plain leaves: sampling
+        # records no graph, fine_tune marks them trainable
+        self.tensors = ad.init_layers(stream_rng(seed, 77), layer_shapes(width)) if tensors is None else tensors
         self._single = ((), {})  # (the float64 arrays copied, their float32 copies by name)
 
     def parameters(self) -> list[Tensor]:
@@ -50,8 +52,8 @@ class ConditionalDenoiser:
 
     def _weights(self, dtype) -> dict[str, Tensor]:
         """The weights as tensors of dtype: the float64 tensors themselves, or
-        float32 copies. The copies are remade whenever a weight's array has
-        been replaced (by Adam or a checkpoint load) since they were made.
+        float32 copies. The copies are remade whenever Adam, the only code
+        that replaces a weight's array, has replaced one since they were made.
         They are kept with the arrays they copy, so no new array can reuse a
         copied one's identity. Threads that race to remake them each make the
         same bytes."""

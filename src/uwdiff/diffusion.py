@@ -18,11 +18,6 @@ import numpy as np
 
 from .errors import ParameterError, ShapeMismatchError
 
-# Reference schedule: 2000 steps, linear 1e-6 -> 1e-2. The desk-scale default
-# rescales both endpoints by (2000 / T) so the terminal alpha_bar is preserved.
-REFERENCE_STEPS = 2000
-REFERENCE_BETA_START = 1e-6
-REFERENCE_BETA_END = 1e-2
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -57,12 +52,6 @@ def make_linear_schedule(steps: int, beta_start: float, beta_end: float) -> Nois
     beta = np.linspace(beta_start, beta_end, steps, dtype=np.float64)
     alpha = 1.0 - beta
     return NoiseSchedule(steps=steps, beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha))
-
-
-def default_schedule(steps: int = 200) -> NoiseSchedule:
-    """Desk-scale schedule with endpoints rescaled to keep the reference alpha_bar_T."""
-    factor = REFERENCE_STEPS / steps
-    return make_linear_schedule(steps, REFERENCE_BETA_START * factor, REFERENCE_BETA_END * factor)
 
 
 @dataclass(frozen=True)

@@ -69,10 +69,10 @@ class JointNetParams:
     tensors: dict[str, Tensor]
 
 
-def init_params(config: JointNetConfig, seed: int) -> JointNetParams:
-    """Deterministic random initialization of every layer from one (name, shape) table."""
+def layer_shapes(config: JointNetConfig) -> dict[str, tuple[int, ...]]:
+    """Every layer's (name, shape), in checkpoint order."""
     c1, c2, c3 = max(config.width // 4, 1), max(config.width // 2, 1), config.width
-    shapes = {
+    return {
         "conv1.weight": (c1, 3, 3, 3),
         "conv1.bias": (c1,),
         "conv2.weight": (c2, c1, 3, 3),
@@ -88,7 +88,11 @@ def init_params(config: JointNetConfig, seed: int) -> JointNetParams:
         "text.weight": (config.embed_dim, config.text_hidden),
         "text.bias": (config.embed_dim,),
     }
-    return JointNetParams(config, ad.init_layers(stream_rng(seed, 74), shapes))
+
+
+def init_params(config: JointNetConfig, seed: int) -> JointNetParams:
+    """Deterministic random initialization of every layer of layer_shapes(config)."""
+    return JointNetParams(config, ad.init_layers(stream_rng(seed, 74), layer_shapes(config)))
 
 
 def init_prompts(config: JointNetConfig, seed: int) -> tuple[PromptTensor, PromptTensor]:

@@ -12,6 +12,7 @@ import threading
 
 import numpy as np
 
+from . import denoiser, jointnet
 from .autodiff import Tensor
 from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RunConfig, parse_config_text, resolve_text
@@ -27,7 +28,7 @@ from .diffusion import (
 from .errors import ParameterError, SamplingDivergedError, ShapeMismatchError, UnsupportedFormatError
 from .images import RgbImage
 from .imageio import list_images, load_image, require_unique_stems, save_image
-from .jointnet import PromptTensor, encode_prompt, init_params
+from .jointnet import JointNetParams, PromptTensor, encode_prompt
 from .synthesis import DatasetManifest, load_pair
 from .training import JointContext, guidance_pixel_grad
 
@@ -53,31 +54,31 @@ def save_checkpoint(path, tensors: dict[str, Tensor], config: RunConfig) -> None
     write_checkpoint(path, arrays, config_echo=resolve_text(config))
 
 
-def _load_tensors(path, tensors: dict[str, np.ndarray], targets: dict[str, Tensor]) -> None:
-    """Set each target's data to the checkpoint tensor of the same name and shape."""
-    for name, target in targets.items():
+def _load_tensors(path, tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> dict[str, Tensor]:
+    """The checkpoint tensor of each name in shapes, as a new Tensor, once its shape is checked."""
+    for name, shape in shapes.items():
         if name not in tensors:
             raise UnsupportedFormatError(f"checkpoint {os.fspath(path)!r} has no tensor {name!r}")
-        if tensors[name].shape != target.data.shape:
+        if tensors[name].shape != shape:
             raise ShapeMismatchError(
                 f"checkpoint {os.fspath(path)!r}: tensor {name!r} has shape {tensors[name].shape}, "
-                f"expected {target.data.shape}"
+                f"expected {shape}"
             )
-        target.data = tensors[name]
+    return {name: Tensor(tensors[name]) for name in shapes}
 
 
 def joint_context_from_checkpoint(path, guidance: GuidanceConfig) -> JointContext:
     """The frozen classifier and encoded prompts of a prompts checkpoint, guiding by `guidance`."""
     tensors, echo = read_checkpoint(path)
-    config = parse_config_text(echo, source=f"{path}:echo")
-    params = init_params(config.classifier(), config.seed)
-    prompt_shape = (params.config.token_count, params.config.token_width)
-    prompts = {name: Tensor(np.empty(prompt_shape)) for name in ("prompt.natural", "prompt.underwater")}
-    _load_tensors(path, tensors, {**params.tensors, **prompts})
+    config = parse_config_text(echo, source=f"{path}:echo").classifier()
+    prompts = dict.fromkeys(("prompt.natural", "prompt.underwater"), (config.token_count, config.token_width))
+    loaded = _load_tensors(path, tensors, {**jointnet.layer_shapes(config), **prompts})
+    natural, underwater = (PromptTensor(loaded.pop(name).data) for name in prompts)
+    params = JointNetParams(config, loaded)
     return JointContext(
         params=params,
-        theta_natural=encode_prompt(PromptTensor(prompts["prompt.natural"].data), params),
-        theta_underwater=encode_prompt(PromptTensor(prompts["prompt.underwater"].data), params),
+        theta_natural=encode_prompt(natural, params),
+        theta_underwater=encode_prompt(underwater, params),
         guidance=guidance,
     )
 
@@ -85,9 +86,8 @@ def joint_context_from_checkpoint(path, guidance: GuidanceConfig) -> JointContex
 def load_model_checkpoint(path) -> tuple[ConditionalDenoiser, RunConfig]:
     tensors, echo = read_checkpoint(path)
     config = parse_config_text(echo, source=f"{path}:echo")
-    model = config.denoiser()
-    _load_tensors(path, tensors, model.tensors)
-    return model, config
+    shapes = denoiser.layer_shapes(config.denoiser_width)
+    return ConditionalDenoiser(tensors=_load_tensors(path, tensors, shapes)), config
 
 
 # ---------------------------------------------------------------------------

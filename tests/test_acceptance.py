@@ -13,8 +13,9 @@ import numpy as np
 from uwdiff import autodiff as ad
 from uwdiff.autodiff import Tensor
 from uwdiff.cli import main as cli_main
+from uwdiff.config import RunConfig
 from uwdiff.denoiser import ConditionalDenoiser
-from uwdiff.diffusion import default_schedule, stream_rng
+from uwdiff.diffusion import stream_rng
 from uwdiff.images import LabImage, RgbImage, channel_stats, lab_to_srgb, srgb_to_lab
 from uwdiff.imageio import save_image
 from uwdiff.jointnet import (
@@ -42,17 +43,7 @@ from uwdiff.verification import (
 
 from criteria import record_criterion
 from oracles import cpbd_ref, logistic_accuracy, uciqe_ref, uiqm_ref
-
-
-def toy_scene(gen, size=24):
-    base = gen.uniform(0.2, 0.9, (3,))
-    yy, xx = np.mgrid[0:size, 0:size] / size
-    img = np.zeros((size, size, 3))
-    for c in range(3):
-        img[..., c] = base[c] + 0.35 * np.sin(
-            2 * np.pi * (gen.uniform(0.5, 1.5) * xx + gen.uniform())
-        ) * np.cos(2 * np.pi * (gen.uniform(0.5, 1.5) * yy + gen.uniform()))
-    return RgbImage.from_array(np.clip(img, 0.02, 0.98))
+from run_toy_pipeline import toy_scene
 
 
 def test_c01_color_round_trip():
@@ -149,7 +140,7 @@ def test_c03_scattering_limits():
 
 def test_c04_posterior_recovery():
     start = time.time()
-    sched = default_schedule(200)
+    sched = RunConfig().schedule()
     guided = check_posterior_recovery(sched, stream_rng(104, 0))
     prior = check_prior_recovery(sched, stream_rng(104, 1))
     elapsed = time.time() - start
@@ -162,7 +153,7 @@ def test_c04_posterior_recovery():
 
 def test_c05_guidance_algebra_consistency():
     start = time.time()
-    result = check_guidance_algebra(default_schedule(200), np.random.default_rng(105))
+    result = check_guidance_algebra(RunConfig().schedule(), np.random.default_rng(105))
     elapsed = time.time() - start
     ok = result.passed and elapsed < 1.0
     record_criterion("C5 guidance algebra", ok, f"{result.detail} over 1000 instances, {elapsed:.2f}s")
@@ -172,7 +163,7 @@ def test_c05_guidance_algebra_consistency():
 
 def test_c06_lambda_preference_direction():
     start = time.time()
-    result = check_lambda_preference(default_schedule(200), [stream_rng(106, i) for i in range(5)])
+    result = check_lambda_preference(RunConfig().schedule(), [stream_rng(106, i) for i in range(5)])
     elapsed = time.time() - start
     ok = result.passed and elapsed < 120.0
     record_criterion("C6 lambda preference", ok, f"{result.detail}, {elapsed:.1f}s")
@@ -254,7 +245,7 @@ def test_c08_gradient_checks_every_path():
     all_ok &= report.passed
 
     # L1 term, semantic term, and the full composite chain through the denoiser
-    sched = default_schedule(200)
+    sched = RunConfig().schedule()
     model = ConditionalDenoiser(width=6, seed=3)
     condition = gen.uniform(-1, 1, (1, 3, 16, 16))
     x_t_leaf = Tensor(gen.uniform(-1, 1, (1, 3, 16, 16)), requires_grad=True)
@@ -467,7 +458,7 @@ def test_c12_enhancement_improves_quality():
         degraded = scatter_degrade(clean, ranges.draw(np.random.default_rng([112, i])))
         (train_pairs if i < 16 else test_pairs).append((clean, degraded))
 
-    sched = default_schedule(200)
+    sched = RunConfig().schedule()
     model = ConditionalDenoiser(width=32, seed=0)
     fine_tune(
         model,

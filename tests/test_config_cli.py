@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from uwdiff import autodiff
 from uwdiff.autodiff import Tensor
 from uwdiff.checkpoint import read_checkpoint, write_checkpoint
 from uwdiff.cli import main
@@ -15,10 +16,18 @@ from uwdiff.diffusion import GuidanceConfig, make_linear_schedule, stream_rng
 from uwdiff.errors import ConfigError, ParameterError, TruncatedFileError, UnsupportedFormatError
 from uwdiff.images import RgbImage
 from uwdiff.imageio import save_image
-from uwdiff.jointnet import JointNetConfig, PromptTrainConfig, init_params, init_prompts
+from uwdiff.jointnet import (
+    JointNetConfig,
+    PromptTensor,
+    PromptTrainConfig,
+    encode_prompt,
+    init_params,
+    init_prompts,
+)
 from uwdiff.pipeline import (
     enhance_directory,
     enhance_image,
+    joint_context_from_checkpoint,
     load_model_checkpoint,
     save_checkpoint,
 )
@@ -113,8 +122,6 @@ class TestConfigParsing:
         assert load_config(None) == RunConfig()
 
     def test_builders_default_to_the_library_defaults(self):
-        # the schedule is left out: RunConfig().schedule() differs from
-        # default_schedule(200) in the last bits of beta
         config = RunConfig()
         assert config.loss_weights() == LossWeights()
         assert config.optimizer() == OptimizerConfig()
@@ -637,6 +644,28 @@ class TestCheckpointLoads:
         err = capsys.readouterr().err
         assert str(model) in err and "'denoiser." in err
 
+    def test_a_load_draws_no_weights_and_keeps_every_saved_bit(self, tmp_path, monkeypatch):
+        config = RunConfig(classifier_width=8, denoiser_width=3)
+        ckpts = {"model": tmp_path / "model.ckpt", "prompts": tmp_path / "prompts.ckpt"}
+        save_checkpoint(ckpts["model"], ConditionalDenoiser(width=3, seed=5).tensors, config)
+        _prompts_checkpoint(ckpts["prompts"], config)
+        saved = {which: read_checkpoint(path)[0] for which, path in ckpts.items()}
+
+        def draw(*args):
+            raise AssertionError("a checkpoint load drew weights")
+
+        monkeypatch.setattr(autodiff, "init_layers", draw)
+        model, _ = load_model_checkpoint(ckpts["model"])
+        context = joint_context_from_checkpoint(ckpts["prompts"], GuidanceConfig())
+        prompts = {name: saved["prompts"].pop(name) for name in ("prompt.natural", "prompt.underwater")}
+        for loaded, arrays in ((model.tensors, saved["model"]), (context.params.tensors, saved["prompts"])):
+            assert list(loaded) == list(arrays)
+            for name, tensor in loaded.items():
+                assert (tensor.data.shape, tensor.data.tobytes()) == (arrays[name].shape, arrays[name].tobytes())
+        thetas = {"prompt.natural": context.theta_natural, "prompt.underwater": context.theta_underwater}
+        for name, theta in thetas.items():
+            assert np.array_equal(theta, encode_prompt(PromptTensor(prompts[name]), context.params))
+
 
 class TestUncheckedValues:
     @pytest.mark.parametrize("key", ["width", "embed_dim", "epochs"])
@@ -753,6 +782,16 @@ class TestBounds:
         for name, line in at.items():
             assert f"{where}:{line}: {name}" in err
         assert message in err
+
+    def test_a_key_set_to_its_default_is_named_when_the_message_names_it(self, tmp_path):
+        # an echo sets every key; resetting beta_start = 1e-05 to its default leaves the message as it is
+        path = tmp_path / "bad"
+        at = _echo_checkpoint(path, {"schedule.beta_start": "1e-05", "schedule.beta_end": "1e-06"})
+        with pytest.raises(ConfigError) as caught:
+            load_model_checkpoint(path)
+        for name, line in at.items():
+            assert f"{path}:echo:{line}: {name}" in str(caught.value)
+        assert "need 0 < beta_start <= beta_end < 1" in str(caught.value)
 
     @pytest.mark.parametrize("source", ["config", "echo"])
     def test_two_bad_keys_name_only_the_key_of_the_message(self, tmp_path, source):

@@ -102,16 +102,15 @@ def test_the_float32_copy_follows_fine_tune(rng):
     assert np.array_equal(after, tuned)
 
 
-def test_the_float32_copy_follows_a_checkpoint_load(tmp_path):
-    config = RunConfig()
+def test_a_loaded_model_samples_bit_for_bit_like_its_source(tmp_path):
+    config = RunConfig()  # seed 0: a load that drew from the echo's seed would not match
     source = ConditionalDenoiser(width=config.denoiser_width, seed=5)
     path = tmp_path / "model.ckpt"
     pipeline.save_checkpoint(path, source.tensors, config)
-    model = ConditionalDenoiser(width=config.denoiser_width, seed=0)
-    x, condition = call_inputs(8)
-    model(x, condition, 50, SCHED)
-    pipeline._load_tensors(path, read_checkpoint(path)[0], model.tensors)
-    assert np.array_equal(model(x, condition, 50, SCHED), source(x, condition, 50, SCHED))
+    model, _ = pipeline.load_model_checkpoint(path)
+    image = toy_scene(np.random.default_rng(5), 16)
+    loaded, sourced = (pipeline.enhance_image(image, m, SCHED, None, None, stream_rng(0, 0)) for m in (model, source))
+    assert np.array_equal(loaded.data, sourced.data)
 
 
 def test_a_checkpoint_saved_after_sampling_holds_the_float64_weights(tmp_path):

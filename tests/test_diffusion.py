@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uwdiff.config import RunConfig
 from uwdiff.diffusion import (
     AnalyticGaussianWorld,
     GuidanceConfig,
     combine_scores_lambda,
-    default_schedule,
     forward_sample,
     guided_noise_prediction,
     make_linear_schedule,
@@ -32,14 +32,15 @@ class TestSchedule:
         assert sched.alpha_bar_at(1) == pytest.approx(0.7)
 
     def test_alpha_bar_strictly_decreasing(self):
-        for sched in (default_schedule(200), make_linear_schedule(50, 1e-4, 0.05)):
+        for sched in (RunConfig().schedule(), make_linear_schedule(50, 1e-4, 0.05)):
             assert np.all(np.diff(sched.alpha_bar) < 0)
             assert 0 < sched.alpha_bar[-1] < sched.alpha_bar[0] < 1
 
-    def test_default_schedule_preserves_terminal_alpha_bar(self):
+    def test_the_run_config_schedule_is_pinned_near_the_reference_terminal_alpha_bar(self):
+        desk = RunConfig().schedule()
+        assert desk.steps == 200 and desk.beta[0] == 1e-5 and desk.beta[-1] == 1e-1
+        # the 2000-step reference ramp's endpoints scaled by 2000/200 keep its cumulative product close
         reference = make_linear_schedule(2000, 1e-6, 1e-2)
-        desk = default_schedule(200)
-        # endpoints scale like 2000/T, so the cumulative products stay close
         assert math.log(desk.alpha_bar[-1]) == pytest.approx(
             math.log(reference.alpha_bar[-1]), rel=0.05
         )
@@ -61,21 +62,16 @@ class TestSchedule:
         with pytest.raises(ParameterError):
             sched.alpha_bar_at(11)
 
-    def test_default_schedule_needs_enough_steps(self):
-        # endpoint rescaling by 2000/T pushes beta_end past 1 for tiny T
-        with pytest.raises(ParameterError):
-            default_schedule(10)
-
 
 class TestForwardSample:
     def test_zero_noise_branch(self, rng):
-        sched = default_schedule(100)
+        sched = make_linear_schedule(100, 2e-5, 0.2)
         x0 = rng.standard_normal((4, 4))
         x_t = forward_sample(x0, 60, np.zeros_like(x0), sched)
         assert np.allclose(x_t, math.sqrt(sched.alpha_bar_at(60)) * x0)
 
     def test_early_step_stays_near_x0(self, rng):
-        sched = default_schedule(200)
+        sched = RunConfig().schedule()
         x0 = rng.standard_normal(8)
         eps = rng.standard_normal(8)
         x_1 = forward_sample(x0, 1, eps, sched)
@@ -84,7 +80,7 @@ class TestForwardSample:
         assert np.linalg.norm(x_1 - x0) <= bound + 1e-12
 
     def test_marginal_matches_closed_form(self):
-        sched = default_schedule(200)
+        sched = RunConfig().schedule()
         n = 100_000
         gen = stream_rng(7, 0)
         x0, t = 0.4, 120
@@ -102,7 +98,7 @@ class TestForwardSample:
 
 class TestScoreFromNoise:
     def test_zero_and_linearity(self, rng):
-        sched = default_schedule(50)
+        sched = make_linear_schedule(50, 4e-5, 0.4)
         assert np.allclose(score_from_noise(np.zeros(5), 10, sched), 0.0)
         eps = rng.standard_normal(5)
         assert np.allclose(
@@ -110,7 +106,7 @@ class TestScoreFromNoise:
         )
 
     def test_matches_analytic_score(self, rng):
-        sched = default_schedule(200)
+        sched = RunConfig().schedule()
         world = AnalyticGaussianWorld(mu0=0.5, var0=2.0, var_y=1.0)
         for t in (1, 77, 200):
             x = rng.standard_normal(32)
@@ -130,7 +126,7 @@ class TestGuidanceAlgebra:
         )
 
     def test_zero_gradients_collapse(self, rng):
-        sched = default_schedule(60)
+        sched = make_linear_schedule(60, 3e-5, 0.3)
         eps = rng.standard_normal(4)
         zero = np.zeros(4)
         for cfg in (
@@ -140,7 +136,7 @@ class TestGuidanceAlgebra:
             assert np.allclose(guided_noise_prediction(eps, zero, zero, 30, sched, cfg), eps)
 
     def test_gamma_pair_weighting(self, rng):
-        sched = default_schedule(60)
+        sched = make_linear_schedule(60, 3e-5, 0.3)
         eps, g1, g2 = rng.standard_normal((3, 4))
         cfg = GuidanceConfig(gamma1=0.7, gamma2=1.9)
         root = math.sqrt(1 - sched.alpha_bar_at(25))
@@ -150,7 +146,7 @@ class TestGuidanceAlgebra:
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0, 1), st.integers(1, 200), st.integers(0, 2**32 - 1))
     def test_noise_space_equals_score_space(self, lam, t, seed):
-        sched = default_schedule(200)
+        sched = RunConfig().schedule()
         gen = np.random.default_rng(seed)
         eps_theta, g1, g2 = gen.standard_normal((3, 5))
         cfg = GuidanceConfig(gamma1=lam, gamma2=1.0 - lam)
@@ -169,14 +165,14 @@ class TestGuidanceAlgebra:
 
 class TestReverseStep:
     def test_terminal_step_deterministic(self, rng):
-        sched = default_schedule(30)
+        sched = make_linear_schedule(30, 6e-5, 0.6)
         x = rng.standard_normal(6)
         eps = rng.standard_normal(6)
         outs = {reverse_step(x, eps, 1, sched, stream_rng(0, i)).tobytes() for i in range(3)}
         assert len(outs) == 1
 
     def test_unguided_sampler_recovers_prior(self):
-        sched = default_schedule(200)
+        sched = RunConfig().schedule()
         world = AnalyticGaussianWorld(mu0=0.0, var0=1.0, var_y=1.0)
         n = 4000
         samples = sample_terminal(world, sched, n, stream_rng(3, 0))
@@ -184,7 +180,7 @@ class TestReverseStep:
         assert abs(samples.var() - 1.0) < 3 * math.sqrt(2 / (n - 1))
 
     def test_guided_sampler_recovers_posterior(self):
-        sched = default_schedule(200)
+        sched = RunConfig().schedule()
         world = AnalyticGaussianWorld(mu0=0.0, var0=1.0, var_y=0.5)
         n = 4000
         samples = sample_terminal(
@@ -205,7 +201,7 @@ class TestAnalyticWorld:
 
     def test_observation_score_is_exact_bayes(self, rng):
         # prior score + obs score must equal the posterior-marginal score
-        sched = default_schedule(200)
+        sched = RunConfig().schedule()
         world = AnalyticGaussianWorld(mu0=0.3, var0=1.4, var_y=0.8)
         y = 1.1
         mean_post, var_post = world.posterior(y)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from uwdiff import autodiff as ad
 from uwdiff import training
 from uwdiff.autodiff import Tensor
+from uwdiff.config import RunConfig
 from uwdiff.denoiser import ConditionalDenoiser
-from uwdiff.diffusion import default_schedule, make_linear_schedule, stream_rng
+from uwdiff.diffusion import make_linear_schedule, stream_rng
 from uwdiff.errors import ParameterError, ShapeMismatchError, TrainingDivergedError
 from uwdiff.jointnet import JointNetConfig, init_params
 from uwdiff.training import (
@@ -240,7 +241,7 @@ class TestFineTune:
 
     def test_linear_model_approaches_least_squares_optimum(self):
         # single fixed timestep so the L1 and least-squares minimizers coincide
-        sched = default_schedule(200)
+        sched = RunConfig().schedule()
         t0 = 100
         ab = sched.alpha_bar_at(t0)
         s2 = ab * 1.0 + 1 - ab
