@@ -68,46 +68,100 @@ def _png_chunks(blob: bytes):
 def _unfilter_scanlines(raw: bytes, width: int, height: int, bpp: int) -> np.ndarray:
     """Reverse PNG per-row filtering into a (height, width * bpp) uint8 array.
 
-    bpp = bytes per complete pixel. None, Sub and Up are whole-row array
-    operations, whose uint8 arithmetic wraps mod 256 as PNG requires. Average
-    and Paeth depend on the byte just unfiltered to their left, so they run
-    as loops over Python lists.
+    bpp = bytes per complete pixel. Every filter byte is checked before any
+    row is unfiltered. An image without Average or Paeth rows, which includes
+    everything `encode_png` writes, is unfiltered row by row: None, Sub and Up
+    are whole-row array operations, whose uint8 arithmetic wraps mod 256 as
+    PNG requires. Average and Paeth depend on the byte just unfiltered to
+    their left, so an image with such rows goes through `_unfilter_wavefront`.
     """
     stride = width * bpp
     if len(raw) != height * (stride + 1):
         raise TruncatedFileError("decompressed PNG data has the wrong length")
     lines = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
+    filters = lines[:, 0]
+    invalid = filters[filters > 4]
+    if invalid.size:
+        raise UnsupportedFormatError(f"PNG filter type {invalid[0]} is invalid")
+    if (filters > 2).any():
+        return _unfilter_wavefront(lines, width, bpp)
     out = np.empty((height, stride), dtype=np.uint8)
     prev = np.zeros(stride, dtype=np.uint8)
-    for r in range(height):
-        fbyte = int(lines[r, 0])
-        line = lines[r, 1:]
-        row = out[r]
+    for fbyte, line, row in zip(filters.tolist(), lines[:, 1:], out):
         if fbyte == 0:
             row[:] = line
         elif fbyte == 1:  # Sub
             np.cumsum(line.reshape(width, bpp), axis=0, dtype=np.uint8, out=row.reshape(width, bpp))
-        elif fbyte == 2:  # Up
+        else:  # Up
             np.add(line, prev, out=row)
-        elif fbyte == 3:  # Average
-            x, b = line.tolist(), prev.tolist()
-            cur = [(xi + (bi >> 1)) & 0xFF for xi, bi in zip(x[:bpp], b)]
-            for xi, bi in zip(x[bpp:], b[bpp:]):
-                cur.append((xi + ((cur[-bpp] + bi) >> 1)) & 0xFF)
-            row[:] = cur
-        elif fbyte == 4:  # Paeth: a = left, b = up, c = up-left, all 0 off the image
-            x, b = line.tolist(), prev.tolist()
-            cur = [(xi + bi) & 0xFF for xi, bi in zip(x[:bpp], b)]
-            for xi, bi, ci in zip(x[bpp:], b[bpp:], b):
-                ai = cur[-bpp]
-                pa, pb, pc = abs(bi - ci), abs(ai - ci), abs(ai + bi - ci - ci)
-                pred = ai if pa <= pb and pa <= pc else (bi if pb <= pc else ci)
-                cur.append((xi + pred) & 0xFF)
-            row[:] = cur
-        else:
-            raise UnsupportedFormatError(f"PNG filter type {fbyte} is invalid")
         prev = row
     return out
+
+
+def _unfilter_wavefront(lines: np.ndarray, width: int, bpp: int) -> np.ndarray:
+    """Unfilter rows of every filter type together, one pixel column per step.
+
+    A row that ignores the row above (None, Sub, or the first row of a band)
+    has level 0; an Up, Average or Paeth row has the level of the row above
+    plus one. Pixel j of a row at level L is decoded at step j + L, after its
+    left, up and up-left neighbours, so a band takes width + max-level steps.
+    Bands are at most max(width, 32) rows tall, so however tall the image,
+    a band's skewed buffer holds about twice the band's bytes (a few
+    kilobytes below 32 px wide); for one band it would grow with height².
+    """
+    height = len(lines)
+    out = np.empty((height, width * bpp), dtype=np.uint8)
+    band = max(width, 32)
+    for top in range(0, height, band):
+        above = out[top - 1] if top else np.zeros(width * bpp, dtype=np.uint8)
+        _unfilter_band(lines[top : top + band], above, out[top : top + band], width, bpp)
+    return out
+
+
+def _unfilter_band(lines: np.ndarray, above: np.ndarray, out: np.ndarray, width: int, bpp: int) -> None:
+    """Unfilter a band of rows below the decoded row `above` into `out`.
+
+    `skew[2 + j + L, r + 1]` holds pixel j of band row r, filtered until its
+    step has run. Row 0 holds `above` one step early, where the band's first
+    row reads it as up and up-left. Steps 0 and 1 are zero: they are the
+    neighbours off the image's left edge, and the zero slots left of a row's
+    first pixel decode to zero from them. Slots right of a row's last pixel
+    fill with values that no pixel of the image reads.
+
+    Each step works on one contiguous (rows x bpp) slab in int16 temporaries.
+    None, Sub, Up and Average predict (wa * a + wb * b) >> 1 with per-row
+    weights (0, 0), (2, 0), (0, 2) and (1, 1); Paeth rows take the Paeth
+    predictor instead.
+    """
+    height = len(lines)
+    filters = lines[:, 0]
+    rows = np.arange(height)
+    # each row's distance below the last None or Sub row at or above it, or below the band's first row
+    levels = rows - np.maximum.accumulate(np.where(filters < 2, rows, 0))
+    max_level = int(levels.max())
+    skew = np.zeros((width + max_level + 2, height + 1, bpp), dtype=np.uint8)
+    skew[1 : 1 + width, 0] = above.reshape(width, bpp)
+    image = lines[:, 1:].reshape(height, width, bpp)
+    at_level = [np.flatnonzero(levels == level) for level in range(max_level + 1)]
+    for level, members in enumerate(at_level):
+        skew[2 + level : 2 + level + width, members + 1] = image[members].transpose(1, 0, 2)
+    wa = np.repeat(2 * (filters == 1) + (filters == 3), bpp).astype(np.int16)
+    wb = np.repeat(2 * (filters == 2) + (filters == 3), bpp).astype(np.int16)
+    paeth_rows = np.repeat(filters == 4, bpp)
+    slabs = skew.reshape(len(skew), -1)
+    for s in range(2, len(slabs)):
+        a = slabs[s - 1, bpp:].astype(np.int16)  # left
+        b = slabs[s - 1, :-bpp].astype(np.int16)  # up
+        c = slabs[s - 2, :-bpp].astype(np.int16)  # up-left
+        da, db = a - c, b - c
+        pc = np.abs(da + db)
+        pa, pb = np.abs(db), np.abs(da)
+        paeth = np.where(pa <= np.minimum(pb, pc), a, np.where(pb <= pc, b, c))
+        pred = np.where(paeth_rows, paeth, (a * wa + b * wb) >> 1)
+        slabs[s, bpp:] += pred.astype(np.uint8)
+    out = out.reshape(height, width, bpp)
+    for level, members in enumerate(at_level):
+        out[members] = skew[2 + level : 2 + level + width, members + 1].transpose(1, 0, 2)
 
 
 def decode_png(blob: bytes) -> RgbImage:

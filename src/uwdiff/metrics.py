@@ -244,43 +244,43 @@ def uciqe(img: RgbImage) -> float:
     return _UCIQE_C1 * sigma_chroma + _UCIQE_C2 * contrast + _UCIQE_C3 * float(saturation.mean())
 
 
-_TRACE_STEPS = {
-    0: (0, 1),
-    45: (1, 1),
-    90: (1, 0),
-    135: (1, -1),
-    180: (0, -1),
-    225: (-1, -1),
-    270: (-1, 0),
-    315: (-1, 1),
-}
+# (row, column) step per gradient direction k * 45 degrees, measured from +column towards +row
+_TRACE_STEPS = np.array([(0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1)])
 
 
-def _edge_width(lum: np.ndarray, row: int, col: int, gx: float, gy: float) -> float | None:
-    """Edge width along the (quantized) gradient direction, Marziliano-style.
+def _edge_widths(
+    lum: np.ndarray, rows: np.ndarray, cols: np.ndarray, gx: np.ndarray, gy: np.ndarray
+) -> np.ndarray:
+    """Edge widths at the pixels (rows, cols) along the quantized gradient, Marziliano-style.
 
-    The gradient vector is quantized to one of 8 directions; the walk goes
-    uphill along it and downhill against it to the nearest local extrema.
-    Returns None when the trace leaves the image before terminating.
+    Each gradient vector is quantized to one of 8 directions. One walk goes
+    uphill along it and one downhill against it, each to the nearest local
+    extremum; the width counts the steps of both. All pixels walk together,
+    one step per pass. A pixel whose walk leaves the image gets NaN.
     """
-    angle = math.degrees(math.atan2(gy, gx)) % 360.0
-    direction = int(round(angle / 45.0)) % 8 * 45
-    dr, dc = _TRACE_STEPS[direction]
+    # math.atan2 per pixel: np.arctan2 may differ from it in the last bit,
+    # which moves a gradient that lies on a sector boundary
+    directions = [
+        round(math.degrees(math.atan2(y, x)) % 360.0 / 45.0) % 8
+        for y, x in zip(gy[rows, cols].tolist(), gx[rows, cols].tolist())
+    ]
+    dr, dc = _TRACE_STEPS[directions].T
     height, width = lum.shape
-    total = 0.0
+    widths = np.zeros(len(rows))
     for sign in (1, -1):
-        r, c = row, col
-        value = lum[row, col]
-        while True:
-            nr, nc = r + sign * dr, c + sign * dc
-            if not (0 <= nr < height and 0 <= nc < width):
-                return None
-            nxt = lum[nr, nc]
-            if (sign > 0 and nxt <= value) or (sign < 0 and nxt >= value):
-                break
-            r, c, value = nr, nc, nxt
-            total += 1.0
-    return total
+        walking = np.flatnonzero(~np.isnan(widths))
+        r, c = rows[walking], cols[walking]
+        value = lum[r, c]
+        while walking.size:
+            r, c = r + sign * dr[walking], c + sign * dc[walking]
+            inside = (0 <= r) & (r < height) & (0 <= c) & (c < width)
+            widths[walking[~inside]] = np.nan
+            walking, r, c, value = walking[inside], r[inside], c[inside], value[inside]
+            nxt = lum[r, c]
+            on = nxt > value if sign > 0 else nxt < value
+            walking, r, c, value = walking[on], r[on], c[on], nxt[on]
+            widths[walking] += 1.0
+    return widths
 
 
 def cpbd(img: RgbImage) -> float:
@@ -298,32 +298,26 @@ def cpbd(img: RgbImage) -> float:
     mean_mag2 = float(mag2.mean())
     if mean_mag2 == 0.0:
         return 0.0
-    edges = mag2 > 4.0 * mean_mag2
-    probs = []
     # full blocks only; a trailing remainder thinner than one block is ignored
-    for br in range(img.height // _CPBD_BLOCK):
-        for bc in range(img.width // _CPBD_BLOCK):
-            rs = slice(br * _CPBD_BLOCK, (br + 1) * _CPBD_BLOCK)
-            cs = slice(bc * _CPBD_BLOCK, (bc + 1) * _CPBD_BLOCK)
-            block_edges = edges[rs, cs]
-            if float(block_edges.mean()) <= _CPBD_EDGE_RATIO:
-                continue
-            contrast = float(lum[rs, cs].max() - lum[rs, cs].min())
-            w_jnb = (
-                _JNB_WIDTH_LOW_CONTRAST
-                if contrast <= _CPBD_CONTRAST_SPLIT
-                else _JNB_WIDTH_HIGH_CONTRAST
-            )
-            for row, col in zip(*np.nonzero(block_edges)):
-                r, c = rs.start + int(row), cs.start + int(col)
-                width = _edge_width(lum, r, c, gx[r, c], gy[r, c])
-                if width is None:
-                    continue
-                probs.append(1.0 - math.exp(-((width / w_jnb) ** _CPBD_BETA)))
-    if not probs:
+    height = img.height - img.height % _CPBD_BLOCK
+    width = img.width - img.width % _CPBD_BLOCK
+    edges = mag2[:height, :width] > 4.0 * mean_mag2
+    edge_blocks = edges.reshape(height // _CPBD_BLOCK, _CPBD_BLOCK, width // _CPBD_BLOCK, _CPBD_BLOCK)
+    scored = edge_blocks.sum(axis=(1, 3)) / _CPBD_BLOCK**2 > _CPBD_EDGE_RATIO
+    block_max, block_min = _block_extrema(lum[:height, :width], _CPBD_BLOCK)
+    w_jnb = np.where(
+        block_max - block_min <= _CPBD_CONTRAST_SPLIT, _JNB_WIDTH_LOW_CONTRAST, _JNB_WIDTH_HIGH_CONTRAST
+    )
+    rows, cols = np.nonzero((edge_blocks & scored[:, None, :, None]).reshape(height, width))
+    widths = _edge_widths(lum, rows, cols, gx, gy)
+    measured = ~np.isnan(widths)
+    if not measured.any():
         return 0.0
-    probs_arr = np.asarray(probs)
-    return float(np.mean(probs_arr <= _CPBD_PBLUR_THRESHOLD))
+    w_jnb = w_jnb[rows // _CPBD_BLOCK, cols // _CPBD_BLOCK][measured]
+    # widths are whole numbers, so every probability is below 0.37 or above
+    # 0.632: no rounding of np.exp against math.exp can move one across 0.63
+    probs = 1.0 - np.exp(-((widths[measured] / w_jnb) ** _CPBD_BETA))
+    return float(np.mean(probs <= _CPBD_PBLUR_THRESHOLD))
 
 
 def evaluate(img: RgbImage, reference: RgbImage | None = None) -> MetricReport:

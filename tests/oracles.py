@@ -208,6 +208,33 @@ def uciqe_ref(rgb01: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def edge_width_loop(lum: np.ndarray, row: int, col: int, gx: float, gy: float) -> float | None:
+    """Marziliano edge width at one pixel: walk uphill along the gradient
+    (quantized to 8 directions) and downhill against it to the nearest local
+    extrema; None when either walk leaves the image first."""
+    h, w = lum.shape
+    angle = math.degrees(math.atan2(gy, gx)) % 360.0
+    direction = int(round(angle / 45.0)) % 8 * 45
+    dr, dc = {
+        0: (0, 1), 45: (1, 1), 90: (1, 0), 135: (1, -1),
+        180: (0, -1), 225: (-1, -1), 270: (-1, 0), 315: (-1, 1),
+    }[direction]
+    total = 0.0
+    for sign in (1, -1):
+        rr, cc = row, col
+        val = lum[rr, cc]
+        while True:
+            nr, nc = rr + sign * dr, cc + sign * dc
+            if not (0 <= nr < h and 0 <= nc < w):
+                return None
+            nxt = lum[nr, nc]
+            if (sign > 0 and nxt <= val) or (sign < 0 and nxt >= val):
+                break
+            rr, cc, val = nr, nc, nxt
+            total += 1.0
+    return total
+
+
 def cpbd_ref(rgb01: np.ndarray) -> float:
     lum = (0.299 * rgb01[..., 0] + 0.587 * rgb01[..., 1] + 0.114 * rgb01[..., 2]) * 255.0
     h, w = lum.shape
@@ -217,29 +244,6 @@ def cpbd_ref(rgb01: np.ndarray) -> float:
     if mean_mag2 == 0:
         return 0.0
     edges = mag2 > 4.0 * mean_mag2
-
-    def width_at(r: int, c: int) -> float | None:
-        angle = math.degrees(math.atan2(gy[r, c], gx[r, c])) % 360.0
-        direction = int(round(angle / 45.0)) % 8 * 45
-        dr, dc = {
-            0: (0, 1), 45: (1, 1), 90: (1, 0), 135: (1, -1),
-            180: (0, -1), 225: (-1, -1), 270: (-1, 0), 315: (-1, 1),
-        }[direction]
-        total = 0.0
-        for sign in (1, -1):
-            rr, cc = r, c
-            val = lum[rr, cc]
-            while True:
-                nr, nc = rr + sign * dr, cc + sign * dc
-                if not (0 <= nr < h and 0 <= nc < w):
-                    return None
-                nxt = lum[nr, nc]
-                if (sign > 0 and nxt <= val) or (sign < 0 and nxt >= val):
-                    break
-                rr, cc, val = nr, nc, nxt
-                total += 1.0
-        return total
-
     probs = []
     for br in range(h // 64):
         for bc in range(w // 64):
@@ -255,13 +259,50 @@ def cpbd_ref(rgb01: np.ndarray) -> float:
                 for c in cols:
                     if not edges[r, c]:
                         continue
-                    width = width_at(r, c)
+                    width = edge_width_loop(lum, r, c, gx[r, c], gy[r, c])
                     if width is None:
                         continue
                     probs.append(1.0 - math.exp(-((width / w_jnb) ** 3.6)))
     if not probs:
         return 0.0
     return sum(1 for p in probs if p <= 0.63) / len(probs)
+
+
+# ---------------------------------------------------------------------------
+# PNG scanline unfiltering, byte by byte
+# ---------------------------------------------------------------------------
+
+
+def unfilter_loop(raw: bytes, width: int, height: int, bpp: int) -> np.ndarray:
+    """Reverse PNG filtering one byte at a time, straight from the spec: each
+    filtered byte x becomes x + predictor mod 256, where the predictor reads the
+    already unfiltered bytes a (left), b (up) and c (up-left), 0 off the image."""
+    stride = width * bpp
+    out = []
+    prev = [0] * stride
+    for r in range(height):
+        line = raw[r * (stride + 1) : (r + 1) * (stride + 1)]
+        ftype, x = line[0], line[1:]
+        cur = []
+        for i in range(stride):
+            a = cur[i - bpp] if i >= bpp else 0
+            b = prev[i]
+            c = prev[i - bpp] if i >= bpp else 0
+            if ftype == 0:
+                pred = 0
+            elif ftype == 1:
+                pred = a
+            elif ftype == 2:
+                pred = b
+            elif ftype == 3:
+                pred = (a + b) >> 1
+            else:
+                pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - c - c)
+                pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
+            cur.append((x[i] + pred) & 0xFF)
+        out.append(cur)
+        prev = cur
+    return np.array(out, dtype=np.uint8).reshape(height, stride)
 
 
 # ---------------------------------------------------------------------------

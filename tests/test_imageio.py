@@ -1,13 +1,18 @@
 import io
 import os
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uwdiff import imageio
 from uwdiff.checkpoint import write_checkpoint
 from uwdiff.errors import DimensionLimitError, TruncatedFileError, UnsupportedFormatError
 from uwdiff.imageio import (
+    _unfilter_scanlines,
     decode_png,
     decode_ppm,
     encode_png,
@@ -16,6 +21,8 @@ from uwdiff.imageio import (
     save_image,
 )
 from uwdiff.images import RgbImage
+
+from oracles import unfilter_loop
 
 
 def random_image(rng, h=7, w=11):
@@ -137,6 +144,65 @@ class TestPngForeignFiles:
         assert np.array_equal(img.data, quant / 255)
 
 
+@st.composite
+def filtered_streams(draw):
+    """A random filtered scanline stream: height and width 1-40, 8/16-bit RGB or
+    RGBA, and a filter byte per row drawn at random, or one dependent filter on
+    every row (all Paeth gives the deepest wavefront, max level = height - 1)."""
+    height, width = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    bpp = draw(st.sampled_from((3, 4, 6, 8)))
+    filters = draw(
+        st.one_of(
+            st.lists(st.integers(0, 4), min_size=height, max_size=height),
+            st.sampled_from((2, 3, 4)).map(lambda f: [f] * height),
+        )
+    )
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    body = gen.integers(0, 256, (height, width * bpp), dtype=np.uint8)
+    return np.column_stack([np.array(filters, np.uint8), body]).tobytes(), width, height, bpp
+
+
+def paeth_stream(width, height, bpp):
+    body = np.random.default_rng(0).integers(0, 256, (height, width * bpp), dtype=np.uint8)
+    return np.column_stack([np.full(height, 4, np.uint8), body]).tobytes()
+
+
+class TestUnfilter:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(filtered_streams())
+    def test_equals_the_byte_loop(self, stream):
+        raw, width, height, bpp = stream
+        expected = unfilter_loop(raw, width, height, bpp)
+        assert np.array_equal(_unfilter_scanlines(raw, width, height, bpp), expected)
+
+    @pytest.mark.parametrize("width, height, bpp", [(512, 512, 4), (2, 1000, 3)], ids=["square", "tall"])
+    def test_all_paeth_peak_memory(self, width, height, bpp):
+        # the wavefront's uint8 skewed buffer is about twice the stream; a
+        # tall, narrow image is unfiltered in bands, or its buffer would grow
+        # with height squared
+        raw = paeth_stream(width, height, bpp)
+        tracemalloc.start()
+        try:
+            rows = _unfilter_scanlines(raw, width, height, bpp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * len(raw), peak / len(raw)
+        if height > width:
+            assert np.array_equal(rows, unfilter_loop(raw, width, height, bpp))
+
+    def test_encoder_output_never_enters_the_wavefront(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("wavefront entered")
+
+        img = random_image(rng, 9, 13)
+        expected = decode_png(encode_png(img)).data
+        monkeypatch.setattr(imageio, "_unfilter_wavefront", refuse)
+        assert np.array_equal(decode_png(encode_png(img)).data, expected)
+        with pytest.raises(AssertionError, match="wavefront entered"):
+            _unfilter_scanlines(paeth_stream(3, 2, 3), 3, 2, 3)
+
+
 class TestPngErrors:
     def test_truncated_png_no_partial_image(self, rng):
         blob = encode_png(random_image(rng))
@@ -163,6 +229,16 @@ class TestPngErrors:
         raw[7] = 5  # second row's filter byte
         with pytest.raises(UnsupportedFormatError, match="PNG filter type 5 is invalid"):
             decode_png(png_blob(2, 3, 8, 2, bytes(raw)))
+
+    def test_first_invalid_filter_named_before_unfiltering(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("unfiltering started")
+
+        monkeypatch.setattr(imageio, "_unfilter_wavefront", refuse)
+        raw = bytearray(paeth_stream(2, 4, 3))
+        raw[7], raw[21] = 7, 5  # filter bytes of rows 1 and 3
+        with pytest.raises(UnsupportedFormatError, match="PNG filter type 7 is invalid"):
+            decode_png(png_blob(2, 4, 8, 2, bytes(raw)))
 
     def test_wrong_data_length(self):
         raw = filter_scanlines(np.zeros((3, 6), np.uint8), 3, [0, 0, 0])

@@ -5,11 +5,12 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 from uwdiff.errors import ParameterError, ShapeMismatchError
-from uwdiff.images import RgbImage
+from uwdiff.images import RgbImage, luminance_bt601
 from uwdiff.metrics import (
     ALL_METRICS,
     MIN_SIDE,
     _block_extrema,
+    _edge_widths,
     _eme,
     _uiconm,
     cpbd,
@@ -21,7 +22,7 @@ from uwdiff.metrics import (
     uiqm,
 )
 
-from oracles import cpbd_ref, eme_ref, psnr_loop, sobel_loop, uciqe_ref, uiconm_ref, uiqm_ref
+from oracles import cpbd_ref, edge_width_loop, eme_ref, psnr_loop, sobel_loop, uciqe_ref, uiconm_ref, uiqm_ref
 
 # skimage.metrics.structural_similarity (win 11, sigma 1.5, no sample
 # covariance, data_range 1) on the seeded chart below vs its inversion,
@@ -261,6 +262,21 @@ class TestCpbd:
     def test_hflip_invariant(self):
         img = colorful_chart(seed=5, size=128)
         assert cpbd(img) == pytest.approx(cpbd(hflip(img)), abs=1e-12)
+
+    @pytest.mark.parametrize("chart", [seeded_chart, colorful_chart])
+    @pytest.mark.parametrize("size", [64, 100, 250])
+    def test_edge_walks_match_the_scalar_walk(self, chart, size):
+        # every edge pixel of the image, scored block or not, so that some
+        # walks leave the image
+        lum = luminance_bt601(chart(seed=size, size=size)) * 255.0
+        gx, gy = sobel_gradients(lum)
+        mag2 = gx**2 + gy**2
+        rows, cols = np.nonzero(mag2 > 4.0 * mag2.mean())
+        widths = _edge_widths(lum, rows, cols, gx, gy)
+        pixels = zip(rows.tolist(), cols.tolist())
+        expected = [edge_width_loop(lum, r, c, gx[r, c], gy[r, c]) for r, c in pixels]
+        assert any(e is not None for e in expected)
+        assert [None if np.isnan(w) else w for w in widths.tolist()] == expected
 
 
 class TestBlurMonotonicity:
