@@ -3,6 +3,11 @@
 All pixel data is float64 end to end. sRGB samples are nominally in [0, 1]
 (out-of-range values are tolerated as transient state and clamped only on
 serialization); CIELAB uses the D65 white point with the 2-degree observer.
+
+The sRGB <-> CIELAB conversions run over bands of whole rows, up to
+_BAND_PIXELS pixels (one row when a row is wider), each written into one
+preallocated output. A conversion's working set is its input, its output
+and one band of temporaries, whatever the image size.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ _D65_WHITE = np.array([0.95047, 1.00000, 1.08883])
 # CIE f(t) breakpoints: (6/29)^3 and the linear-segment slope constant.
 _LAB_EPS = 216.0 / 24389.0
 _LAB_KAPPA = 24389.0 / 27.0
+
+# Most pixels an sRGB <-> Lab conversion transforms at once
+_BAND_PIXELS = 8192
 
 
 def _as_pixels(data, width: int, height: int) -> np.ndarray:
@@ -109,26 +117,46 @@ def _lab_f_inv(f: np.ndarray) -> np.ndarray:
     return np.where(f3 > _LAB_EPS, f3, (116.0 * f - 16.0) / _LAB_KAPPA)
 
 
-def srgb_to_lab(img: RgbImage) -> LabImage:
-    """Convert sRGB to CIELAB (D65/2deg). Samples are clamped to [0,1] first."""
-    rgb = np.clip(img.data, 0.0, 1.0)
-    xyz = srgb_decode(rgb) @ _RGB_TO_XYZ.T
+def _in_row_bands(convert, data: np.ndarray) -> np.ndarray:
+    """Apply the pixelwise `convert` to bands of whole rows of `data`.
+
+    Every step of a conversion is elementwise except the 3x3 color matrix
+    product, and numpy runs (H, W, 3) @ (3, 3) as one (W, 3) @ (3, 3) product
+    per row, so splitting at row boundaries leaves every output's bits as
+    one whole-image call gives them.
+    """
+    out = np.empty_like(data)
+    rows = max(1, _BAND_PIXELS // data.shape[1])
+    for top in range(0, data.shape[0], rows):
+        out[top : top + rows] = convert(data[top : top + rows])
+    return out
+
+
+def _srgb_rows_to_lab(rgb: np.ndarray) -> np.ndarray:
+    xyz = srgb_decode(np.clip(rgb, 0.0, 1.0)) @ _RGB_TO_XYZ.T
     f = _lab_f(xyz / _D65_WHITE)
     lightness = 116.0 * f[..., 1] - 16.0
     a = 500.0 * (f[..., 0] - f[..., 1])
     b = 200.0 * (f[..., 1] - f[..., 2])
-    return LabImage(img.width, img.height, np.stack([lightness, a, b], axis=-1))
+    return np.stack([lightness, a, b], axis=-1)
 
 
-def lab_to_srgb(img: LabImage) -> RgbImage:
-    """Convert CIELAB back to sRGB; outputs are clamped to [0,1]."""
-    lab = img.data
+def _lab_rows_to_srgb(lab: np.ndarray) -> np.ndarray:
     fy = (lab[..., 0] + 16.0) / 116.0
     fx = fy + lab[..., 1] / 500.0
     fz = fy - lab[..., 2] / 200.0
     xyz = np.stack([_lab_f_inv(fx), _lab_f_inv(fy), _lab_f_inv(fz)], axis=-1) * _D65_WHITE
-    rgb = srgb_encode(xyz @ _XYZ_TO_RGB.T)
-    return RgbImage(img.width, img.height, np.clip(rgb, 0.0, 1.0))
+    return np.clip(srgb_encode(xyz @ _XYZ_TO_RGB.T), 0.0, 1.0)
+
+
+def srgb_to_lab(img: RgbImage) -> LabImage:
+    """Convert sRGB to CIELAB (D65/2deg). Samples are clamped to [0,1] first."""
+    return LabImage(img.width, img.height, _in_row_bands(_srgb_rows_to_lab, img.data))
+
+
+def lab_to_srgb(img: LabImage) -> RgbImage:
+    """Convert CIELAB back to sRGB; outputs are clamped to [0,1]."""
+    return RgbImage(img.width, img.height, _in_row_bands(_lab_rows_to_srgb, img.data))
 
 
 def channel_stats(img: LabImage) -> ChannelStats:

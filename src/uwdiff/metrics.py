@@ -244,8 +244,27 @@ def uciqe(img: RgbImage) -> float:
     return _UCIQE_C1 * sigma_chroma + _UCIQE_C2 * contrast + _UCIQE_C3 * float(saturation.mean())
 
 
+# An angle in 45-degree units this close to a half-integer is rounded from math.atan2
+_SECTOR_TOLERANCE = 1e-9
 # (row, column) step per gradient direction k * 45 degrees, measured from +column towards +row
 _TRACE_STEPS = np.array([(0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1)])
+
+
+def _gradient_directions(gy: np.ndarray, gx: np.ndarray) -> np.ndarray:
+    """Each gradient's direction index, round(degrees(atan2(gy, gx)) % 360 / 45) % 8.
+
+    np.arctan2 may differ from math.atan2 in the last bit, which moves a
+    gradient that lies on a sector boundary (a half-integer multiple of 45
+    degrees); the angles within _SECTOR_TOLERANCE of one are recomputed with
+    math.atan2.
+    """
+    scaled = np.degrees(np.arctan2(gy, gx)) % 360.0 / 45.0
+    directions = np.rint(scaled).astype(np.intp) % 8
+    near = np.flatnonzero(np.abs(scaled % 1.0 - 0.5) < _SECTOR_TOLERANCE)
+    directions[near] = [
+        round(math.degrees(math.atan2(y, x)) % 360.0 / 45.0) % 8 for y, x in zip(gy[near].tolist(), gx[near].tolist())
+    ]
+    return directions
 
 
 def _edge_widths(
@@ -258,13 +277,7 @@ def _edge_widths(
     extremum; the width counts the steps of both. All pixels walk together,
     one step per pass. A pixel whose walk leaves the image gets NaN.
     """
-    # math.atan2 per pixel: np.arctan2 may differ from it in the last bit,
-    # which moves a gradient that lies on a sector boundary
-    directions = [
-        round(math.degrees(math.atan2(y, x)) % 360.0 / 45.0) % 8
-        for y, x in zip(gy[rows, cols].tolist(), gx[rows, cols].tolist())
-    ]
-    dr, dc = _TRACE_STEPS[directions].T
+    dr, dc = _TRACE_STEPS[_gradient_directions(gy[rows, cols], gx[rows, cols])].T
     height, width = lum.shape
     widths = np.zeros(len(rows))
     for sign in (1, -1):

@@ -70,6 +70,47 @@ def rgb_to_lab_scalar(r: float, g: float, b: float) -> tuple[float, float, float
 
 
 # ---------------------------------------------------------------------------
+# Whole-image CIELAB (D65/2deg): every intermediate at full image size, as
+# the package computed it before its conversions ran in row bands
+# ---------------------------------------------------------------------------
+
+_RGB_TO_XYZ = np.array(
+    [
+        [0.4124564, 0.3575761, 0.1804375],
+        [0.2126729, 0.7151522, 0.0721750],
+        [0.0193339, 0.1191920, 0.9503041],
+    ]
+)
+_D65_WHITE = np.array([0.95047, 1.00000, 1.08883])
+_LAB_EPS = 216.0 / 24389.0
+_LAB_KAPPA = 24389.0 / 27.0
+
+
+def srgb_to_lab_ref(rgb: np.ndarray) -> np.ndarray:
+    s = np.clip(rgb, 0.0, 1.0)
+    linear = np.where(s <= 0.04045, s / 12.92, ((s + 0.055) / 1.055) ** 2.4)
+    t = (linear @ _RGB_TO_XYZ.T) / _D65_WHITE
+    f = np.where(t > _LAB_EPS, np.cbrt(t), (_LAB_KAPPA * t + 16.0) / 116.0)
+    return np.stack(
+        [116.0 * f[..., 1] - 16.0, 500.0 * (f[..., 0] - f[..., 1]), 200.0 * (f[..., 1] - f[..., 2])], axis=-1
+    )
+
+
+def lab_to_srgb_ref(lab: np.ndarray) -> np.ndarray:
+    def f_inv(f):
+        f3 = f**3
+        return np.where(f3 > _LAB_EPS, f3, (116.0 * f - 16.0) / _LAB_KAPPA)
+
+    fy = (lab[..., 0] + 16.0) / 116.0
+    fx = fy + lab[..., 1] / 500.0
+    fz = fy - lab[..., 2] / 200.0
+    xyz = np.stack([f_inv(fx), f_inv(fy), f_inv(fz)], axis=-1) * _D65_WHITE
+    v = np.clip(xyz @ np.linalg.inv(_RGB_TO_XYZ).T, 0.0, None)
+    rgb = np.where(v <= 0.0031308, 12.92 * v, 1.055 * v ** (1.0 / 2.4) - 0.055)
+    return np.clip(rgb, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # Sobel with edge-duplicating (symmetric) reflection, scalar loops
 # ---------------------------------------------------------------------------
 

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uwdiff import images
 from uwdiff.errors import EmptyImageError, ParameterError
 from uwdiff.images import (
     ChannelStats,
@@ -13,7 +16,7 @@ from uwdiff.images import (
     srgb_to_lab,
 )
 
-from oracles import two_pass_stats
+from oracles import lab_to_srgb_ref, srgb_to_lab_ref, two_pass_stats
 
 # Frozen from skimage.color.rgb2lab (D65/2deg) before the build; our converter
 # must agree within 1e-2 per the independent-oracle contract.
@@ -80,6 +83,41 @@ class TestLabToSrgb:
         img = RgbImage.from_array(gen.uniform(0, 1, (6, 5, 3)))
         back = lab_to_srgb(srgb_to_lab(img))
         assert np.max(np.abs(back.data - img.data)) < 1e-4
+
+
+class TestRowBands:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 300),
+        st.sampled_from(["one", "band - 1", "band", "band + 1", "257"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equal_the_whole_image_formulas(self, width, kind, seed):
+        band = max(1, images._BAND_PIXELS // width)
+        height = {"one": 1, "band - 1": max(1, band - 1), "band": band, "band + 1": band + 1, "257": 257}[kind]
+        gen = np.random.default_rng(seed)
+        # sRGB beyond [0, 1] and Lab beyond the gamut exercise both clamps
+        rgb = gen.uniform(-0.5, 1.5, (height, width, 3))
+        lab = gen.uniform(-200.0, 200.0, (height, width, 3))
+        lab[..., 0] = gen.uniform(-30.0, 130.0, (height, width))
+        assert srgb_to_lab(RgbImage.from_array(rgb)).data.tobytes() == srgb_to_lab_ref(rgb).tobytes()
+        assert lab_to_srgb(LabImage.from_array(lab)).data.tobytes() == lab_to_srgb_ref(lab).tobytes()
+
+    @pytest.mark.parametrize(
+        "convert,raster,high",
+        [(srgb_to_lab, RgbImage, 1.0), (lab_to_srgb, LabImage, 100.0)],
+        ids=["srgb_to_lab", "lab_to_srgb"],
+    )
+    def test_working_set_is_bounded(self, convert, raster, high, rng):
+        # the output alone is one image's bytes; whole-image intermediates peaked at 6-7 times it
+        img = raster.from_array(rng.uniform(0.0, high, (512, 512, 3)))
+        tracemalloc.start()
+        try:
+            convert(img)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * img.data.nbytes
 
 
 class TestChannelStats:

@@ -12,6 +12,7 @@ from uwdiff.metrics import (
     _block_extrema,
     _edge_widths,
     _eme,
+    _gradient_directions,
     _uiconm,
     cpbd,
     evaluate,
@@ -239,6 +240,10 @@ class TestUciqe:
         assert uciqe(img) == pytest.approx(uciqe(hflip(img)), abs=1e-12)
 
 
+def scalar_direction(gy: float, gx: float) -> int:
+    return round(math.degrees(math.atan2(gy, gx)) % 360.0 / 45.0) % 8
+
+
 class TestCpbd:
     def test_sharp_chart_near_one_and_blur_lowers(self):
         chart = step_chart()
@@ -273,10 +278,26 @@ class TestCpbd:
         mag2 = gx**2 + gy**2
         rows, cols = np.nonzero(mag2 > 4.0 * mag2.mean())
         widths = _edge_widths(lum, rows, cols, gx, gy)
-        pixels = zip(rows.tolist(), cols.tolist())
+        pixels = list(zip(rows.tolist(), cols.tolist()))
         expected = [edge_width_loop(lum, r, c, gx[r, c], gy[r, c]) for r, c in pixels]
         assert any(e is not None for e in expected)
         assert [None if np.isnan(w) else w for w in widths.tolist()] == expected
+        directions = [scalar_direction(gy[r, c], gx[r, c]) for r, c in pixels]
+        assert _gradient_directions(gy[rows, cols], gx[rows, cols]).tolist() == directions
+
+    def test_directions_match_the_scalar_formula_within_one_ulp_of_each_sector_boundary(self):
+        gy, gx = [], []
+        for k in range(8):
+            angle = (k + 0.5) * math.pi / 4.0
+            for scale in (1e-3, 1.0, 255.0, 1e4):
+                y, x = scale * math.sin(angle), scale * math.cos(angle)
+                for ny in (-math.inf, None, math.inf):
+                    for nx in (-math.inf, None, math.inf):
+                        gy.append(y if ny is None else math.nextafter(y, ny))
+                        gx.append(x if nx is None else math.nextafter(x, nx))
+        gy, gx = np.array(gy), np.array(gx)
+        expected = [scalar_direction(y, x) for y, x in zip(gy.tolist(), gx.tolist())]
+        assert _gradient_directions(gy, gx).tolist() == expected
 
 
 class TestBlurMonotonicity:
