@@ -16,12 +16,14 @@ import os
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from .autodiff import Tensor
 from .config import RunConfig, load_config, resolve_text
 from .errors import ConfigError, SamplingDivergedError, ShapeMismatchError, TrainingDivergedError, UwdiffError
 from .imageio import list_images, load_image, write_atomic
 from .images import RgbImage
-from .jointnet import init_params, train_prompts
+from .jointnet import init_params, prompt_shapes, train_prompts
 from .metrics import ALL_METRICS, MIN_SIDE, MetricReport, evaluate
 from .pipeline import (
     enhance_directory,
@@ -87,9 +89,8 @@ def cmd_train_prompts(args) -> int:
     params = init_params(config.classifier(), config.seed)
     result = train_prompts(dataset, params, config.prompt_training())
     ckpt_path = os.path.join(out, "prompts.ckpt")
-    tensors = dict(params.tensors)
-    tensors["prompt.natural"] = Tensor(result.prompt_natural.tokens)
-    tensors["prompt.underwater"] = Tensor(result.prompt_underwater.tokens)
+    prompts = zip(prompt_shapes(params.config), (result.prompt_natural, result.prompt_underwater))
+    tensors = {**params.tensors, **{name: Tensor(prompt.tokens) for name, prompt in prompts}}
     save_checkpoint(ckpt_path, tensors, config)
     log_path = os.path.join(out, "prompts.log")
     lines = ["epoch\tloss"]
@@ -156,7 +157,7 @@ def cmd_enhance(args) -> int:
     written = enhance_directory(
         args.input,
         out,
-        model,
+        model.astype(np.float32),  # made once, before any sampling thread starts
         config.schedule(),
         seed=config.seed,
         context=context,
@@ -322,7 +323,7 @@ def main(argv=None) -> int:
     except (TrainingDivergedError, SamplingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except (UwdiffError, FileNotFoundError, NotADirectoryError) as exc:
+    except (UwdiffError, FileNotFoundError, NotADirectoryError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

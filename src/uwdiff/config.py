@@ -1,7 +1,8 @@
 """Declarative run configuration: sectioned key = value files with strict parsing.
 
 Each RunConfig field declares its key ("section.key") and its default, whose
-type picks its parser; nothing else lists the keys.
+type picks its parser; nothing else lists the keys. A field that a library
+dataclass field owns takes that field's default, so each default lives once.
 Unknown sections or keys are an error so typos cannot silently fall back to
 defaults; making a RunConfig runs each library bound once. `resolve_text`
 renders the fully merged configuration, which every stage prints first.
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field, fields
 from .denoiser import ConditionalDenoiser, layer_shapes
 from .diffusion import GuidanceConfig, NoiseSchedule, make_linear_schedule
 from .errors import ConfigError, ParameterError
+from .imageio import read_text
 from .jointnet import JointNetConfig, PromptTrainConfig
 from .synthesis import ScatterRanges, check_method
 from .training import LossWeights, OptimizerConfig, check_t_range
@@ -42,24 +44,24 @@ class RunConfig:
     beta_start: float = _key("schedule.beta_start", 1e-5)
     beta_end: float = _key("schedule.beta_end", 1e-1)
     # weight of the classifier's alignment gradient
-    gamma2: float = _key("guidance.gamma2", 0.0)
-    lambda1: float = _key("loss.lambda1", 0.6)
-    lambda2: float = _key("loss.lambda2", 0.4)
-    learning_rate: float = _key("optimizer.learning_rate", 1e-3)
-    train_steps: int = _key("optimizer.steps", 200)
+    gamma2: float = _key("guidance.gamma2", GuidanceConfig.gamma2)
+    lambda1: float = _key("loss.lambda1", LossWeights.lambda1)
+    lambda2: float = _key("loss.lambda2", LossWeights.lambda2)
+    learning_rate: float = _key("optimizer.learning_rate", OptimizerConfig.learning_rate)
+    train_steps: int = _key("optimizer.steps", OptimizerConfig.total_steps)
     train_t_min: int = _key("optimizer.t_min", 1)  # smallest diffusion step sampled during fine-tuning
     synth_method: str = _key("synthesis.method", "color_transfer")
-    beta_direct_min: float = _key("synthesis.beta_direct_min", 0.1)
-    beta_direct_max: float = _key("synthesis.beta_direct_max", 1.5)
-    beta_backscatter_min: float = _key("synthesis.beta_backscatter_min", 0.05)
-    beta_backscatter_max: float = _key("synthesis.beta_backscatter_max", 1.0)
-    veil_min: float = _key("synthesis.veil_min", 0.05)
-    veil_max: float = _key("synthesis.veil_max", 0.95)
-    depth_min: float = _key("synthesis.depth_min", 0.5)
-    depth_max: float = _key("synthesis.depth_max", 4.0)
-    classifier_width: int = _key("classifier.width", 64)
-    embed_dim: int = _key("classifier.embed_dim", 16)
-    prompt_epochs: int = _key("classifier.epochs", 200)
+    beta_direct_min: float = _key("synthesis.beta_direct_min", ScatterRanges.beta_direct[0])
+    beta_direct_max: float = _key("synthesis.beta_direct_max", ScatterRanges.beta_direct[1])
+    beta_backscatter_min: float = _key("synthesis.beta_backscatter_min", ScatterRanges.beta_backscatter[0])
+    beta_backscatter_max: float = _key("synthesis.beta_backscatter_max", ScatterRanges.beta_backscatter[1])
+    veil_min: float = _key("synthesis.veil_min", ScatterRanges.veil[0])
+    veil_max: float = _key("synthesis.veil_max", ScatterRanges.veil[1])
+    depth_min: float = _key("synthesis.depth_min", ScatterRanges.depth[0])
+    depth_max: float = _key("synthesis.depth_max", ScatterRanges.depth[1])
+    classifier_width: int = _key("classifier.width", JointNetConfig.width)
+    embed_dim: int = _key("classifier.embed_dim", JointNetConfig.embed_dim)
+    prompt_epochs: int = _key("classifier.epochs", PromptTrainConfig.epochs)
     denoiser_width: int = _key("denoiser.width", 16)
 
     where = {}  # not a field: field name -> "<where parse_config_text read it>: section.key"
@@ -158,8 +160,7 @@ def _built(values: dict) -> RunConfig | str:
 def load_config(path=None, seed: str | None = None) -> RunConfig:
     if path is None:
         return parse_config_text("", seed=seed)
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), str(path), seed)
+    return parse_config_text(read_text(path, ConfigError, "config file"), str(path), seed)
 
 
 def resolve_text(config: RunConfig) -> str:

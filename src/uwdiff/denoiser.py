@@ -8,10 +8,11 @@ weights follow one (name, shape) table, layer_shapes(width): a new model draws
 them from its seed, and a checkpoint load hands in the checked tensors and
 draws nothing.
 
-The weights are float64, and training and every gradient use them. Calling
-the model, the graph-free path that sampling takes, runs in float32 on a
-float32 copy of the weights (mixed-precision practice: Micikevicius et al.
-2018, "Mixed precision training").
+A model's weights are float64, and training and every gradient use them.
+Calling a model, the graph-free path that sampling takes, runs in its weights'
+dtype; `enhance` samples with a float32 copy made once by `astype`
+(mixed-precision practice: Micikevicius et al. 2018, "Mixed precision
+training").
 """
 
 from __future__ import annotations
@@ -45,26 +46,13 @@ class ConditionalDenoiser:
         # drawn from seed, or a checkpoint's tensors as given; plain leaves: sampling
         # records no graph, fine_tune marks them trainable
         self.tensors = ad.init_layers(stream_rng(seed, 77), layer_shapes(width)) if tensors is None else tensors
-        self._single = ((), {})  # (the float64 arrays copied, their float32 copies by name)
 
     def parameters(self) -> list[Tensor]:
         return list(self.tensors.values())
 
-    def _weights(self, dtype) -> dict[str, Tensor]:
-        """The weights as tensors of dtype: the float64 tensors themselves, or
-        float32 copies. The copies are remade whenever Adam, the only code
-        that replaces a weight's array, has replaced one since they were made.
-        They are kept with the arrays they copy, so no new array can reuse a
-        copied one's identity. Threads that race to remake them each make the
-        same bytes."""
-        if dtype != np.float32:
-            return self.tensors
-        sources, copies = self._single
-        current = tuple(tensor.data for tensor in self.tensors.values())
-        if len(sources) != len(current) or any(a is not b for a, b in zip(sources, current)):
-            copies = {name: Tensor(data.astype(np.float32)) for name, data in zip(self.tensors, current)}
-            self._single = (current, copies)
-        return copies
+    def astype(self, dtype) -> ConditionalDenoiser:
+        """A new model whose weights are dtype (float32 or float64) copies of these; it shares no array."""
+        return ConditionalDenoiser(tensors={name: Tensor(t.data.astype(dtype)) for name, t in self.tensors.items()})
 
     def clean_graph(self, x_t: Tensor, condition: np.ndarray, t: int, sched: NoiseSchedule) -> Tensor:
         """Predicted clean signal x0_hat as an autodiff graph, in x_t's dtype."""
@@ -74,7 +62,7 @@ class ConditionalDenoiser:
         t_feat[:, 0] = t / sched.steps
         t_feat[:, 1] = sched.alpha_bar_at(t)
         stacked = ad.concat([x_t, Tensor(np.asarray(condition, dtype=dtype)), Tensor(t_feat)], axis=1)
-        p = self._weights(dtype)
+        p = self.tensors
         hidden = ad.conv2d(stacked, p["denoiser.w1"], p["denoiser.b1"], stride=1, padding=1)
         if hidden.requires_grad:
             hidden = ad.tanh(hidden)
@@ -90,5 +78,6 @@ class ConditionalDenoiser:
         return (x_t - x0_hat * scalar(math.sqrt(ab))) * scalar(1.0 / math.sqrt(1.0 - ab))
 
     def __call__(self, x_t: np.ndarray, condition: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
-        """The float32 eps_hat of float32 copies of x_t and the weights; records no graph."""
-        return self.noise_graph(Tensor(np.asarray(x_t, dtype=np.float32)), condition, t, sched).data
+        """eps_hat in the weights' dtype, of x_t cast to it; records no graph."""
+        dtype = self.tensors["denoiser.w1"].data.dtype
+        return self.noise_graph(Tensor(np.asarray(x_t, dtype=dtype)), condition, t, sched).data

@@ -333,6 +333,15 @@ def require_unique_stems(directory, names) -> None:
         raise ParameterError(f"duplicate image stems in {os.fspath(directory)!r}: {duplicates}")
 
 
+def read_text(path, error: type[Exception], what: str) -> str:
+    """The UTF-8 text of the file at path; bytes that do not decode raise error, naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {os.fspath(path)!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def write_atomic(path, data: bytes) -> None:
     """Write `data` to `path` through a temporary file in its directory, which is created here.
 

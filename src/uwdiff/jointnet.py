@@ -90,6 +90,12 @@ def layer_shapes(config: JointNetConfig) -> dict[str, tuple[int, ...]]:
     }
 
 
+def prompt_shapes(config: JointNetConfig) -> dict[str, tuple[int, int]]:
+    """The two prompt tensors' (name, shape), natural first; a prompts checkpoint stores them after the layers."""
+    shape = (config.token_count, config.token_width)
+    return {"prompt.natural": shape, "prompt.underwater": shape}
+
+
 def init_params(config: JointNetConfig, seed: int) -> JointNetParams:
     """Deterministic random initialization of every layer of layer_shapes(config)."""
     return JointNetParams(config, ad.init_layers(stream_rng(seed, 74), layer_shapes(config)))
@@ -98,11 +104,7 @@ def init_params(config: JointNetConfig, seed: int) -> JointNetParams:
 def init_prompts(config: JointNetConfig, seed: int) -> tuple[PromptTensor, PromptTensor]:
     """Prompt pair initialized with small uniform noise from the run seed."""
     rng = stream_rng(seed, 75)
-    shape = (config.token_count, config.token_width)
-    return (
-        PromptTensor(rng.uniform(-0.01, 0.01, shape)),
-        PromptTensor(rng.uniform(-0.01, 0.01, shape)),
-    )
+    return tuple(PromptTensor(rng.uniform(-0.01, 0.01, shape)) for shape in prompt_shapes(config).values())
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def joint_context_from_checkpoint(path, guidance: GuidanceConfig) -> JointContex
     """The frozen classifier and encoded prompts of a prompts checkpoint, guiding by `guidance`."""
     tensors, echo = read_checkpoint(path)
     config = parse_config_text(echo, source=f"{path}:echo").classifier()
-    prompts = dict.fromkeys(("prompt.natural", "prompt.underwater"), (config.token_count, config.token_width))
+    prompts = jointnet.prompt_shapes(config)
     loaded = _load_tensors(path, tensors, {**jointnet.layer_shapes(config), **prompts})
     natural, underwater = (PromptTensor(loaded.pop(name).data) for name in prompts)
     params = JointNetParams(config, loaded)
@@ -144,15 +144,18 @@ def enhance_image(
     at a time, while the classifier guidance, the reverse step and the
     finiteness check run once per step for all of them. Each image draws only
     from its own generator, so it gets the bytes it would get alone. Returns
-    the enhanced image, or the list of them. The chain is classifier-guided
-    when a context is given and guidance.gamma2 > 0, and guidance is read
-    only then. Raises SamplingDivergedError, naming the step and, in its
-    `image`, the first image whose x_{t-1} goes non-finite.
+    the enhanced image, or the list of them. The denoiser runs in its weights'
+    dtype. The chain is classifier-guided when a context is given and gamma2
+    > 0 in guidance, or in context.guidance when guidance is None. Raises
+    SamplingDivergedError, naming the step and, in its `image`, the first
+    image whose x_{t-1} goes non-finite.
     """
     single = isinstance(degraded, RgbImage)
     images, rngs = ([degraded], [rng]) if single else (degraded, rng)
     condition = np.stack([to_model_space(img) for img in images])
     x = draw_normal(rngs, condition.shape)
+    if guidance is None and context is not None:
+        guidance = context.guidance
     guided = context is not None and guidance.gamma2 > 0
     for t in range(sched.steps, 0, -1):
         eps_hat = np.concatenate([model(x[i : i + 1], condition[i : i + 1], t, sched) for i in range(len(x))])
@@ -254,7 +257,6 @@ def enhance_directory(
     thread and one worker. Outputs and progress lines come in name order, and
     no output depends on the runs or the threads.
     """
-    guidance = None if context is None else context.guidance  # the context carries the run's weight
     names = list_images(input_dir)
     require_unique_stems(input_dir, names)
     threaded = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
@@ -262,7 +264,7 @@ def enhance_directory(
     def sample(run):
         rngs = [stream_rng(seed, index) for index, _, _ in run]
         try:
-            return enhance_image([img for _, _, img in run], model, sched, guidance, context, rngs)
+            return enhance_image([img for _, _, img in run], model, sched, None, context, rngs)
         except SamplingDivergedError as exc:
             raise SamplingDivergedError(f"{run[exc.image][1]}: {exc}") from exc
 

@@ -16,7 +16,7 @@ import numpy as np
 from .diffusion import stream_rng
 from .errors import ParameterError
 from .images import ChannelStats, LabImage, RgbImage, channel_stats, lab_to_srgb, srgb_to_lab
-from .imageio import UNDECODABLE, list_images, load_image, require_unique_stems, save_image, write_atomic
+from .imageio import UNDECODABLE, list_images, load_image, read_text, require_unique_stems, save_image, write_atomic
 
 _SIGMA_FLOOR = 1e-8
 
@@ -97,13 +97,10 @@ class TemplatePool:
     """Precomputed Lab channel statistics of the underwater template images."""
 
     stats: tuple[ChannelStats, ...]
-    sources: tuple[str, ...]
 
     def __post_init__(self):
         if len(self.stats) < 1:
             raise ParameterError("template pool needs at least one template")
-        if len(self.stats) != len(self.sources):
-            raise ParameterError("template stats and sources differ in length")
 
     def __len__(self) -> int:
         return len(self.stats)
@@ -111,7 +108,7 @@ class TemplatePool:
     @classmethod
     def from_dir(cls, template_dir, skip) -> "TemplatePool":
         """Pool the decodable templates; skip(path, error) hears of each other one."""
-        stats, sources = [], []
+        stats = []
         for name in list_images(template_dir):
             path = os.path.join(os.fspath(template_dir), name)
             try:
@@ -120,10 +117,9 @@ class TemplatePool:
                 skip(path, exc)
                 continue
             stats.append(channel_stats(srgb_to_lab(img)))
-            sources.append(path)
         if not stats:
             raise ParameterError(f"no decodable template images in {os.fspath(template_dir)!r}")
-        return cls(stats=tuple(stats), sources=tuple(sources))
+        return cls(stats=tuple(stats))
 
 
 def color_transfer(source: LabImage, target_stats: ChannelStats) -> LabImage:
@@ -211,36 +207,35 @@ class DatasetManifest:
             except ValueError:
                 raise ParameterError(f"{where}: {what} must be an integer, got {text!r}") from None
 
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                where = f"{os.fspath(path)}:{lineno}"
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if line.startswith(_MANIFEST_HEADER):
-                    version = line[len(_MANIFEST_HEADER):]
-                    if version not in ("1", "2"):
-                        raise ParameterError(f"unsupported manifest version {version!r} in {os.fspath(path)!r}")
-                    manifest.version = int(version)
-                    continue
-                if line.startswith("#"):
-                    parts = line[1:].strip().split(" ", 1)
-                    if parts[0] == "seed" and len(parts) > 1:
-                        manifest.seed = integer(parts[1], where, "seed")
-                    elif parts[0] == "method" and len(parts) > 1:
-                        manifest.method = parts[1]
-                    elif parts[0] == "params" and len(parts) > 1:
-                        manifest.params_note = parts[1]
-                    elif parts[0] == "skip" and len(parts) > 1:
-                        skip_parts = parts[1].split(" ", 1)
-                        manifest.skipped.append((skip_parts[0], skip_parts[1] if len(skip_parts) > 1 else ""))
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 5:
-                    raise ParameterError(f"{where}: malformed manifest record, {len(fields)} fields, want 5: {line!r}")
-                template_index = integer(fields[2], where, "template index")
-                seed = integer(fields[3], where, "seed")
-                manifest.entries.append(ManifestEntry(fields[0], fields[1], template_index, seed, fields[4]))
+        text = read_text(path, ParameterError, "manifest")
+        for lineno, line in enumerate(text.split("\n"), start=1):  # split as text mode reads lines
+            where = f"{os.fspath(path)}:{lineno}"
+            if not line:
+                continue
+            if line.startswith(_MANIFEST_HEADER):
+                version = line[len(_MANIFEST_HEADER):]
+                if version not in ("1", "2"):
+                    raise ParameterError(f"unsupported manifest version {version!r} in {os.fspath(path)!r}")
+                manifest.version = int(version)
+                continue
+            if line.startswith("#"):
+                parts = line[1:].strip().split(" ", 1)
+                if parts[0] == "seed" and len(parts) > 1:
+                    manifest.seed = integer(parts[1], where, "seed")
+                elif parts[0] == "method" and len(parts) > 1:
+                    manifest.method = parts[1]
+                elif parts[0] == "params" and len(parts) > 1:
+                    manifest.params_note = parts[1]
+                elif parts[0] == "skip" and len(parts) > 1:
+                    skip_parts = parts[1].split(" ", 1)
+                    manifest.skipped.append((skip_parts[0], skip_parts[1] if len(skip_parts) > 1 else ""))
+                continue
+            fields = line.split("\t")
+            if len(fields) != 5:
+                raise ParameterError(f"{where}: malformed manifest record, {len(fields)} fields, want 5: {line!r}")
+            template_index = integer(fields[2], where, "template index")
+            seed = integer(fields[3], where, "seed")
+            manifest.entries.append(ManifestEntry(fields[0], fields[1], template_index, seed, fields[4]))
         return manifest
 
 

@@ -470,8 +470,9 @@ def test_c12_enhancement_improves_quality():
     )
 
     psnr_degraded, psnr_enhanced, uciqe_degraded, uciqe_enhanced = [], [], [], []
+    sampler = model.astype(np.float32)  # the float32 model `enhance` samples with
     for i, (clean, degraded) in enumerate(test_pairs):
-        enhanced = enhance_image(degraded, model, sched, None, None, stream_rng(112, i))
+        enhanced = enhance_image(degraded, sampler, sched, None, None, stream_rng(112, i))
         psnr_degraded.append(psnr(degraded, clean))
         psnr_enhanced.append(psnr(enhanced, clean))
         uciqe_degraded.append(uciqe(degraded))

@@ -320,7 +320,7 @@ class TestGraphMechanics:
 def test_a_graph_free_64_px_denoiser_call_peaks_under_2_4_mb(rng):
     # it runs in float32: in float64 the peak is about 2.9 MB, and conv1's whole
     # float64 column matrix (2.4 MB) would take it to about 4 MB
-    model = ConditionalDenoiser(width=32, seed=0)
+    model = ConditionalDenoiser(width=32, seed=0).astype(np.float32)
     sched = make_linear_schedule(200, 1e-4, 2e-2)
     x, condition = rng.standard_normal((2, 1, 3, 64, 64))
     model(x, condition, 100, sched)

@@ -408,6 +408,26 @@ class TestCliContract:
         assert main(["finetune", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
         assert f"{manifest}:{line}:" in capsys.readouterr().err
 
+    # PermissionError maps to exit 2 the same way; as root no file can be made unreadable to test it
+    @pytest.mark.parametrize(
+        "case", ["config-is-a-directory", "config-not-utf8", "manifest-not-utf8", "image-is-a-directory"]
+    )
+    def test_an_unreadable_input_path_exits_2_naming_it(self, tmp_path, capsys, case):
+        bad = tmp_path / "bad"
+        if case.endswith("not-utf8"):
+            bad.write_bytes(b"[run]\nseed = 1\n# caf\xe9\n")
+        else:
+            os.makedirs(bad / "x.png")
+        argv, culprit = {
+            "config-is-a-directory": (["verify", "--config", bad], bad),
+            "config-not-utf8": (["verify", "--config", bad], bad),
+            "manifest-not-utf8": (["finetune", "--manifest", bad, "--out", tmp_path / "out"], bad),
+            "image-is-a-directory": (["eval", "--enhanced", bad, "--out", tmp_path / "out"], bad / "x.png"),
+        }[case]
+        assert main([str(arg) for arg in argv]) == 2
+        assert str(culprit) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_eval_finds_upper_case_png_reference(self, tmp_path, capsys):
         _write_scene_dir(tmp_path / "imgs", 1, 4, size=64)
         os.makedirs(tmp_path / "refs")

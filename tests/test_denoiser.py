@@ -1,10 +1,11 @@
-"""ConditionalDenoiser samples in float32 on a copy of its float64 weights; training and
-checkpoints keep float64, and the copy follows every change to the weights."""
+"""ConditionalDenoiser samples in its weights' dtype: `astype(np.float32)` makes the float32
+copy that `enhance` samples with, while training and checkpoints keep float64."""
 
 import hashlib
 import threading
 
 import numpy as np
+import pytest
 
 from uwdiff import autodiff as ad
 from uwdiff import pipeline
@@ -24,36 +25,16 @@ SCHED = make_linear_schedule(200, 1e-4, 2e-2)
 DEFAULT_SEED0_CKPT = "aee2c74341cf20962179becbdbbc955958ff64284b260bd3deaeb0eb2340700f"
 
 
-class Float64Path:
-    """The model's noise prediction through its float64 weights and graph."""
-
-    def __init__(self, model):
-        self.model = model
-
-    def __call__(self, x_t, condition, t, sched):
-        return self.model.noise_graph(Tensor(x_t), condition, t, sched).data
-
-
 def call_inputs(size=64, seed=0):
     return np.random.default_rng(seed).standard_normal((2, 1, 3, size, size))
 
 
-def weights_of(model):
-    return {name: tensor.data.copy() for name, tensor in model.tensors.items()}
-
-
-def fresh_model_with(weights, width):
-    model = ConditionalDenoiser(width=width, seed=1)
-    for name, data in weights.items():
-        model.tensors[name].data = data.copy()
-    return model
-
-
-def test_sampling_runs_in_float32_and_conv2d_keeps_float32():
+def test_a_call_runs_in_the_weights_dtype_and_conv2d_keeps_float32():
     model = ConditionalDenoiser(width=8, seed=0)
     x, condition = call_inputs(16)
-    eps_hat = model(x, condition, 100, SCHED)
+    eps_hat = model.astype(np.float32)(x, condition, 100, SCHED)
     assert eps_hat.dtype == np.float32 and eps_hat.shape == x.shape
+    assert model(x, condition, 100, SCHED).dtype == np.float64
     assert all(tensor.data.dtype == np.float64 for tensor in model.tensors.values())
     for w_shape in ((8, 8, 3, 3), (3, 8, 3, 3)):  # im2col (conv1), taps (conv2)
         out = ad.conv2d(
@@ -68,7 +49,6 @@ def test_sampling_runs_in_float32_and_conv2d_keeps_float32():
 def test_training_graph_stays_float64():
     model = ConditionalDenoiser(width=4, seed=0)
     x, condition = call_inputs(8)
-    model(x, condition, 10, SCHED)
     for param in model.parameters():
         param.requires_grad = True
     try:
@@ -82,24 +62,28 @@ def test_training_graph_stays_float64():
 def test_a_full_chain_in_float32_stays_within_one_grey_level_of_float64():
     model = ConditionalDenoiser(width=32, seed=0)
     image = toy_scene(np.random.default_rng(5), 64)
-    single = pipeline.enhance_image(image, model, SCHED, None, None, stream_rng(0, 0))
-    double = pipeline.enhance_image(image, Float64Path(model), SCHED, None, None, stream_rng(0, 0))
+    single = pipeline.enhance_image(image, model.astype(np.float32), SCHED, None, None, stream_rng(0, 0))
+    double = pipeline.enhance_image(image, model, SCHED, None, None, stream_rng(0, 0))
     gap = np.abs(single.data - double.data).max()
     assert 0 < gap < 1e-5  # a real float32 path, close to the float64 one
     a, b = (np.frombuffer(_quantize_8bit(img), dtype=np.uint8).astype(int) for img in (single, double))
     assert np.abs(a - b).max() <= 1
 
 
-def test_the_float32_copy_follows_fine_tune(rng):
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_an_astype_copy_shares_nothing_with_its_source(rng, dtype):
     model = ConditionalDenoiser(width=4, seed=0)
+    copy = model.astype(dtype)
+    assert list(copy.tensors) == list(model.tensors)
+    for name, tensor in copy.tensors.items():
+        assert tensor.data.dtype == dtype and not np.shares_memory(tensor.data, model.tensors[name].data)
+        assert np.array_equal(tensor.data, model.tensors[name].data.astype(dtype))
     x, condition = call_inputs(8)
-    before = model(x, condition, 50, SCHED)
+    before = copy(x, condition, 50, SCHED)
     pairs = [tuple(rng.uniform(-1, 1, (2, 3, 8, 8)))]
     fine_tune(model, pairs, SCHED, LossWeights(1.0, 0.0), OptimizerConfig(learning_rate=1e-2, total_steps=1))
-    after = model(x, condition, 50, SCHED)
-    tuned = fresh_model_with(weights_of(model), width=4)(x, condition, 50, SCHED)
-    assert not np.array_equal(before, after)
-    assert np.array_equal(after, tuned)
+    assert np.array_equal(copy(x, condition, 50, SCHED), before)  # training the source leaves the copy
+    assert not np.array_equal(model.astype(dtype)(x, condition, 50, SCHED), before)
 
 
 def test_a_loaded_model_samples_bit_for_bit_like_its_source(tmp_path):
@@ -118,6 +102,7 @@ def test_a_checkpoint_saved_after_sampling_holds_the_float64_weights(tmp_path):
     model = ConditionalDenoiser(width=config.denoiser_width, seed=0)
     pipeline.save_checkpoint(tmp_path / "before.ckpt", model.tensors, config)
     x, condition = call_inputs(16)
+    model.astype(np.float32)(x, condition, 50, SCHED)
     model(x, condition, 50, SCHED)
     pipeline.save_checkpoint(tmp_path / "after.ckpt", model.tensors, config)
     after = (tmp_path / "after.ckpt").read_bytes()
@@ -127,10 +112,10 @@ def test_a_checkpoint_saved_after_sampling_holds_the_float64_weights(tmp_path):
     assert all(np.array_equal(tensors[name], t.data) for name, t in model.tensors.items())
 
 
-def test_two_threads_making_the_first_call_together_each_get_a_lone_calls_bytes():
+def test_two_threads_sharing_one_float32_copy_each_get_a_lone_calls_bytes():
     x, condition = call_inputs(64)
-    lone = ConditionalDenoiser(width=32, seed=0)(x, condition, 100, SCHED)
-    model = ConditionalDenoiser(width=32, seed=0)
+    lone = ConditionalDenoiser(width=32, seed=0).astype(np.float32)(x, condition, 100, SCHED)
+    model = ConditionalDenoiser(width=32, seed=0).astype(np.float32)
     barrier = threading.Barrier(2)
     results = [None, None]
 

@@ -52,6 +52,16 @@ def test_a_batch_writes_the_bytes_of_one_image_at_a_time(tmp_path, rng):
         assert read(tmp_path / "out" / name) == read(tmp_path / "alone" / name)
 
 
+def test_enhance_image_without_a_guidance_argument_guides_by_the_contexts_own(rng):
+    image = RgbImage.from_array(rng.uniform(0, 1, (8, 8, 3)))
+    model, context = ConditionalDenoiser(width=2, seed=0), guided_context()
+    own, given, unguided = (
+        pipeline.enhance_image(image, model, SCHED, guidance, ctx, stream_rng(0, 0)).data
+        for guidance, ctx in ((None, context), (context.guidance, context), (None, None))
+    )
+    assert np.array_equal(own, given) and not np.array_equal(own, unguided)
+
+
 def test_mixed_sizes_keep_name_order_and_progress(tmp_path, rng):
     names = write_images(tmp_path / "in", [8, 8, 12, 8], rng)
     lines = []
