@@ -258,31 +258,40 @@ _COLS_BYTES = 640 * 1024
 def _conv_im2col(xp: np.ndarray, weight: np.ndarray, stride: int, h_out: int, w_out: int, keep_cols: bool):
     """Convolution as GEMMs per image over its (C·kh·kw, H·W) column matrix.
 
-    The column matrices are built one image at a time and kept, for the weight
-    gradient, only when keep_cols is set. Otherwise each is built and
-    multiplied in chunks of output rows of at most _COLS_BYTES; a chunk is a
-    column block of the GEMM's right operand, which leaves every output's bits
-    as one GEMM gives them.
+    The columns are kept whole, for the weight gradient, only when keep_cols
+    is set. Otherwise they are built and multiplied in chunks of at most
+    _COLS_BYTES: as many whole images as fit, or else the most output rows of
+    one image that fit. A chunk's columns come from one strided view of the
+    padded input in one copy, and one stacked matmul multiplies them, which
+    numpy runs as one GEMM per image. An image's chunks are those it would get
+    alone, so every output keeps the bits it gets alone. Chunking itself is
+    not bit-neutral: OpenBLAS rounds some small GEMMs differently, and row
+    chunks that spanned a batch changed float32 outputs at 24 px.
     """
     n = xp.shape[0]
     c_out, c_in, kh, kw = weight.shape
     w2 = weight.reshape(c_out, c_in * kh * kw)
     out = np.empty((n, c_out, h_out * w_out), dtype=np.result_type(xp, weight))
-    rows = h_out if keep_cols else max(1, _COLS_BYTES // (xp.itemsize * c_in * kh * kw * w_out))
-    kept = []
-    for i in range(n):
+    if keep_cols:
+        images, rows = n, h_out
+    else:  # images is 1 when a whole image does not fit, and rows then the most that do
+        row_bytes = xp.itemsize * c_in * kh * kw * w_out
+        images = max(1, _COLS_BYTES // (row_bytes * h_out))
+        rows = min(h_out, max(1, _COLS_BYTES // row_bytes))
+    sn, sc, sh, sw = xp.strides
+    for i0 in range(0, n, images):
+        i1 = min(i0 + images, n)
         for r0 in range(0, h_out, rows):
             r1 = min(r0 + rows, h_out)
-            cols = np.empty((c_in, kh, kw, r1 - r0, w_out), dtype=xp.dtype)
-            for di in range(kh):
-                for dj in range(kw):
-                    cols[:, di, dj] = xp[
-                        i, :, di + stride * r0 : di + stride * r1 : stride, dj : dj + stride * w_out : stride
-                    ]
-            cols = cols.reshape(c_in * kh * kw, (r1 - r0) * w_out)
-            np.matmul(w2, cols, out=out[i, :, r0 * w_out : r1 * w_out])
-        if keep_cols:
-            kept.append(cols)
+            window = np.lib.stride_tricks.as_strided(
+                xp[i0:i1, :, stride * r0 :],
+                shape=(i1 - i0, c_in, kh, kw, r1 - r0, w_out),
+                strides=(sn, sc, sh, sw, stride * sh, stride * sw),
+                writeable=False,
+            )
+            cols = window.reshape(i1 - i0, c_in * kh * kw, (r1 - r0) * w_out)
+            np.matmul(w2, cols, out=out[i0:i1, :, r0 * w_out : r1 * w_out])
+    kept = cols if keep_cols else None
 
     def grad_x(g):
         gcols = (w2.T @ g.reshape(n, c_out, h_out * w_out)).reshape(n, c_in, kh, kw, h_out, w_out)
@@ -296,7 +305,7 @@ def _conv_im2col(xp: np.ndarray, weight: np.ndarray, stride: int, h_out: int, w_
 
     def grad_w(g):
         g2 = g.reshape(n, c_out, h_out * w_out)
-        return np.sum([g2[i] @ cols.T for i, cols in enumerate(kept)], axis=0).reshape(weight.shape)
+        return (g2 @ kept.swapaxes(-1, -2)).sum(axis=0).reshape(weight.shape)
 
     return out.reshape(n, c_out, h_out, w_out), grad_x, grad_w
 
@@ -350,9 +359,10 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     Stride-1 convolutions with fewer output than input channels run per kernel
     tap (`_conv_taps`), where the column matrix would dwarf the output; every
     other shape runs through im2col, which is faster for wide outputs. Either
-    way each image gets the BLAS calls it would get alone, so an image's
-    output does not depend on the rest of its batch. Every buffer takes the
-    dtype of the input and weight, so float32 operands convolve in float32.
+    way each image gets the BLAS calls it would get alone, because a stacked
+    matmul runs one GEMM per image, so an image's output does not depend on
+    the rest of its batch. Every buffer takes the dtype of the input and
+    weight, so float32 operands convolve in float32.
     """
     x, weight = _ensure(x), _ensure(weight)
     if x.data.ndim != 4:

@@ -125,7 +125,8 @@ def pairs_from_manifest(manifest_path) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 # Most pixels sampled as one batch: four 32 px images share each step's
-# classifier pass, and a 64 px image runs alone. Outputs do not depend on it.
+# denoiser call and classifier pass, and a 64 px image runs alone, so a batched
+# call is never larger than one 64 px call. Outputs do not depend on it.
 _RUN_PIXELS = 4096
 
 
@@ -140,15 +141,15 @@ def enhance_image(
     """Run the full conditional reverse chain for one degraded image and its
     generator, or for a list of same-size images with one generator each.
 
-    A list is sampled as one (N, 3, H, W) chain: the denoiser sees one image
-    at a time, while the classifier guidance, the reverse step and the
-    finiteness check run once per step for all of them. Each image draws only
-    from its own generator, so it gets the bytes it would get alone. Returns
-    the enhanced image, or the list of them. The denoiser runs in its weights'
-    dtype. The chain is classifier-guided when a context is given and gamma2
-    > 0 in guidance, or in context.guidance when guidance is None. Raises
-    SamplingDivergedError, naming the step and, in its `image`, the first
-    image whose x_{t-1} goes non-finite.
+    A list is sampled as one (N, 3, H, W) chain: the denoiser call, the
+    classifier guidance, the reverse step and the finiteness check run once
+    per step for all of them. Each image draws only from its own generator and
+    gets the convolution BLAS calls it would get alone, so it gets the bytes
+    it would get alone. Returns the enhanced image, or the list of them. The
+    denoiser runs in its weights' dtype. The chain is classifier-guided when a
+    context is given and gamma2 > 0 in guidance, or in context.guidance when
+    guidance is None. Raises SamplingDivergedError, naming the step and, in
+    its `image`, the first image whose x_{t-1} goes non-finite.
     """
     single = isinstance(degraded, RgbImage)
     images, rngs = ([degraded], [rng]) if single else (degraded, rng)
@@ -158,7 +159,7 @@ def enhance_image(
         guidance = context.guidance
     guided = context is not None and guidance.gamma2 > 0
     for t in range(sched.steps, 0, -1):
-        eps_hat = np.concatenate([model(x[i : i + 1], condition[i : i + 1], t, sched) for i in range(len(x))])
+        eps_hat = model(x, condition, t, sched)
         if guided:
             grad2 = guidance_pixel_grad(x, context)
             eps_hat = guided_noise_prediction(eps_hat, None, grad2, t, sched, guidance)

@@ -201,8 +201,9 @@ class TestConv2d:
         assert kept.requires_grad and not free.requires_grad
         assert np.array_equal(free.data, kept.data)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_a_graph_free_chunk_holds_the_most_rows_that_fit_the_budget(self, dtype, monkeypatch):
+    @staticmethod
+    def record_chunks(monkeypatch):
+        """The right operand of every np.matmul call, in call order."""
         matmul, chunks = np.matmul, []
 
         def recording(a, b, **kwargs):
@@ -210,16 +211,38 @@ class TestConv2d:
             return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", recording)
-        out = ad.conv2d(Tensor(np.ones((1, 8, 64, 64), dtype)), Tensor(np.ones((32, 8, 3, 3), dtype)), padding=1)
+        return chunks
+
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_graph_free_chunk_holds_the_most_rows_that_fit_the_budget(self, dtype, n, monkeypatch):
+        chunks = self.record_chunks(monkeypatch)
+        out = ad.conv2d(Tensor(np.ones((n, 8, 64, 64), dtype)), Tensor(np.ones((32, 8, 3, 3), dtype)), padding=1)
         row = 8 * 3 * 3 * 64 * np.dtype(dtype).itemsize  # one output row's columns, denoiser conv1 at 64 px
         largest = max(chunk.nbytes for chunk in chunks)
         assert out.data.dtype == dtype and all(chunk.dtype == dtype for chunk in chunks)
+        assert all(chunk.shape[0] == 1 for chunk in chunks)  # an image too large for one chunk is chunked alone
         assert largest <= ad._COLS_BYTES < largest + row
 
     @pytest.mark.parametrize(
+        "dtype,images", [(np.float32, [2, 2]), (np.float64, [1, 1, 1, 1])], ids=["float32", "float64"]
+    )
+    def test_a_graph_free_chunk_holds_the_most_whole_images_that_fit_the_budget(self, dtype, images, monkeypatch):
+        chunks = self.record_chunks(monkeypatch)
+        ad.conv2d(Tensor(np.ones((4, 8, 32, 32), dtype)), Tensor(np.ones((32, 8, 3, 3), dtype)), padding=1)
+        image = 8 * 3 * 3 * 32 * 32 * np.dtype(dtype).itemsize  # one image's columns, denoiser conv1 at 32 px
+        assert [chunk.shape[0] for chunk in chunks] == images
+        assert images[0] * image <= ad._COLS_BYTES < (images[0] + 1) * image
+
+    @pytest.mark.parametrize(
         "x_shape,w_shape,stride",
-        [((1, 8, 64, 64), (32, 8, 3, 3), 1), ((2, 3, 64, 64), (4, 3, 3, 3), 2)],
-        ids=["denoiser-conv1-64px", "encoder-conv1"],
+        [
+            ((1, 8, 64, 64), (32, 8, 3, 3), 1),
+            ((2, 3, 64, 64), (4, 3, 3, 3), 2),
+            ((4, 8, 64, 64), (32, 8, 3, 3), 1),
+            ((4, 3, 64, 64), (4, 3, 3, 3), 2),
+        ],
+        ids=["denoiser-conv1-64px", "encoder-conv1", "denoiser-conv1-64px-batch-4", "encoder-conv1-batch-4"],
     )
     def test_float32_chunks_equal_one_chunk_bit_for_bit(self, x_shape, w_shape, stride, rng, monkeypatch):
         x, w, b = (rng.standard_normal(shape).astype(np.float32) for shape in (x_shape, w_shape, w_shape[:1]))

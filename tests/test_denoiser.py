@@ -46,6 +46,17 @@ def test_a_call_runs_in_the_weights_dtype_and_conv2d_keeps_float32():
         assert out.data.dtype == np.float32
 
 
+@pytest.mark.parametrize("size", [24, 32, 64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_batch_of_four_gets_each_lone_calls_bits(size, dtype):
+    model = ConditionalDenoiser(width=32, seed=0).astype(dtype)
+    x, condition = np.random.default_rng(size).standard_normal((2, 4, 3, size, size))
+    for t in (1, 100, 200):
+        batched = model(x, condition, t, SCHED)
+        alone = [model(x[i : i + 1], condition[i : i + 1], t, SCHED) for i in range(4)]
+        assert batched.dtype == dtype and np.array_equal(batched, np.concatenate(alone))
+
+
 def test_training_graph_stays_float64():
     model = ConditionalDenoiser(width=4, seed=0)
     x, condition = call_inputs(8)

@@ -91,6 +91,22 @@ def test_enhance_image_is_called_once_per_run(tmp_path, rng, monkeypatch, sizes,
     assert seen == runs
 
 
+def test_a_run_shares_one_denoiser_call_per_step(rng):
+    images = [RgbImage.from_array(rng.uniform(0, 1, (32, 32, 3))) for _ in range(4)]
+    model, context, shapes = ConditionalDenoiser(width=2, seed=0), guided_context(), []
+
+    def spy(x, condition, t, sched):
+        shapes.append((x.shape, condition.shape))
+        return model(x, condition, t, sched)
+
+    rngs = [stream_rng(0, i) for i in range(4)]
+    batched = pipeline.enhance_image(images, spy, SCHED, None, context, rngs)
+    assert shapes == [((4, 3, 32, 32), (4, 3, 32, 32))] * SCHED.steps
+    for i, image in enumerate(images):
+        alone = pipeline.enhance_image(image, model, SCHED, None, context, stream_rng(0, i))
+        assert np.array_equal(batched[i].data, alone.data)
+
+
 def test_a_diverging_run_names_its_first_non_finite_image(tmp_path):
     os.makedirs(tmp_path / "in")
     for name, level in (("a.png", 0.2), ("b.png", 0.6), ("c.png", 0.9)):
@@ -98,11 +114,11 @@ def test_a_diverging_run_names_its_first_non_finite_image(tmp_path):
 
     def model(x, condition, t, sched):  # a.png stays finite, b.png gets 3 NaNs, c.png all NaN
         eps = np.zeros_like(x)
-        level = condition.mean()
-        if level > 0.5:
-            eps[:] = np.nan
-        elif level > 0.0:
-            eps.reshape(-1)[:3] = np.nan
+        for row, level in zip(eps, condition.mean(axis=(1, 2, 3))):
+            if level > 0.5:
+                row[:] = np.nan
+            elif level > 0.0:
+                row.reshape(-1)[:3] = np.nan
         return eps
 
     with pytest.raises(SamplingDivergedError) as caught:
