@@ -1,12 +1,11 @@
-"""Noise schedules, forward diffusion, guided noise prediction, and ancestral sampling.
+"""Noise schedules, forward diffusion, guided noise prediction, and the ancestral reverse step.
 
 The multi-condition guidance algebra lives here in two interchangeable
 spaces: scores combine as base + gamma1*g1 + gamma2*g2 (a lambda blend is the
 pair (lam, 1 - lam)), and the equivalent noise-space form subtracts
 sqrt(1 - alpha_bar_t)-scaled gradients from the predicted noise. An analytic
 Gaussian world provides closed-form scores, noise predictions, and
-posteriors, so guided sampling is verifiable end to end against exact
-answers.
+posteriors. The one sampling loop is `pipeline.reverse_chain`.
 """
 
 from __future__ import annotations
@@ -222,28 +221,3 @@ class AnalyticGaussianWorld:
         mean = (self.var_y * self.mu0 + self.var0 * y) / (self.var0 + self.var_y)
         return mean, var
 
-
-def sample_terminal(
-    world: AnalyticGaussianWorld,
-    sched: NoiseSchedule,
-    n_trajectories: int,
-    rng: np.random.Generator,
-    observations: tuple[float, ...] = (),
-    cfg: GuidanceConfig | None = None,
-) -> np.ndarray:
-    """Run full reverse chains with the exact noise predictor; returns x_0 draws.
-
-    With no observations this samples the prior; with one or two observations
-    the condition gradients flow through guided_noise_prediction, so the whole
-    guidance algebra is on the tested path.
-    """
-    if len(observations) > 2:
-        raise ParameterError("at most two observations are supported")
-    x = rng.standard_normal(n_trajectories)
-    for t in range(sched.steps, 0, -1):
-        eps = world.exact_noise_prediction(x, t, sched)
-        if observations:
-            grads = [world.observation_score(x, y, t, sched) for y in observations] + [None]  # y2 may be absent
-            eps = guided_noise_prediction(eps, grads[0], grads[1], t, sched, cfg or GuidanceConfig(gamma1=1.0))
-        x = reverse_step(x, eps, t, sched, rng)
-    return x

@@ -191,11 +191,15 @@ def decode_png(blob: bytes) -> RgbImage:
     channels = 3 if color_type == 2 else 4
     if not idat:
         raise TruncatedFileError("PNG has no IDAT data")
-    try:
-        raw = zlib.decompress(bytes(idat))
+    bpp = channels * bit_depth // 8
+    expected = height * (width * bpp + 1)
+    inflater = zlib.decompressobj()
+    try:  # inflate one byte past the declared rows at most, so a stream cannot outgrow its header
+        raw = inflater.decompress(idat, expected + 1)
     except zlib.error as exc:
         raise TruncatedFileError(f"PNG IDAT stream is corrupt: {exc}") from exc
-    bpp = channels * bit_depth // 8
+    if not inflater.eof and len(raw) <= expected:
+        raise TruncatedFileError("PNG IDAT stream is corrupt or truncated")
     rows = _unfilter_scanlines(raw, width, height, bpp)
     if bit_depth == 16:
         rows = rows.view(">u2")

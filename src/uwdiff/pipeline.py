@@ -1,5 +1,5 @@
 """Glue between the CLI and the library: checkpoint bundles, manifest-backed
-training pairs, and the guided enhancement loop over whole images.
+training pairs, and `reverse_chain`, the one sampler loop of `enhance` and `verify`.
 
 Images enter the diffusion model in the [-1, 1] model space; enhanced outputs
 are mapped back to [0, 1] and written as 8-bit PNG.
@@ -130,6 +130,25 @@ def pairs_from_manifest(manifest_path) -> list[tuple[np.ndarray, np.ndarray]]:
 _RUN_PIXELS = 4096
 
 
+def reverse_chain(x, predict, guide, sched: NoiseSchedule, cfg: GuidanceConfig | None, rng) -> np.ndarray:
+    """The one reverse diffusion loop, x_T -> x_0, for `enhance` and the analytic checks.
+
+    At each t = T..1: eps = predict(x, t); unless guide is None, guide(x, t)'s (y1, y2) gradients fold
+    into eps by guided_noise_prediction under cfg; reverse_step draws x_{t-1} from rng (a generator, or
+    one per row of x). Raises SamplingDivergedError naming t, with `image` the first row gone non-finite."""
+    for t in range(sched.steps, 0, -1):
+        eps = predict(x, t)
+        if guide is not None:
+            eps = guided_noise_prediction(eps, *guide(x, t), t, sched, cfg)
+        x = reverse_step(x, eps, t, sched, rng)
+        finite = np.isfinite(x)
+        if not finite.all():
+            first = int(np.argmin(finite.reshape(len(x), -1).all(axis=1)))
+            bad = f"{np.count_nonzero(~finite[first])} non-finite values in x_{t - 1}"
+            raise SamplingDivergedError(f"reverse chain diverged at step t={t} of {sched.steps}: {bad}", image=first)
+    return x
+
+
 def enhance_image(
     degraded,
     model: ConditionalDenoiser,
@@ -138,40 +157,27 @@ def enhance_image(
     context: JointContext | None,
     rng,
 ):
-    """Run the full conditional reverse chain for one degraded image and its
-    generator, or for a list of same-size images with one generator each.
+    """Run reverse_chain for one degraded image and its generator, or for a
+    list of same-size images with one generator each.
 
     A list is sampled as one (N, 3, H, W) chain: the denoiser call, the
     classifier guidance, the reverse step and the finiteness check run once
     per step for all of them. Each image draws only from its own generator and
     gets the convolution BLAS calls it would get alone, so it gets the bytes
     it would get alone. Returns the enhanced image, or the list of them. The
-    denoiser runs in its weights' dtype. The chain is classifier-guided when a
-    context is given and gamma2 > 0 in guidance, or in context.guidance when
-    guidance is None. Raises SamplingDivergedError, naming the step and, in
-    its `image`, the first image whose x_{t-1} goes non-finite.
+    denoiser runs in its weights' dtype. The chain is classifier-guided, in
+    the y2 slot, when a context is given and gamma2 > 0 in guidance, or in
+    context.guidance when guidance is None.
     """
     single = isinstance(degraded, RgbImage)
     images, rngs = ([degraded], [rng]) if single else (degraded, rng)
     condition = np.stack([to_model_space(img) for img in images])
-    x = draw_normal(rngs, condition.shape)
     if guidance is None and context is not None:
         guidance = context.guidance
-    guided = context is not None and guidance.gamma2 > 0
-    for t in range(sched.steps, 0, -1):
-        eps_hat = model(x, condition, t, sched)
-        if guided:
-            grad2 = guidance_pixel_grad(x, context)
-            eps_hat = guided_noise_prediction(eps_hat, None, grad2, t, sched, guidance)
-        x = reverse_step(x, eps_hat, t, sched, rngs)
-        finite = np.isfinite(x)
-        if not finite.all():
-            first = int(np.argmin(finite.reshape(len(x), -1).all(axis=1)))
-            bad = int(np.count_nonzero(~finite[first]))
-            raise SamplingDivergedError(
-                f"reverse chain diverged at step t={t} of {sched.steps}: {bad} non-finite values in x_{t - 1}",
-                image=first,
-            )
+    guide = (lambda x, t: (None, guidance_pixel_grad(x, context))) if context and guidance.gamma2 > 0 else None
+    x = reverse_chain(  # x_T is passed, not held here, so it is freed after the first step
+        draw_normal(rngs, condition.shape), lambda x, t: model(x, condition, t, sched), guide, sched, guidance, rngs
+    )
     enhanced = [from_model_space(chw) for chw in x]
     return enhanced[0] if single else enhanced
 

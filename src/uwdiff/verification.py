@@ -2,7 +2,8 @@
 
 Every check compares a tested code path against a closed-form answer in the
 scalar Gaussian world (or an exact algebraic identity) with a fixed seed, so
-a correct build passes deterministically. `run_all` powers `uwdiff verify`.
+a correct build passes deterministically. The sampling checks run the loop
+that `enhance` runs, `pipeline.reverse_chain`. `run_all` powers `uwdiff verify`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import pipeline
 from .autodiff import Tensor
 from .diffusion import (
     AnalyticGaussianWorld,
@@ -22,10 +24,10 @@ from .diffusion import (
     forward_sample,
     guided_noise_prediction,
     reverse_step,
-    sample_terminal,
     score_from_noise,
     stream_rng,
 )
+from .errors import ParameterError
 from .jointnet import JointNetConfig, embed_image_graph, init_params
 from .training import LossWeights, composite_loss, grad_check
 
@@ -114,6 +116,24 @@ def check_guidance_linearity(sched: NoiseSchedule, seed: int) -> CheckResult:
     )
     gap = float(np.max(np.abs(lhs - rhs)))
     return CheckResult("guidance_linearity", gap < 1e-12, f"affine gap {gap:.2e}")
+
+
+def sample_terminal(
+    world: AnalyticGaussianWorld, sched: NoiseSchedule, n_trajectories: int, rng, observations=(), cfg=None
+) -> np.ndarray:
+    """x_0 draws of pipeline.reverse_chain on the world's exact noise predictor: the prior with no
+    observations, else guided by cfg with their observation scores as the y1 and y2 gradients."""
+    if len(observations) > 2 or (observations and cfg is None):
+        raise ParameterError("guided sampling takes one or two observations and a GuidanceConfig")
+
+    def predict(x, t):
+        return world.exact_noise_prediction(x, t, sched)
+
+    def guide(x, t):
+        return ([world.observation_score(x, y, t, sched) for y in observations] + [None])[:2]  # y2 may be absent
+
+    x = rng.standard_normal(n_trajectories)
+    return pipeline.reverse_chain(x, predict, guide if observations else None, sched, cfg, rng)
 
 
 def check_posterior_recovery(sched: NoiseSchedule, rng: np.random.Generator) -> CheckResult:

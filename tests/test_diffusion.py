@@ -14,11 +14,11 @@ from uwdiff.diffusion import (
     guided_noise_prediction,
     make_linear_schedule,
     reverse_step,
-    sample_terminal,
     score_from_noise,
     stream_rng,
 )
 from uwdiff.errors import ParameterError, ShapeMismatchError
+from uwdiff.verification import sample_terminal
 
 
 class TestSchedule:

@@ -20,10 +20,10 @@ from uwdiff import verification
 from uwdiff.checkpoint import read_checkpoint
 from uwdiff.cli import main as cli_main
 from uwdiff.config import RunConfig
-from uwdiff.diffusion import sample_terminal
 from uwdiff.imageio import load_image, save_image
 from uwdiff.images import RgbImage
 from uwdiff.synthesis import DatasetManifest
+from uwdiff.verification import sample_terminal
 
 from test_acceptance import TOY_CONFIG, toy_scene
 

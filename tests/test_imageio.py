@@ -245,6 +245,22 @@ class TestPngErrors:
         with pytest.raises(TruncatedFileError, match="wrong length"):
             decode_png(png_blob(2, 3, 8, 2, raw[:-1]))
 
+    def test_inflate_stops_past_the_declared_rows(self):
+        blob = png_blob(1, 1, 8, 2, bytes(32 << 20))  # a 1x1 header over 32 MB of rows
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFileError, match="wrong length"):
+                decode_png(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    def test_unended_stream(self):
+        raw = filter_scanlines(np.zeros((3, 6), np.uint8), 3, [0, 0, 0])
+        with pytest.raises(TruncatedFileError, match="PNG IDAT stream is corrupt"):
+            decode_png(png_blob(2, 3, 8, 2, b"", idat=zlib.compress(raw)[:-4]))
+
     def test_not_a_png(self):
         with pytest.raises(UnsupportedFormatError):
             decode_png(b"GIF89a such image")
