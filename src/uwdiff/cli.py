@@ -154,11 +154,13 @@ def cmd_enhance(args) -> int:
     model, model_config = load_model_checkpoint(args.model)
     _require_model_schedule(config, model_config, args.model)
     context = joint_context_from_checkpoint(args.prompts, config.guidance()) if args.prompts else None
+    sched = config.sampling_schedule()
+    print(f"# sampling {sched.steps} of {config.schedule_steps} schedule steps")
     written = enhance_directory(
         args.input,
         out,
         model.astype(np.float32),  # made once, before any sampling thread starts
-        config.schedule(),
+        sched,
         seed=config.seed,
         context=context,
         progress=print,
@@ -231,7 +233,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     config = _load_config(args)
-    results = run_all(seed=config.seed, sched=config.schedule())
+    results = run_all(seed=config.seed, sched=config.sampling_schedule())
     failed = 0
     for result in results:
         status = "pass" if result.passed else "FAIL"

@@ -1,4 +1,4 @@
-"""Noise schedules, forward diffusion, guided noise prediction, and the ancestral reverse step.
+"""Noise schedules and their respacing, forward diffusion, guided noise prediction, and the ancestral reverse step.
 
 The multi-condition guidance algebra lives here in two interchangeable
 spaces: scores combine as base + gamma1*g1 + gamma2*g2 (a lambda blend is the
@@ -51,6 +51,25 @@ def make_linear_schedule(steps: int, beta_start: float, beta_end: float) -> Nois
     beta = np.linspace(beta_start, beta_end, steps, dtype=np.float64)
     alpha = 1.0 - beta
     return NoiseSchedule(steps=steps, beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha))
+
+
+def respace(sched: NoiseSchedule, k: int) -> NoiseSchedule:
+    """sched sampled at K steps, K the largest divisor of T = sched.steps that is <= k; sched itself when K == T.
+
+    Step k of the result is step t_k = k T/K of sched, with sched's alpha_bar there,
+    alpha'_k = alpha_bar'_k / alpha_bar'_{k-1} (alpha_bar'_0 = 1) and beta'_k = 1 - alpha'_k
+    (Nichol & Dhariwal 2021, "Improved denoising diffusion probabilistic models", section 4).
+    As K divides T, k/K and alpha_bar'_k are the timestep features of training step t_k.
+    """
+    if k < 1:
+        raise ParameterError(f"sampler steps must be >= 1, got {k}")
+    steps = max(d for d in range(1, min(k, sched.steps) + 1) if sched.steps % d == 0)
+    if steps == sched.steps:
+        return sched
+    stride = sched.steps // steps
+    alpha_bar = sched.alpha_bar[stride - 1 :: stride]
+    alpha = alpha_bar / np.concatenate(([1.0], alpha_bar[:-1]))
+    return NoiseSchedule(steps=steps, beta=1.0 - alpha, alpha=alpha, alpha_bar=alpha_bar)
 
 
 @dataclass(frozen=True)

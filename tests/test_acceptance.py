@@ -4,11 +4,13 @@ Each test records a PASS/FAIL line (printed in the terminal summary) and
 asserts both the numeric condition and its runtime budget.
 """
 
+import functools
 import math
 import os
 import time
 
 import numpy as np
+import pytest
 
 from uwdiff import autodiff as ad
 from uwdiff.autodiff import Tensor
@@ -140,7 +142,7 @@ def test_c03_scattering_limits():
 
 def test_c04_posterior_recovery():
     start = time.time()
-    sched = RunConfig().schedule()
+    sched = RunConfig().sampling_schedule()
     guided = check_posterior_recovery(sched, stream_rng(104, 0))
     prior = check_prior_recovery(sched, stream_rng(104, 1))
     elapsed = time.time() - start
@@ -153,7 +155,7 @@ def test_c04_posterior_recovery():
 
 def test_c05_guidance_algebra_consistency():
     start = time.time()
-    result = check_guidance_algebra(RunConfig().schedule(), np.random.default_rng(105))
+    result = check_guidance_algebra(RunConfig().sampling_schedule(), np.random.default_rng(105))
     elapsed = time.time() - start
     ok = result.passed and elapsed < 1.0
     record_criterion("C5 guidance algebra", ok, f"{result.detail} over 1000 instances, {elapsed:.2f}s")
@@ -163,7 +165,7 @@ def test_c05_guidance_algebra_consistency():
 
 def test_c06_lambda_preference_direction():
     start = time.time()
-    result = check_lambda_preference(RunConfig().schedule(), [stream_rng(106, i) for i in range(5)])
+    result = check_lambda_preference(RunConfig().sampling_schedule(), [stream_rng(106, i) for i in range(5)])
     elapsed = time.time() - start
     ok = result.passed and elapsed < 120.0
     record_criterion("C6 lambda preference", ok, f"{result.detail}, {elapsed:.1f}s")
@@ -446,8 +448,11 @@ def test_c11_end_to_end_determinism(tmp_path):
     assert elapsed < 300.0
 
 
-def test_c12_enhancement_improves_quality():
-    start = time.time()
+@pytest.fixture(scope="module")
+def c12_toy():
+    """C12's held-out (clean, degraded) pairs, and trained(seed): the float32 sampler of the
+    model of that seed fine-tuned on C12's training pairs, trained once per module, and its
+    training seconds."""
     gen = np.random.default_rng(112)
     ranges = ScatterRanges(
         beta_direct=(0.85, 0.95), beta_backscatter=(0.55, 0.65), veil=(0.25, 0.35), depth=(1.6, 1.8)
@@ -458,31 +463,44 @@ def test_c12_enhancement_improves_quality():
         degraded = scatter_degrade(clean, ranges.draw(np.random.default_rng([112, i])))
         (train_pairs if i < 16 else test_pairs).append((clean, degraded))
 
-    sched = RunConfig().schedule()
-    model = ConditionalDenoiser(width=32, seed=0)
-    fine_tune(
-        model,
-        [(to_model_space(c), to_model_space(d)) for c, d in train_pairs],
-        sched,
-        weights=LossWeights(1.0, 0.0),
-        optimizer=OptimizerConfig(learning_rate=2e-3, total_steps=2500, seed=0),
-        t_range=(20, 200),
-    )
+    @functools.cache
+    def trained(seed: int):
+        start = time.time()
+        model = ConditionalDenoiser(width=32, seed=seed)
+        fine_tune(
+            model,
+            [(to_model_space(c), to_model_space(d)) for c, d in train_pairs],
+            RunConfig().schedule(),  # training always runs every schedule step
+            weights=LossWeights(1.0, 0.0),
+            optimizer=OptimizerConfig(learning_rate=2e-3, total_steps=2500, seed=seed),
+            t_range=(20, 200),
+        )
+        return model.astype(np.float32), time.time() - start  # the float32 model `enhance` samples with
 
-    psnr_degraded, psnr_enhanced, uciqe_degraded, uciqe_enhanced = [], [], [], []
-    sampler = model.astype(np.float32)  # the float32 model `enhance` samples with
-    for i, (clean, degraded) in enumerate(test_pairs):
-        enhanced = enhance_image(degraded, sampler, sched, None, None, stream_rng(112, i))
-        psnr_degraded.append(psnr(degraded, clean))
-        psnr_enhanced.append(psnr(enhanced, clean))
-        uciqe_degraded.append(uciqe(degraded))
-        uciqe_enhanced.append(uciqe(enhanced))
+    return test_pairs, trained
+
+
+def _enhanced(test_pairs, sampler, sched):
+    """Each held-out degraded image enhanced with its own generator, as `enhance` would."""
+    degraded = [d for _, d in test_pairs]
+    return enhance_image(degraded, sampler, sched, None, None, [stream_rng(112, i) for i in range(len(degraded))])
+
+
+def test_c12_enhancement_improves_quality(c12_toy):
+    test_pairs, trained = c12_toy
+    sampler, train_s = trained(0)
+    start = time.time()
+    enhanced = _enhanced(test_pairs, sampler, RunConfig().sampling_schedule())
+    psnr_degraded = [psnr(d, c) for c, d in test_pairs]
+    psnr_enhanced = [psnr(e, c) for e, (c, _) in zip(enhanced, test_pairs)]
+    uciqe_degraded = [uciqe(d) for _, d in test_pairs]
+    uciqe_enhanced = [uciqe(e) for e in enhanced]
 
     mean_psnr_before = float(np.mean(psnr_degraded))
     mean_psnr_after = float(np.mean(psnr_enhanced))
     mean_uciqe_before = float(np.mean(uciqe_degraded))
     mean_uciqe_after = float(np.mean(uciqe_enhanced))
-    elapsed = time.time() - start
+    elapsed = train_s + time.time() - start
     ok = mean_psnr_after > mean_psnr_before and mean_uciqe_after > mean_uciqe_before and elapsed < 600.0
     record_criterion(
         "C12 enhancement improves quality",
@@ -493,3 +511,28 @@ def test_c12_enhancement_improves_quality():
     assert mean_psnr_after > mean_psnr_before
     assert mean_uciqe_after > mean_uciqe_before
     assert elapsed < 600.0
+
+
+def test_respaced_sampling_keeps_quality_of_every_step(c12_toy):
+    """Sampling at the default sampler.steps stays within 0.3 dB mean PSNR and 0.1 UCIQE gap to
+    clean of sampling all schedule.steps, for C12's model seeds 0-2."""
+    test_pairs, trained = c12_toy
+    clean_uciqe = float(np.mean([uciqe(c) for c, _ in test_pairs]))
+    full, respaced = RunConfig().schedule(), RunConfig().sampling_schedule()
+    assert respaced.steps < full.steps
+    rows = []
+    for seed in range(3):
+        sampler, _ = trained(seed)
+        row = []
+        for sched in (full, respaced):
+            enhanced = _enhanced(test_pairs, sampler, sched)
+            mean_psnr = float(np.mean([psnr(e, c) for e, (c, _) in zip(enhanced, test_pairs)]))
+            row.append((mean_psnr, abs(float(np.mean([uciqe(e) for e in enhanced])) - clean_uciqe)))
+        rows.append(row)
+    detail = "; ".join(
+        f"seed {seed}: PSNR {a[0]:.2f} -> {b[0]:.2f} dB, UCIQE gap {a[1]:.3f} -> {b[1]:.3f}"
+        for seed, (a, b) in enumerate(rows)
+    )
+    ok = all(b[0] > a[0] - 0.3 and b[1] < a[1] + 0.1 for a, b in rows)
+    record_criterion(f"C12 quality at {respaced.steps} of {full.steps} steps", ok, detail)
+    assert ok, detail

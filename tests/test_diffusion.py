@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwdiff.config import RunConfig
+from uwdiff.denoiser import ConditionalDenoiser
 from uwdiff.diffusion import (
     AnalyticGaussianWorld,
     GuidanceConfig,
@@ -13,6 +14,7 @@ from uwdiff.diffusion import (
     forward_sample,
     guided_noise_prediction,
     make_linear_schedule,
+    respace,
     reverse_step,
     score_from_noise,
     stream_rng,
@@ -61,6 +63,46 @@ class TestSchedule:
             sched.alpha_bar_at(0)
         with pytest.raises(ParameterError):
             sched.alpha_bar_at(11)
+
+
+class TestRespace:
+    def test_every_step_is_the_schedule_itself(self):
+        sched = RunConfig().schedule()
+        assert respace(sched, sched.steps) is sched
+        assert respace(sched, sched.steps + 1) is sched
+
+    @pytest.mark.parametrize("steps", [2, 5, 60, 150, 200])
+    def test_takes_the_largest_divisor_of_the_steps_at_most_k(self, steps):
+        sched = make_linear_schedule(steps, 1e-4, 0.2)
+        for k in range(1, steps + 2):
+            got = respace(sched, k).steps
+            assert steps % got == 0 and got <= k
+            assert not any(steps % d == 0 for d in range(got + 1, min(k, steps) + 1)), (k, got)
+
+    @pytest.mark.parametrize("k", [100, 50, 40, 7])
+    def test_alpha_bar_is_the_schedules_own_at_each_kept_step(self, k):
+        sched = RunConfig().schedule()
+        short = respace(sched, k)
+        stride = sched.steps // short.steps
+        for step in range(1, short.steps + 1):
+            assert short.alpha_bar_at(step) == sched.alpha_bar_at(step * stride)
+        assert np.array_equal(short.beta, 1.0 - short.alpha)
+        assert math.prod(short.alpha) == pytest.approx(sched.alpha_bar[-1], rel=1e-14, abs=0)
+        assert np.all(np.diff(short.beta) > 0)
+
+    def test_a_respaced_step_feeds_the_denoiser_its_training_steps_features(self):
+        sched = RunConfig().schedule()
+        short = respace(sched, 100)
+        model = ConditionalDenoiser(width=4, seed=3).astype(np.float32)
+        gen = np.random.default_rng(0)
+        x, condition = gen.standard_normal((2, 1, 3, 8, 8))
+        for step in (1, 37, 100):
+            assert np.array_equal(model(x, condition, step, short), model(x, condition, 2 * step, sched))
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_fewer_than_one_step_is_rejected(self, k):
+        with pytest.raises(ParameterError, match=f"sampler steps must be >= 1, got {k}"):
+            respace(RunConfig().schedule(), k)
 
 
 class TestForwardSample:

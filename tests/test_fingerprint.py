@@ -138,16 +138,16 @@ def test_toy_pipeline_matches_pinned_fingerprint(tmp_path):
 
 
 # (mean, variance) of the x_0 draws of each sample_terminal run that
-# `uwdiff verify --seed 0` makes, in run_all's order
+# `uwdiff verify --seed 0` makes at the default sampler.steps, in run_all's order
 VERIFY_CHAINS = {
-    "posterior": [(1.3384640424181016, 0.3374083319089938)],
-    "prior": [(-0.010672428632351428, 0.9917109797044934)],
+    "posterior": [(1.331308735538151, 0.3364116946073787)],
+    "prior": [(-0.0016917246136617717, 0.9924306187894805)],
     "lambda_sweep": [
-        (1.066028904964386, 0.34350017528285115),
-        (0.5285340838897729, 0.33239731800080485),
-        (-0.004762417316036358, 0.3326684945624499),
-        (-0.5357533859556466, 0.3375730059703032),
-        (-1.0608627983220849, 0.338234811018424),
+        (1.0611206130474764, 0.3502594001614084),
+        (0.5370860066716371, 0.3458726424550071),
+        (0.00047037559551573995, 0.3382590201049909),
+        (-0.5298778619711073, 0.3372749075228546),
+        (-1.0632552712625136, 0.34107432608046745),
     ],
 }
 
@@ -164,7 +164,7 @@ def verify_chains() -> dict:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verification, "sample_terminal", recording)
-        verification.run_all(seed=0, sched=RunConfig().schedule())
+        verification.run_all(seed=0, sched=RunConfig().sampling_schedule())
     return {"posterior": moments[:1], "prior": moments[1:2], "lambda_sweep": moments[2:]}
 
 
