@@ -233,7 +233,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     config = _load_config(args)
-    results = run_all(seed=config.seed, sched=config.sampling_schedule())
+    results = run_all(seed=config.seed, sched=config.schedule(), sampling=config.sampling_schedule())
     failed = 0
     for result in results:
         status = "pass" if result.passed else "FAIL"

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field, fields
 
 from .denoiser import ConditionalDenoiser, layer_shapes
-from .diffusion import GuidanceConfig, NoiseSchedule, make_linear_schedule, respace
+from .diffusion import SAMPLER_STEPS, GuidanceConfig, NoiseSchedule, make_linear_schedule, respace
 from .errors import ConfigError, ParameterError
 from .imageio import read_text
 from .jointnet import JointNetConfig, PromptTrainConfig
@@ -43,8 +43,6 @@ class RunConfig:
     schedule_steps: int = _key("schedule.steps", 200)
     beta_start: float = _key("schedule.beta_start", 1e-5)
     beta_end: float = _key("schedule.beta_end", 1e-1)
-    # at most this many reverse steps, on a respaced schedule: finetune trains on all of schedule.steps
-    sampler_steps: int = _key("sampler.steps", 100)
     # weight of the classifier's alignment gradient
     gamma2: float = _key("guidance.gamma2", GuidanceConfig.gamma2)
     lambda1: float = _key("loss.lambda1", LossWeights.lambda1)
@@ -70,9 +68,9 @@ class RunConfig:
 
     def __post_init__(self):
         """Check every section once, so that no RunConfig holds an out-of-range value."""
-        for check in (self.sampling_schedule, self.guidance, self.loss_weights, self.optimizer,
+        for check in (self.schedule, self.guidance, self.loss_weights, self.optimizer,
                       self.scatter_ranges, self.classifier, self.prompt_training):
-            check()  # sampling_schedule checks [schedule] too, as it builds schedule() first
+            check()
         check_t_range((self.train_t_min, self.schedule_steps), self.schedule_steps)
         check_method(self.synth_method)
         layer_shapes(self.denoiser_width)  # not self.denoiser(), whose weight draw imports numpy.random
@@ -82,8 +80,9 @@ class RunConfig:
         return make_linear_schedule(self.schedule_steps, self.beta_start, self.beta_end)
 
     def sampling_schedule(self) -> NoiseSchedule:
-        """The schedule `enhance` and `verify` sample: schedule() respaced to at most sampler.steps."""
-        return respace(self.schedule(), self.sampler_steps)
+        """The schedule `enhance` and `verify` sample: schedule() respaced to at most SAMPLER_STEPS steps;
+        `finetune` trains on every step of schedule()."""
+        return respace(self.schedule(), SAMPLER_STEPS)
 
     def guidance(self) -> GuidanceConfig:
         return GuidanceConfig(gamma2=self.gamma2)

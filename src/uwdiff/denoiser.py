@@ -59,7 +59,7 @@ class ConditionalDenoiser:
         n, _, height, width = x_t.data.shape
         dtype = x_t.data.dtype
         t_feat = np.empty((n, 2, height, width), dtype=dtype)
-        t_feat[:, 0] = t / sched.steps
+        t_feat[:, 0] = sched.time_at(t)
         t_feat[:, 1] = sched.alpha_bar_at(t)
         stacked = ad.concat([x_t, Tensor(np.asarray(condition, dtype=dtype)), Tensor(t_feat)], axis=1)
         p = self.tensors

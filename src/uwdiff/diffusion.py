@@ -20,12 +20,17 @@ from .errors import ParameterError, ShapeMismatchError
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """beta_t, alpha_t = 1 - beta_t, and alpha_bar_t = prod(alpha_s) for t = 1..T."""
+    """beta_t, alpha_t = 1 - beta_t, and alpha_bar_t = prod(alpha_s) for t = 1..steps.
+
+    Step t is step timestep[t - 1] of the training schedule, whose length is
+    timestep[-1]: t itself, unless respace() skipped steps.
+    """
 
     steps: int
     beta: np.ndarray
     alpha: np.ndarray
     alpha_bar: np.ndarray
+    timestep: np.ndarray
 
     def _index(self, t: int) -> int:
         if not 1 <= t <= self.steps:
@@ -41,6 +46,13 @@ class NoiseSchedule:
     def alpha_bar_at(self, t: int) -> float:
         return float(self.alpha_bar[self._index(t)])
 
+    def timestep_at(self, t: int) -> int:
+        return int(self.timestep[self._index(t)])
+
+    def time_at(self, t: int) -> float:
+        """Step t's training step over the training schedule's length: the denoiser's time feature."""
+        return self.timestep_at(t) / int(self.timestep[-1])
+
 
 def make_linear_schedule(steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Linear beta ramp inclusive of both endpoints."""
@@ -50,26 +62,52 @@ def make_linear_schedule(steps: int, beta_start: float, beta_end: float) -> Nois
         raise ParameterError(f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})")
     beta = np.linspace(beta_start, beta_end, steps, dtype=np.float64)
     alpha = 1.0 - beta
-    return NoiseSchedule(steps=steps, beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha))
+    return NoiseSchedule(steps, beta, alpha, alpha_bar=np.cumprod(alpha), timestep=np.arange(1, steps + 1))
+
+
+# reverse steps that `enhance` and `verify` take on the schedule.steps-step training schedule
+SAMPLER_STEPS = 100
 
 
 def respace(sched: NoiseSchedule, k: int) -> NoiseSchedule:
-    """sched sampled at K steps, K the largest divisor of T = sched.steps that is <= k; sched itself when K == T.
+    """sched sampled at k of its T = sched.steps steps; sched itself when k >= T.
 
-    Step k of the result is step t_k = k T/K of sched, with sched's alpha_bar there,
-    alpha'_k = alpha_bar'_k / alpha_bar'_{k-1} (alpha_bar'_0 = 1) and beta'_k = 1 - alpha'_k
-    (Nichol & Dhariwal 2021, "Improved denoising diffusion probabilistic models", section 4).
-    As K divides T, k/K and alpha_bar'_k are the timestep features of training step t_k.
+    The kept steps are T, step 1 (when k >= 2), and the k - 2 between that give the least
+    sum of variance gaps. The exact added variance of a reverse step from t down to s is
+    beta~ + c^2 Var(x0 | x_t), c the x0 coefficient of its mean: beta~ for one-point data,
+    beta (what reverse_step adds) for unit-variance data. So the gap beta - beta~ =
+    alpha_bar_s beta^2 / (1 - alpha_bar_t) bounds the step's variance error for data of any
+    variance up to 1. Dynamic programming finds the steps of least gap sum: long jumps where
+    alpha_bar is near 0, single steps where the gap peaks. Step 1 is kept because the last
+    reverse step adds no noise: from step 1 it drops beta_1, as the full chain does, where
+    from a later step it would drop that step's whole beta'. A kept step at training step t, the one below at s, gets
+    alpha_bar_t from sched, alpha' = alpha_bar_t / alpha_bar_s (alpha_bar_0 = 1) and
+    beta' = 1 - alpha' (Nichol & Dhariwal 2021, "Improved denoising diffusion probabilistic
+    models", section 4), and timestep t, so the denoiser sees step t's training features.
+    Time and memory grow as k T and T^2.
     """
     if k < 1:
         raise ParameterError(f"sampler steps must be >= 1, got {k}")
-    steps = max(d for d in range(1, min(k, sched.steps) + 1) if sched.steps % d == 0)
-    if steps == sched.steps:
+    if k >= sched.steps:
         return sched
-    stride = sched.steps // steps
-    alpha_bar = sched.alpha_bar[stride - 1 :: stride]
+    kept = [sched.steps]
+    if k >= 2:
+        ab = np.concatenate(([1.0], sched.alpha_bar))  # alpha_bar_t for t = 0..T
+        t, s = np.ogrid[: len(ab), : len(ab)]
+        with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 has no step down to it
+            gap = np.where(s < t, (ab[s] - ab[t]) ** 2 / (ab[s] * (1.0 - ab[t])), np.inf)  # step t -> s
+        cost, below, total = gap[:, 1], [], np.empty_like(gap)  # cost[t]: least gap sum from t down to step 1
+        for _ in range(k - 2):
+            np.add(gap, cost, out=total)
+            below.append(total.argmin(axis=1))
+            cost = total[t[:, 0], below[-1]]
+        for step in reversed(below):
+            kept.append(int(step[kept[-1]]))
+        kept.append(1)
+    timestep = np.array(kept[::-1])
+    alpha_bar = sched.alpha_bar[timestep - 1]
     alpha = alpha_bar / np.concatenate(([1.0], alpha_bar[:-1]))
-    return NoiseSchedule(steps=steps, beta=1.0 - alpha, alpha=alpha, alpha_bar=alpha_bar)
+    return NoiseSchedule(len(timestep), 1.0 - alpha, alpha, alpha_bar, timestep)
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,8 @@ def reverse_chain(x, predict, guide, sched: NoiseSchedule, cfg: GuidanceConfig |
 
     At each t = T..1: eps = predict(x, t); unless guide is None, guide(x, t)'s (y1, y2) gradients fold
     into eps by guided_noise_prediction under cfg; reverse_step draws x_{t-1} from rng (a generator, or
-    one per row of x). Raises SamplingDivergedError naming t, with `image` the first row gone non-finite."""
+    one per row of x). Raises SamplingDivergedError naming t's training step (and t, on a respaced
+    schedule), with `image` the first row gone non-finite."""
     for t in range(sched.steps, 0, -1):
         eps = predict(x, t)
         if guide is not None:
@@ -144,8 +145,11 @@ def reverse_chain(x, predict, guide, sched: NoiseSchedule, cfg: GuidanceConfig |
         finite = np.isfinite(x)
         if not finite.all():
             first = int(np.argmin(finite.reshape(len(x), -1).all(axis=1)))
-            bad = f"{np.count_nonzero(~finite[first])} non-finite values in x_{t - 1}"
-            raise SamplingDivergedError(f"reverse chain diverged at step t={t} of {sched.steps}: {bad}", image=first)
+            where = f"step t={sched.timestep_at(t)} of {sched.timestep[-1]}"  # the training schedule's step
+            if sched.steps < sched.timestep[-1]:
+                where += f" (sampling step {t} of {sched.steps})"
+            bad = f"{np.count_nonzero(~finite[first])} non-finite values in x_{sched.timestep_at(t - 1) if t > 1 else 0}"
+            raise SamplingDivergedError(f"reverse chain diverged at {where}: {bad}", image=first)
     return x
 
 

@@ -233,16 +233,24 @@ def check_gradients(seed: int) -> CheckResult:
     return CheckResult("gradient_checks", report.passed, detail or "; ".join(report.failures))
 
 
-def run_all(seed: int, sched: NoiseSchedule) -> list[CheckResult]:
+def chain_checks(seed: int, sampling: NoiseSchedule) -> list[CheckResult]:
+    """The checks that sample reverse chains, on `sampling`, the schedule `enhance` samples."""
+    return [
+        check_posterior_recovery(sampling, stream_rng(seed, 5)),
+        check_prior_recovery(sampling, stream_rng(seed, 6)),
+        check_lambda_preference(sampling, [stream_rng(seed, 7 + i) for i in range(5)]),
+    ]
+
+
+def run_all(seed: int, sched: NoiseSchedule, sampling: NoiseSchedule) -> list[CheckResult]:
+    """Every check: chain_checks on `sampling`, the rest on `sched`, the training schedule."""
     return [
         check_schedule_shape(sched),
         check_forward_marginal(sched, seed),
         check_score_identity(sched, seed),
         check_guidance_algebra(sched, stream_rng(seed, 3)),
         check_guidance_linearity(sched, seed),
-        check_posterior_recovery(sched, stream_rng(seed, 5)),
-        check_prior_recovery(sched, stream_rng(seed, 6)),
-        check_lambda_preference(sched, [stream_rng(seed, 7 + i) for i in range(5)]),
+        *chain_checks(seed, sampling),
         check_terminal_step_deterministic(sched, seed),
         check_loss_decomposition(stream_rng(seed, 15)),
         check_gradients(seed),

@@ -17,7 +17,7 @@ from uwdiff.autodiff import Tensor
 from uwdiff.cli import main as cli_main
 from uwdiff.config import RunConfig
 from uwdiff.denoiser import ConditionalDenoiser
-from uwdiff.diffusion import stream_rng
+from uwdiff.diffusion import AnalyticGaussianWorld, GuidanceConfig, NoiseSchedule, respace, stream_rng
 from uwdiff.images import LabImage, RgbImage, channel_stats, lab_to_srgb, srgb_to_lab
 from uwdiff.imageio import save_image
 from uwdiff.jointnet import (
@@ -36,11 +36,13 @@ from uwdiff.pipeline import enhance_image, to_model_space
 from uwdiff.synthesis import DegradationParams, ScatterRanges, scatter_degrade
 from uwdiff.training import LossWeights, OptimizerConfig, composite_loss, fine_tune, grad_check
 from uwdiff.verification import (
+    chain_checks,
     check_guidance_algebra,
     check_lambda_preference,
     check_loss_decomposition,
     check_posterior_recovery,
     check_prior_recovery,
+    sample_terminal,
 )
 
 from criteria import record_criterion
@@ -151,6 +153,75 @@ def test_c04_posterior_recovery():
     assert guided.passed, guided.detail
     assert prior.passed, prior.detail
     assert elapsed < 60.0
+
+
+def evenly_strided(sched: NoiseSchedule, stride: int) -> NoiseSchedule:
+    """Every stride-th step of sched: plain respacing, without respace's choice of steps."""
+    timestep = np.arange(stride, sched.steps + 1, stride)
+    alpha_bar = sched.alpha_bar[timestep - 1]
+    alpha = alpha_bar / np.concatenate(([1.0], alpha_bar[:-1]))
+    return NoiseSchedule(len(timestep), 1.0 - alpha, alpha, alpha_bar, timestep)
+
+
+class ImpulseDraws(list):
+    """One stand-in generator per chain: chain j draws 0 everywhere except 1 at its draw j
+    (draw 0 is x_T, draw i the noise of the i-th reverse step); the last chain draws only 0."""
+
+    class Row:
+        def __init__(self, at: int):
+            self.at, self.draws = at, 0
+
+        def standard_normal(self, shape):
+            self.draws += 1
+            return np.full(shape, float(self.draws - 1 == self.at))
+
+    def __init__(self, draws: int):
+        super().__init__([self.Row(j) for j in range(draws)] + [self.Row(-1)])
+
+    def standard_normal(self, n: int) -> np.ndarray:
+        return np.array([row.standard_normal(()) for row in self])
+
+
+def exact_terminal_moments(sched: NoiseSchedule, observations=(), cfg=None) -> tuple[float, float]:
+    """Mean and variance of x_0 of verify's analytic chains on sched, without sampling error:
+    sample_terminal is affine in x_T and the noise draws, all N(0, 1), so one chain per draw
+    with that draw alone 1 gives its weight, and the all-0 chain the mean."""
+    world = AnalyticGaussianWorld(mu0=0.0, var0=1.0, var_y=0.5)
+    draws = sched.steps  # x_T, then t = T..2; t = 1 adds no noise
+    x0 = sample_terminal(world, sched, draws + 1, ImpulseDraws(draws), observations, cfg)
+    return float(x0[-1]), float(np.sum((x0[:-1] - x0[-1]) ** 2))
+
+
+def test_sampling_schedule_bias_is_within_one_se_of_verify_chain_checks():
+    """C4's chains have a terminal mean and variance within one standard error of the checks'
+    10,000-chain estimates of the exact answer, whatever the seed, as on every step; 100 evenly
+    strided steps, or 50 respaced ones, do not."""
+    n = 10_000
+    full = RunConfig().schedule()
+    want = {"posterior": AnalyticGaussianWorld(mu0=0.0, var0=1.0, var_y=0.5).posterior(2.0), "prior": (0.0, 1.0)}
+    chains = {"posterior": ((2.0,), GuidanceConfig(gamma1=1.0)), "prior": ((), None)}
+
+    def within_one_se(sched):
+        bias = {}
+        for name, (observations, cfg) in chains.items():
+            (mean, var), (want_mean, want_var) = exact_terminal_moments(sched, observations, cfg), want[name]
+            se_mean, se_var = math.sqrt(want_var / n), want_var * math.sqrt(2 / (n - 1))
+            bias[name] = (abs(mean - want_mean) / se_mean, abs(var - want_var) / se_var)
+        return all(b < 1.0 for pair in bias.values() for b in pair), bias
+
+    ok, bias = within_one_se(RunConfig().sampling_schedule())
+    detail = ", ".join(f"{name} mean {m:.3f} se, var {v:.3f} se" for name, (m, v) in bias.items())
+    record_criterion("C4 bias at the sampling schedule", ok, f"exact, off by: {detail}")
+    assert ok, bias
+    assert within_one_se(full)[0]
+    assert not within_one_se(evenly_strided(full, 2))[0]
+    assert not within_one_se(respace(full, 50))[0]
+
+
+def test_verify_chain_checks_fail_too_few_steps():
+    """20 steps put the guided posterior's variance 4.9 se high: seed 0's check fails it."""
+    short = respace(RunConfig().schedule(), 20)
+    assert [r.name for r in chain_checks(0, short) if not r.passed] == ["posterior_recovery_guided"]
 
 
 def test_c05_guidance_algebra_consistency():
@@ -514,8 +585,8 @@ def test_c12_enhancement_improves_quality(c12_toy):
 
 
 def test_respaced_sampling_keeps_quality_of_every_step(c12_toy):
-    """Sampling at the default sampler.steps stays within 0.3 dB mean PSNR and 0.1 UCIQE gap to
-    clean of sampling all schedule.steps, for C12's model seeds 0-2."""
+    """Sampling RunConfig.sampling_schedule() stays within 0.3 dB mean PSNR and 0.1 UCIQE gap to
+    clean of sampling every schedule step, for C12's model seeds 0-2."""
     test_pairs, trained = c12_toy
     clean_uciqe = float(np.mean([uciqe(c) for c, _ in test_pairs]))
     full, respaced = RunConfig().schedule(), RunConfig().sampling_schedule()

@@ -12,7 +12,7 @@ from uwdiff.checkpoint import read_checkpoint, write_checkpoint
 from uwdiff.cli import main
 from uwdiff.config import RunConfig, load_config, parse_config_text, resolve_text
 from uwdiff.denoiser import ConditionalDenoiser
-from uwdiff.diffusion import GuidanceConfig, make_linear_schedule, stream_rng
+from uwdiff.diffusion import SAMPLER_STEPS, GuidanceConfig, make_linear_schedule, stream_rng
 from uwdiff.errors import ConfigError, ParameterError, TruncatedFileError, UnsupportedFormatError
 from uwdiff.images import RgbImage
 from uwdiff.imageio import save_image
@@ -47,7 +47,6 @@ class TestConfigParsing:
     DEFAULT_TEXT = (
         "[run]\nseed = 0\n\n"
         "[schedule]\nsteps = 200\nbeta_start = 1e-05\nbeta_end = 0.1\n\n"
-        "[sampler]\nsteps = 100\n\n"
         "[guidance]\ngamma2 = 0.0\n\n"
         "[loss]\nlambda1 = 0.6\nlambda2 = 0.4\n\n"
         "[optimizer]\nlearning_rate = 0.001\nsteps = 200\nt_min = 1\n\n"
@@ -63,13 +62,12 @@ class TestConfigParsing:
 
     def test_non_default_config_renders_to_pinned_text(self):
         config = RunConfig(
-            seed=7, beta_end=0.2, sampler_steps=40, gamma2=0.25, lambda2=0.0, train_t_min=3,
+            seed=7, beta_end=0.2, gamma2=0.25, lambda2=0.0, train_t_min=3,
             synth_method="scatter", depth_max=5.5, embed_dim=8, denoiser_width=4,
         )
         expected = (
             "[run]\nseed = 7\n\n"
             "[schedule]\nsteps = 200\nbeta_start = 1e-05\nbeta_end = 0.2\n\n"
-            "[sampler]\nsteps = 40\n\n"
             "[guidance]\ngamma2 = 0.25\n\n"
             "[loss]\nlambda1 = 0.6\nlambda2 = 0.0\n\n"
             "[optimizer]\nlearning_rate = 0.001\nsteps = 200\nt_min = 3\n\n"
@@ -736,7 +734,6 @@ BAD_SETTINGS = [
     ({"optimizer.t_min": "500"}, "t_range (500, 200) outside 1..200"),
     ({"schedule.beta_start": "0.05", "schedule.beta_end": "0.01"}, "need 0 < beta_start <= beta_end < 1"),
     ({"schedule.steps": "0"}, "steps must be >= 1, got 0"),
-    ({"sampler.steps": "0"}, "sampler steps must be >= 1, got 0"),
     ({"denoiser.width": "0"}, "width must be >= 1, got 0"),
     ({"synthesis.veil_max": "2"}, "veil range must stay within [0, 1]"),
 ]
@@ -962,13 +959,6 @@ class TestGuidanceSwitch:
 
 
 class TestSampler:
-    def test_verify_at_50_sampler_steps_fails_the_guided_posterior(self, tmp_path, capsys):
-        cfg = tmp_path / "k50.cfg"
-        cfg.write_text("[sampler]\nsteps = 50\n")
-        assert main(["verify", "--seed", "0", "--config", str(cfg)]) == 1
-        out = capsys.readouterr().out
-        assert "[FAIL] posterior_recovery_guided" in out and "1/11 checks failed" in out
-
     def test_enhance_prints_the_sampled_steps_to_stdout_only(self, tmp_path, capsys):
         _write_scene_dir(tmp_path / "imgs", 1, 0, size=8)
         model = tmp_path / "model.ckpt"
@@ -979,21 +969,22 @@ class TestSampler:
         assert "# seed in effect: 0\n# sampling 100 of 200 schedule steps\n" in out
         assert os.listdir(tmp_path / "out") == ["s00.png"]
 
-    def test_a_checkpoint_echo_without_a_sampler_block_still_loads(self, tmp_path, capsys):
-        model = tmp_path / "model.ckpt"
-        echo = resolve_text(RunConfig()).replace("[sampler]\nsteps = 100\n\n", "")
-        assert "sampler" not in echo
-        named = ConditionalDenoiser(width=RunConfig().denoiser_width).tensors
-        write_checkpoint(model, {name: tensor.data for name, tensor in named.items()}, echo)
-        assert load_model_checkpoint(model)[1] == RunConfig()
-        _write_scene_dir(tmp_path / "imgs", 1, 0, size=8)
-        args = ["--input", str(tmp_path / "imgs"), "--model", str(model), "--out", str(tmp_path / "out")]
-        assert main(["enhance", *args]) == 0
+    def test_enhance_and_verify_sample_the_sampling_schedule(self, tmp_path, monkeypatch):
+        import uwdiff.cli as cli
 
-    @pytest.mark.parametrize("schedule_steps, sampler_steps", [(60, 100), (200, 200), (200, 500)])
-    def test_at_most_schedule_steps_samples_the_training_schedule(self, schedule_steps, sampler_steps):
-        config = RunConfig(schedule_steps=schedule_steps, sampler_steps=sampler_steps)
+        seen = []
+        monkeypatch.setattr(cli, "enhance_directory", lambda _in, _out, _model, sched, **_: seen.append(sched) or [])
+        monkeypatch.setattr(cli, "run_all", lambda seed, sched, sampling: seen.extend([sched, sampling]) or [])
+        model = tmp_path / "model.ckpt"
+        save_checkpoint(model, ConditionalDenoiser(width=RunConfig().denoiser_width).tensors, RunConfig())
+        assert main(["enhance", "--input", str(tmp_path), "--model", str(model), "--out", str(tmp_path / "out")]) == 0
+        assert main(["verify"]) == 0
+        want = RunConfig().sampling_schedule().timestep
+        assert [s.timestep.tolist() for s in seen] == [want.tolist(), list(range(1, 201)), want.tolist()]
+
+    def test_a_schedule_of_at_most_sampler_steps_is_sampled_whole(self):
+        config = RunConfig(schedule_steps=SAMPLER_STEPS)
         full, sampled = config.schedule(), config.sampling_schedule()
-        assert sampled.steps == full.steps
-        for name in ("beta", "alpha", "alpha_bar"):
+        for name in ("beta", "alpha", "alpha_bar", "timestep"):
             assert np.array_equal(getattr(sampled, name), getattr(full, name))
+        assert RunConfig().sampling_schedule().steps == SAMPLER_STEPS < RunConfig().schedule_steps

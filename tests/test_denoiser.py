@@ -21,9 +21,8 @@ from test_acceptance import toy_scene
 
 SCHED = make_linear_schedule(200, 1e-4, 2e-2)
 
-# sha256 of the checkpoint of a default-config denoiser drawn with seed 0: float64 weights,
-# and the default config echo, [sampler] block included
-DEFAULT_SEED0_CKPT = "1f18e94acce5a4f115a4a5d71f317f5308138d0e848678d6ad5c2a404261b8e4"
+# sha256 of the checkpoint of a default-config denoiser drawn with seed 0: float64 weights
+DEFAULT_SEED0_CKPT = "aee2c74341cf20962179becbdbbc955958ff64284b260bd3deaeb0eb2340700f"
 
 
 def call_inputs(size=64, seed=0):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -65,30 +66,52 @@ class TestSchedule:
             sched.alpha_bar_at(11)
 
 
+def gap_sum(sched, steps):
+    """Sum of beta - beta~ over the reverse steps between consecutive kept training steps, down to 0."""
+    ab = np.concatenate(([1.0], sched.alpha_bar))
+    return sum((ab[s] - ab[t]) ** 2 / (ab[s] * (1.0 - ab[t])) for s, t in zip((0, *steps), steps))
+
+
 class TestRespace:
     def test_every_step_is_the_schedule_itself(self):
         sched = RunConfig().schedule()
+        assert np.array_equal(sched.timestep, np.arange(1, sched.steps + 1))
         assert respace(sched, sched.steps) is sched
         assert respace(sched, sched.steps + 1) is sched
 
-    @pytest.mark.parametrize("steps", [2, 5, 60, 150, 200])
-    def test_takes_the_largest_divisor_of_the_steps_at_most_k(self, steps):
-        sched = make_linear_schedule(steps, 1e-4, 0.2)
-        for k in range(1, steps + 2):
-            got = respace(sched, k).steps
-            assert steps % got == 0 and got <= k
-            assert not any(steps % d == 0 for d in range(got + 1, min(k, steps) + 1)), (k, got)
+    @pytest.mark.parametrize("steps", [2, 5, 60, 101, 150, 199, 200, 202])
+    def test_takes_k_steps_for_any_schedule_length(self, steps):
+        sched = make_linear_schedule(steps, 1e-5, 1e-1)
+        for k in sorted({1, 2, 3, steps // 3, steps // 2, 100, steps - 1} & set(range(1, steps))):
+            short = respace(sched, k)
+            assert short.steps == k, (k, short.steps)
+            assert short.timestep[-1] == steps and np.all(np.diff(short.timestep) > 0)
 
     @pytest.mark.parametrize("k", [100, 50, 40, 7])
     def test_alpha_bar_is_the_schedules_own_at_each_kept_step(self, k):
         sched = RunConfig().schedule()
         short = respace(sched, k)
-        stride = sched.steps // short.steps
         for step in range(1, short.steps + 1):
-            assert short.alpha_bar_at(step) == sched.alpha_bar_at(step * stride)
+            assert short.alpha_bar_at(step) == sched.alpha_bar_at(short.timestep_at(step))
         assert np.array_equal(short.beta, 1.0 - short.alpha)
         assert math.prod(short.alpha) == pytest.approx(sched.alpha_bar[-1], rel=1e-14, abs=0)
-        assert np.all(np.diff(short.beta) > 0)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_no_other_steps_from_1_to_the_last_have_a_smaller_sum_of_variance_gaps(self, k):
+        sched = make_linear_schedule(9, 1e-3, 0.5)
+        best = min(gap_sum(sched, (1, *inner, 9)) for inner in itertools.combinations(range(2, 9), k - 2))
+        assert gap_sum(sched, respace(sched, k).timestep) == pytest.approx(best, rel=1e-12)
+        assert respace(sched, k).timestep[0] == 1
+
+    def test_one_step_is_the_last(self):
+        sched = make_linear_schedule(9, 1e-3, 0.5)
+        assert respace(sched, 1).timestep.tolist() == [9]
+
+    @pytest.mark.parametrize("k", [100, 50, 40, 25])
+    def test_sum_of_variance_gaps_is_below_even_strides(self, k):
+        sched = RunConfig().schedule()
+        stride = sched.steps // k
+        assert gap_sum(sched, respace(sched, k).timestep) < gap_sum(sched, range(stride, sched.steps + 1, stride))
 
     def test_a_respaced_step_feeds_the_denoiser_its_training_steps_features(self):
         sched = RunConfig().schedule()
@@ -96,8 +119,9 @@ class TestRespace:
         model = ConditionalDenoiser(width=4, seed=3).astype(np.float32)
         gen = np.random.default_rng(0)
         x, condition = gen.standard_normal((2, 1, 3, 8, 8))
-        for step in (1, 37, 100):
-            assert np.array_equal(model(x, condition, step, short), model(x, condition, 2 * step, sched))
+        for step in (1, 37, 80, 99, 100):
+            t = short.timestep_at(step)
+            assert np.array_equal(model(x, condition, step, short), model(x, condition, t, sched)), (step, t)
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_fewer_than_one_step_is_rejected(self, k):

@@ -138,16 +138,16 @@ def test_toy_pipeline_matches_pinned_fingerprint(tmp_path):
 
 
 # (mean, variance) of the x_0 draws of each sample_terminal run that
-# `uwdiff verify --seed 0` makes at the default sampler.steps, in run_all's order
+# `uwdiff verify --seed 0` makes on the sampling schedule, in run_all's order
 VERIFY_CHAINS = {
-    "posterior": [(1.331308735538151, 0.3364116946073787)],
-    "prior": [(-0.0016917246136617717, 0.9924306187894805)],
+    "posterior": [(1.334280862750153, 0.3294960328077905)],
+    "prior": [(-0.0018802240059357764, 0.9961854693763871)],
     "lambda_sweep": [
-        (1.0611206130474764, 0.3502594001614084),
-        (0.5370860066716371, 0.3458726424550071),
-        (0.00047037559551573995, 0.3382590201049909),
-        (-0.5298778619711073, 0.3372749075228546),
-        (-1.0632552712625136, 0.34107432608046745),
+        (1.0611901472648435, 0.34417129238854616),
+        (0.5399666668765751, 0.33602708318005386),
+        (0.002254712514703555, 0.3324639384463107),
+        (-0.5270037986497526, 0.3362440647901957),
+        (-1.0604129115823042, 0.33482388212019065),
     ],
 }
 
@@ -164,7 +164,7 @@ def verify_chains() -> dict:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verification, "sample_terminal", recording)
-        verification.run_all(seed=0, sched=RunConfig().sampling_schedule())
+        verification.run_all(seed=0, sched=RunConfig().schedule(), sampling=RunConfig().sampling_schedule())
     return {"posterior": moments[:1], "prior": moments[1:2], "lambda_sweep": moments[2:]}
 
 

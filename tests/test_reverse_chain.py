@@ -82,7 +82,9 @@ def test_verify_exits_1_when_an_analytic_chain_goes_non_finite(monkeypatch, caps
     monkeypatch.setattr(verification, "AnalyticGaussianWorld", NanWorld)
     assert cli_main(["verify", "--seed", "0"]) == 1
     out, err = capsys.readouterr()
-    assert err.startswith("error: reverse chain diverged at step t=3 of 100: 1 non-finite values in x_2")
+    assert err.startswith(
+        "error: reverse chain diverged at step t=5 of 200 (sampling step 3 of 100): 1 non-finite values in x_4"
+    )
     assert "[FAIL]" not in out
 
 
