@@ -17,6 +17,8 @@ from uwdiff.cli import main as cli
 from uwdiff.images import RgbImage
 from uwdiff.imageio import save_image
 
+from toy_world import toy_scene
+
 SEED = 11
 
 CONFIG = """
@@ -45,17 +47,6 @@ epochs = 100
 [denoiser]
 width = 32
 """
-
-
-def toy_scene(gen, size=24):
-    base = gen.uniform(0.2, 0.9, (3,))
-    yy, xx = np.mgrid[0:size, 0:size] / size
-    img = np.zeros((size, size, 3))
-    for c in range(3):
-        img[..., c] = base[c] + 0.35 * np.sin(
-            2 * np.pi * (gen.uniform(0.5, 1.5) * xx + gen.uniform())
-        ) * np.cos(2 * np.pi * (gen.uniform(0.5, 1.5) * yy + gen.uniform()))
-    return RgbImage.from_array(np.clip(img, 0.02, 0.98))
 
 
 def must(code: int, step: str) -> None:

@@ -159,7 +159,7 @@ def cmd_enhance(args) -> int:
     written = enhance_directory(
         args.input,
         out,
-        model.astype(np.float32),  # made once, before any sampling thread starts
+        model.astype(np.float32),  # made once, before the first image is sampled
         sched,
         seed=config.seed,
         context=context,

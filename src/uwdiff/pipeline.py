@@ -8,7 +8,6 @@ are mapped back to [0, 1] and written as 8-bit PNG.
 from __future__ import annotations
 
 import os
-import threading
 
 import numpy as np
 
@@ -204,53 +203,6 @@ def _same_size_runs(input_dir, names: list[str]):
         yield run
 
 
-def _large(run) -> bool:
-    """One image too large to batch, which is large enough to sample on a thread of its own."""
-    return len(run) == 1 and run[0][2].height * run[0][2].width >= _RUN_PIXELS
-
-
-def _run_groups(runs, threaded: bool):
-    """The runs in order, in pairs of consecutive large runs when threaded, else one by one.
-
-    Batched runs stay alone: two guided 32 px runs at once are slower than one
-    after the other, because the classifier's small arrays contend for the GIL.
-    """
-    for run in runs:
-        if not (threaded and _large(run)):
-            yield [run]
-            continue
-        following = next(runs, None)
-        if following is not None and _large(following):
-            yield [run, following]
-        else:
-            yield [run]
-            if following is not None:
-                yield [following]
-
-
-def _sample_group(group, sample) -> list:
-    """sample(run) for each run of the group, or the exception it raised: the
-    first on this thread, the others on worker threads that are joined before
-    this returns or raises."""
-    results = [None] * len(group)
-
-    def work(i):
-        try:
-            results[i] = sample(group[i])
-        except BaseException as exc:
-            results[i] = exc
-
-    workers = [threading.Thread(target=work, args=(i,)) for i in range(1, len(group))]
-    for worker in workers:
-        worker.start()
-    try:
-        work(0)
-    finally:
-        for worker in workers:
-            worker.join()
-    return results
-
-
 def enhance_directory(
     input_dir,
     out_dir,
@@ -263,31 +215,22 @@ def enhance_directory(
     """Enhance every image in input_dir; per-image generators come from (seed, index).
 
     Consecutive same-size images in name order are sampled together, in runs
-    of at most _RUN_PIXELS pixels. When more than one core is allowed, two
-    consecutive runs of one large image each are sampled at once, on this
-    thread and one worker. Outputs and progress lines come in name order, and
-    no output depends on the runs or the threads.
+    of at most _RUN_PIXELS pixels, one run after another. Outputs and progress
+    lines come in name order, and no output depends on the runs.
     """
     names = list_images(input_dir)
     require_unique_stems(input_dir, names)
-    threaded = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-
-    def sample(run):
+    written = []
+    for run in _same_size_runs(input_dir, names):
         rngs = [stream_rng(seed, index) for index, _, _ in run]
         try:
-            return enhance_image([img for _, _, img in run], model, sched, None, context, rngs)
+            enhanced = enhance_image([img for _, _, img in run], model, sched, None, context, rngs)
         except SamplingDivergedError as exc:
             raise SamplingDivergedError(f"{run[exc.image][1]}: {exc}") from exc
-
-    written = []
-    for group in _run_groups(_same_size_runs(input_dir, names), threaded):
-        for run, enhanced in zip(group, _sample_group(group, sample)):
-            if isinstance(enhanced, BaseException):
-                raise enhanced
-            for (index, name, _), image in zip(run, enhanced):
-                out_path = os.path.join(os.fspath(out_dir), os.path.splitext(name)[0] + ".png")
-                save_image(image, out_path)
-                written.append(out_path)
-                if progress is not None:
-                    progress(f"[{index + 1}/{len(names)}] {name}")
+        for (index, name, _), image in zip(run, enhanced):
+            out_path = os.path.join(os.fspath(out_dir), os.path.splitext(name)[0] + ".png")
+            save_image(image, out_path)
+            written.append(out_path)
+            if progress is not None:
+                progress(f"[{index + 1}/{len(names)}] {name}")
     return written

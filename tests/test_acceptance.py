@@ -19,7 +19,7 @@ from uwdiff.config import RunConfig
 from uwdiff.denoiser import ConditionalDenoiser
 from uwdiff.diffusion import AnalyticGaussianWorld, GuidanceConfig, NoiseSchedule, respace, stream_rng
 from uwdiff.images import LabImage, RgbImage, channel_stats, lab_to_srgb, srgb_to_lab
-from uwdiff.imageio import save_image
+from uwdiff.imageio import _quantize_8bit, save_image
 from uwdiff.jointnet import (
     JointNetConfig,
     PromptTrainConfig,
@@ -47,7 +47,7 @@ from uwdiff.verification import (
 
 from criteria import record_criterion
 from oracles import cpbd_ref, logistic_accuracy, uciqe_ref, uiqm_ref
-from run_toy_pipeline import toy_scene
+from toy_world import RTOL, TOY_CONFIG, toy_scene
 
 
 def test_c01_color_round_trip():
@@ -439,27 +439,6 @@ def test_c10_metric_oracles():
     assert elapsed < 30.0
 
 
-TOY_CONFIG = """
-[run]
-seed = 11
-[schedule]
-steps = 60
-beta_start = 3.333e-5
-beta_end = 0.3333
-[optimizer]
-steps = 50
-t_min = 5
-[classifier]
-width = 16
-embed_dim = 8
-epochs = 40
-[denoiser]
-width = 8
-[guidance]
-gamma2 = 0.05
-"""
-
-
 def test_c11_end_to_end_determinism(tmp_path):
     start = time.time()
     gen = np.random.default_rng(111)
@@ -582,6 +561,20 @@ def test_c12_enhancement_improves_quality(c12_toy):
     assert mean_psnr_after > mean_psnr_before
     assert mean_uciqe_after > mean_uciqe_before
     assert elapsed < 600.0
+
+
+# mean and std of the 8-bit pixels `enhance` writes for C12's held-out images, sampled by
+# trained(0) on RunConfig().sampling_schedule(). TOY_CONFIG's 60-step schedule is never
+# respaced, so only this pin covers a trained denoiser's time feature at the kept steps.
+C12_RESPACED_PIXELS = (0.5266933702493343, 0.2680050203708387)
+
+
+def test_c12_respaced_enhancement_matches_pinned_pixels(c12_toy):
+    test_pairs, trained = c12_toy
+    enhanced = _enhanced(test_pairs, trained(0)[0], RunConfig().sampling_schedule())
+    pixels = np.concatenate([np.frombuffer(_quantize_8bit(img), dtype=np.uint8) for img in enhanced]) / 255
+    found = (float(pixels.mean()), float(pixels.std()))
+    assert all(math.isclose(g, w, rel_tol=RTOL) for g, w in zip(found, C12_RESPACED_PIXELS)), found
 
 
 def test_respaced_sampling_keeps_quality_of_every_step(c12_toy):

@@ -17,7 +17,7 @@ from uwdiff.diffusion import make_linear_schedule, stream_rng
 from uwdiff.imageio import _quantize_8bit
 from uwdiff.training import LossWeights, OptimizerConfig, fine_tune
 
-from test_acceptance import toy_scene
+from toy_world import toy_scene
 
 SCHED = make_linear_schedule(200, 1e-4, 2e-2)
 

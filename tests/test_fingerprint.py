@@ -7,7 +7,9 @@ chains that `uwdiff verify --seed 0` samples are pinned the same way. C11
 only checks that two reruns agree, so a refactor that shifts every number
 consistently would pass it; these tests do not. Only a change that alters
 outputs on purpose re-pins these constants, and says so with the old and new
-values.
+values. The toy run's 60-step schedule is never respaced, so the pin of a
+trained denoiser on the respaced sampling schedule sits next to C12 in
+test_acceptance.py (`C12_RESPACED_PIXELS`), which trains that model once.
 """
 
 import math
@@ -25,12 +27,7 @@ from uwdiff.images import RgbImage
 from uwdiff.synthesis import DatasetManifest
 from uwdiff.verification import sample_terminal
 
-from test_acceptance import TOY_CONFIG, toy_scene
-
-# loose enough for last-bit float differences, tight enough to catch a change
-# as small as Adam's eps going from 1e-8 to 1e-9 (a ~5e-7 relative shift in
-# the trained prompt norms)
-RTOL = 1e-9
+from toy_world import RTOL, TOY_CONFIG, toy_scene
 
 EXPECTED = {
     "template_indices": [0, 1, 1, 1],
