@@ -77,7 +77,13 @@ def test_mixed_sizes_keep_name_order_and_progress(tmp_path, rng):
 
 @pytest.mark.parametrize(
     "sizes,runs",
-    [([8, 8, 12, 8], [2, 1, 1]), ([32] * 5, [4, 1]), ([64, 64], [1, 1]), ([16, 8, 8, 16], [1, 2, 1])],
+    [
+        ([8, 8, 12, 8], [2, 1, 1]),
+        ([32] * 5, [4, 1]),
+        ([64, 64], [1, 1]),
+        ([16, 8, 8, 16], [1, 2, 1]),
+        ([128, 8, 8], [1, 2]),
+    ],
 )
 def test_enhance_image_is_called_once_per_run(tmp_path, rng, monkeypatch, sizes, runs):
     write_images(tmp_path / "in", sizes, rng)
@@ -91,6 +97,27 @@ def test_enhance_image_is_called_once_per_run(tmp_path, rng, monkeypatch, sizes,
     monkeypatch.setattr(pipeline, "enhance_image", fake)
     pipeline.enhance_directory(tmp_path / "in", tmp_path / "out", None, SCHED, 0)
     assert seen == runs
+
+
+@pytest.mark.parametrize(
+    "sizes,decoded", [([32] * 5, [4, 5]), ([8, 8, 12, 8], [3, 4, 4]), ([64, 64, 64], [1, 2, 3])]
+)
+def test_a_run_is_sampled_before_the_next_image_is_decoded(tmp_path, rng, monkeypatch, sizes, decoded):
+    write_images(tmp_path / "in", sizes, rng)
+    loaded, seen = [], []
+
+    def spy_load(path):
+        loaded.append(path)
+        return load_image(path)
+
+    def fake(images, model, sched, guidance, context, rngs):
+        seen.append(len(loaded))
+        return images
+
+    monkeypatch.setattr(pipeline, "load_image", spy_load)
+    monkeypatch.setattr(pipeline, "enhance_image", fake)
+    pipeline.enhance_directory(tmp_path / "in", tmp_path / "out", None, SCHED, 0)
+    assert seen == decoded
 
 
 def test_a_run_shares_one_denoiser_call_per_step(rng):
