@@ -67,9 +67,6 @@ class MetricReport:
     uiqm: float | None
     uciqe: float | None
     cpbd: float | None
-    uicm: float | None
-    uism: float | None
-    uiconm: float | None
 
 
 def _admits(metric: str, img: RgbImage) -> bool:
@@ -339,17 +336,11 @@ def evaluate(img: RgbImage, reference: RgbImage | None = None) -> MetricReport:
     Scores every metric the image's size admits (see MIN_SIDE); PSNR and SSIM
     also need `reference`.
     """
-    q = uicm = uism = uiconm = None
-    if _admits("uiqm", img):
-        q, uicm, uism, uiconm = uiqm(img)
     with_reference = reference is not None
     return MetricReport(
         psnr=psnr(img, reference) if with_reference else None,
         ssim=ssim(img, reference) if with_reference and _admits("ssim", img) else None,
-        uiqm=q,
+        uiqm=uiqm(img)[0] if _admits("uiqm", img) else None,
         uciqe=uciqe(img),
         cpbd=cpbd(img) if _admits("cpbd", img) else None,
-        uicm=uicm,
-        uism=uism,
-        uiconm=uiconm,
     )

@@ -9,6 +9,7 @@ of correctness rather than of shared bugs.
 from __future__ import annotations
 
 import math
+import zlib
 
 import numpy as np
 
@@ -310,7 +311,7 @@ def cpbd_ref(rgb01: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# PNG scanline unfiltering, byte by byte
+# PNG scanline unfiltering, byte by byte, and PNG blobs of any header
 # ---------------------------------------------------------------------------
 
 
@@ -344,6 +345,18 @@ def unfilter_loop(raw: bytes, width: int, height: int, bpp: int) -> np.ndarray:
         out.append(cur)
         prev = cur
     return np.array(out, dtype=np.uint8).reshape(height, stride)
+
+
+def png_blob(width, height, bit_depth, color_type, raw, idat=None) -> bytes:
+    """A PNG of the given header whose IDAT holds compressed `raw` (or `idat` as is)."""
+    ihdr = width.to_bytes(4, "big") + height.to_bytes(4, "big")
+    ihdr += bytes([bit_depth, color_type, 0, 0, 0])
+    blob = bytearray(b"\x89PNG\r\n\x1a\n")
+    idat = zlib.compress(raw) if idat is None else idat
+    for ctype, data in ((b"IHDR", ihdr), (b"IDAT", idat), (b"IEND", b"")):
+        blob += len(data).to_bytes(4, "big") + ctype + data
+        blob += zlib.crc32(ctype + data).to_bytes(4, "big")
+    return bytes(blob)
 
 
 # ---------------------------------------------------------------------------

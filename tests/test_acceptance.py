@@ -6,7 +6,6 @@ asserts both the numeric condition and its runtime budget.
 
 import functools
 import math
-import os
 import time
 
 import numpy as np
@@ -14,12 +13,11 @@ import pytest
 
 from uwdiff import autodiff as ad
 from uwdiff.autodiff import Tensor
-from uwdiff.cli import main as cli_main
 from uwdiff.config import RunConfig
 from uwdiff.denoiser import ConditionalDenoiser
 from uwdiff.diffusion import AnalyticGaussianWorld, GuidanceConfig, NoiseSchedule, respace, stream_rng
 from uwdiff.images import LabImage, RgbImage, channel_stats, lab_to_srgb, srgb_to_lab
-from uwdiff.imageio import _quantize_8bit, save_image
+from uwdiff.imageio import _quantize_8bit
 from uwdiff.jointnet import (
     JointNetConfig,
     PromptTrainConfig,
@@ -32,9 +30,8 @@ from uwdiff.jointnet import (
     train_prompts,
 )
 from uwdiff.metrics import cpbd, psnr, ssim, uciqe, uiqm
-from uwdiff.pipeline import enhance_image, to_model_space
-from uwdiff.synthesis import DegradationParams, ScatterRanges, scatter_degrade
-from uwdiff.training import LossWeights, OptimizerConfig, composite_loss, fine_tune, grad_check
+from uwdiff.synthesis import DegradationParams, scatter_degrade
+from uwdiff.training import LossWeights, composite_loss, grad_check
 from uwdiff.verification import (
     chain_checks,
     check_guidance_algebra,
@@ -47,7 +44,7 @@ from uwdiff.verification import (
 
 from criteria import record_criterion
 from oracles import cpbd_ref, logistic_accuracy, uciqe_ref, uiqm_ref
-from toy_world import RTOL, TOY_CONFIG, toy_scene
+from toy_world import RTOL, c12_pairs, enhance_held_out, run_cli, separable_images, train_sampler, write_toy_inputs
 
 
 def test_c01_color_round_trip():
@@ -244,21 +241,9 @@ def test_c06_lambda_preference_direction():
     assert elapsed < 120.0
 
 
-def _separable_images(count, size, seed):
-    gen = np.random.default_rng(seed)
-    data = []
-    ramp = np.linspace(0.15, 0.85, size)
-    for label in (1, 0):
-        base = np.tile(ramp[None, :], (size, 1)) if label else np.tile(ramp[:, None], (1, size))
-        for _ in range(count // 2):
-            arr = np.clip(base[:, :, None] + 0.05 * gen.standard_normal((size, size, 3)), 0, 1)
-            data.append((RgbImage.from_array(arr), label))
-    return data
-
-
 def test_c07_prompt_learning():
     start = time.time()
-    dataset = _separable_images(200, 16, 107)
+    dataset = separable_images(200, 16, 107)
     config = JointNetConfig(width=16, embed_dim=8, token_count=77, token_width=16, text_hidden=32)
     params = init_params(config, 0)
     result = train_prompts(dataset, params, PromptTrainConfig(epochs=200, seed=0))
@@ -441,51 +426,16 @@ def test_c10_metric_oracles():
 
 def test_c11_end_to_end_determinism(tmp_path):
     start = time.time()
-    gen = np.random.default_rng(111)
-    clean_dir = tmp_path / "clean"
-    tpl_dir = tmp_path / "tpl"
-    os.makedirs(clean_dir)
-    os.makedirs(tpl_dir)
-    for i in range(4):
-        save_image(toy_scene(gen, 16), clean_dir / f"c{i}.png")
-    for i in range(2):
-        img = toy_scene(gen, 16)
-        save_image(RgbImage.from_array(np.clip(img.data * [0.3, 0.6, 0.9], 0, 1)), tpl_dir / f"t{i}.png")
-    cfg_path = tmp_path / "toy.cfg"
-    cfg_path.write_text(TOY_CONFIG)
+    inputs = write_toy_inputs(tmp_path)
 
     def run(tag: str) -> dict[str, bytes]:
         base = tmp_path / tag
-        assert cli_main(
-            ["synth", "--config", str(cfg_path), "--clean", str(clean_dir),
-             "--templates", str(tpl_dir), "--out", str(base / "synth")]
-        ) == 0
-        assert cli_main(
-            ["train-prompts", "--config", str(cfg_path), "--natural", str(clean_dir),
-             "--underwater", str(base / "synth" / "degraded"), "--out", str(base / "prompts")]
-        ) == 0
-        assert cli_main(
-            ["finetune", "--config", str(cfg_path), "--manifest", str(base / "synth" / "manifest.tsv"),
-             "--prompts", str(base / "prompts" / "prompts.ckpt"), "--out", str(base / "model")]
-        ) == 0
-        assert cli_main(
-            ["enhance", "--config", str(cfg_path), "--input", str(base / "synth" / "degraded"),
-             "--model", str(base / "model" / "model.ckpt"),
-             "--prompts", str(base / "prompts" / "prompts.ckpt"), "--out", str(base / "enhanced")]
-        ) == 0
-        artifacts = {
-            "manifest": (base / "synth" / "manifest.tsv").read_bytes(),
-            "prompts.ckpt": (base / "prompts" / "prompts.ckpt").read_bytes(),
-            "model.ckpt": (base / "model" / "model.ckpt").read_bytes(),
-            "training.log": (base / "model" / "training.log").read_bytes(),
-        }
-        for name in sorted(os.listdir(base / "enhanced")):
-            artifacts[f"enhanced/{name}"] = (base / "enhanced" / name).read_bytes()
-        return artifacts
+        run_cli(inputs, base)
+        return {str(path.relative_to(base)): path.read_bytes() for path in sorted(base.rglob("*")) if path.is_file()}
 
     first = run("run1")
     second = run("run2")
-    mismatched = [k for k in first if first[k] != second.get(k)]
+    mismatched = sorted(k for k in first.keys() | second.keys() if first.get(k) != second.get(k))
     elapsed = time.time() - start
     ok = not mismatched and len(first) >= 8 and elapsed < 300.0
     record_criterion(
@@ -500,47 +450,23 @@ def test_c11_end_to_end_determinism(tmp_path):
 
 @pytest.fixture(scope="module")
 def c12_toy():
-    """C12's held-out (clean, degraded) pairs, and trained(seed): the float32 sampler of the
-    model of that seed fine-tuned on C12's training pairs, trained once per module, and its
-    training seconds."""
-    gen = np.random.default_rng(112)
-    ranges = ScatterRanges(
-        beta_direct=(0.85, 0.95), beta_backscatter=(0.55, 0.65), veil=(0.25, 0.35), depth=(1.6, 1.8)
-    )
-    train_pairs, test_pairs = [], []
-    for i in range(22):
-        clean = toy_scene(gen)
-        degraded = scatter_degrade(clean, ranges.draw(np.random.default_rng([112, i])))
-        (train_pairs if i < 16 else test_pairs).append((clean, degraded))
+    """C12's held-out (clean, degraded) pairs, and trained(seed): toy_world's sampler of that seed,
+    trained once per module, and its training seconds."""
+    train_pairs, test_pairs = c12_pairs()
 
     @functools.cache
     def trained(seed: int):
         start = time.time()
-        model = ConditionalDenoiser(width=32, seed=seed)
-        fine_tune(
-            model,
-            [(to_model_space(c), to_model_space(d)) for c, d in train_pairs],
-            RunConfig().schedule(),  # training always runs every schedule step
-            weights=LossWeights(1.0, 0.0),
-            optimizer=OptimizerConfig(learning_rate=2e-3, total_steps=2500, seed=seed),
-            t_range=(20, 200),
-        )
-        return model.astype(np.float32), time.time() - start  # the float32 model `enhance` samples with
+        return train_sampler(train_pairs, seed), time.time() - start
 
     return test_pairs, trained
-
-
-def _enhanced(test_pairs, sampler, sched):
-    """Each held-out degraded image enhanced with its own generator, as `enhance` would."""
-    degraded = [d for _, d in test_pairs]
-    return enhance_image(degraded, sampler, sched, None, None, [stream_rng(112, i) for i in range(len(degraded))])
 
 
 def test_c12_enhancement_improves_quality(c12_toy):
     test_pairs, trained = c12_toy
     sampler, train_s = trained(0)
     start = time.time()
-    enhanced = _enhanced(test_pairs, sampler, RunConfig().sampling_schedule())
+    enhanced = enhance_held_out(test_pairs, sampler, RunConfig().sampling_schedule())
     psnr_degraded = [psnr(d, c) for c, d in test_pairs]
     psnr_enhanced = [psnr(e, c) for e, (c, _) in zip(enhanced, test_pairs)]
     uciqe_degraded = [uciqe(d) for _, d in test_pairs]
@@ -571,7 +497,7 @@ C12_RESPACED_PIXELS = (0.5266933702493343, 0.2680050203708387)
 
 def test_c12_respaced_enhancement_matches_pinned_pixels(c12_toy):
     test_pairs, trained = c12_toy
-    enhanced = _enhanced(test_pairs, trained(0)[0], RunConfig().sampling_schedule())
+    enhanced = enhance_held_out(test_pairs, trained(0)[0], RunConfig().sampling_schedule())
     pixels = np.concatenate([np.frombuffer(_quantize_8bit(img), dtype=np.uint8) for img in enhanced]) / 255
     found = (float(pixels.mean()), float(pixels.std()))
     assert all(math.isclose(g, w, rel_tol=RTOL) for g, w in zip(found, C12_RESPACED_PIXELS)), found
@@ -589,7 +515,7 @@ def test_respaced_sampling_keeps_quality_of_every_step(c12_toy):
         sampler, _ = trained(seed)
         row = []
         for sched in (full, respaced):
-            enhanced = _enhanced(test_pairs, sampler, sched)
+            enhanced = enhance_held_out(test_pairs, sampler, sched)
             mean_psnr = float(np.mean([psnr(e, c) for e, (c, _) in zip(enhanced, test_pairs)]))
             row.append((mean_psnr, abs(float(np.mean([uciqe(e) for e in enhanced])) - clean_uciqe)))
         rows.append(row)

@@ -32,9 +32,10 @@ from uwdiff.pipeline import (
     save_checkpoint,
 )
 from uwdiff.synthesis import DatasetManifest, ScatterRanges
-from uwdiff.training import JointContext, LossWeights, OptimizerConfig
+from uwdiff.training import LossWeights, OptimizerConfig
 
-from test_imageio import png_blob
+from oracles import png_blob
+from toy_world import tiny_context
 
 
 class TestConfigParsing:
@@ -930,15 +931,9 @@ class TestGuidanceSwitch:
     def test_context_with_zero_gamma2_samples_the_bytes_of_no_context(self, tmp_path):
         sched = make_linear_schedule(4, 1e-3, 2e-2)
         model = ConditionalDenoiser(width=2, seed=0)
-        params = init_params(JointNetConfig(width=4, embed_dim=4, token_count=3, token_width=4, text_hidden=4), 0)
-        theta = np.eye(4)
         image = RgbImage.from_array(np.random.default_rng(3).uniform(0, 1, (8, 8, 3)))
         os.makedirs(tmp_path / "in")
         save_image(image, tmp_path / "in" / "a.png")
-
-        def context(gamma2):
-            guidance = GuidanceConfig(gamma2=gamma2)
-            return JointContext(params=params, theta_natural=theta[0], theta_underwater=theta[1], guidance=guidance)
 
         def directory(name, context):  # guided by the context's own weight
             (path,) = enhance_directory(tmp_path / "in", tmp_path / name, model, sched, 0, context)
@@ -950,12 +945,12 @@ class TestGuidanceSwitch:
             return enhance_image(image, model, sched, guidance, context, stream_rng(0, 0)).data.tobytes()
 
         unguided = directory("none", None)
-        assert directory("zero", context(0.0)) == unguided
-        assert directory("strong", context(1e3)) != unguided
+        assert directory("zero", tiny_context(0.0)) == unguided
+        assert directory("strong", tiny_context(1e3)) != unguided
         unguided = single(0.0, None)
-        assert single(0.0, context(1e3)) == unguided
+        assert single(0.0, tiny_context(1e3)) == unguided
         assert single(1e3, None) == unguided
-        assert single(1e3, context(0.0)) != unguided
+        assert single(1e3, tiny_context(0.0)) != unguided
 
 
 class TestSampler:

@@ -1,6 +1,6 @@
 """Pinned behaviour fingerprint of the seeded toy pipeline and the verify sampler.
 
-Runs C11's toy configuration once through synth -> train-prompts ->
+Runs the toy run of toy_world.py (C11's) once through synth -> train-prompts ->
 finetune --prompts -> enhance --prompts -> eval and compares summary numbers
 against committed constants. The terminal moments of the analytic-world
 chains that `uwdiff verify --seed 0` samples are pinned the same way. C11
@@ -20,14 +20,12 @@ import pytest
 
 from uwdiff import verification
 from uwdiff.checkpoint import read_checkpoint
-from uwdiff.cli import main as cli_main
 from uwdiff.config import RunConfig
-from uwdiff.imageio import load_image, save_image
-from uwdiff.images import RgbImage
+from uwdiff.imageio import load_image
 from uwdiff.synthesis import DatasetManifest
 from uwdiff.verification import sample_terminal
 
-from toy_world import RTOL, TOY_CONFIG, toy_scene
+from toy_world import RTOL, run_cli, write_toy_inputs
 
 EXPECTED = {
     "template_indices": [0, 1, 1, 1],
@@ -75,30 +73,10 @@ CHECKPOINT_NAMES = {
 
 def run_pipeline(tmp_path) -> tuple[dict, dict]:
     """The fingerprint's numbers, and each checkpoint's tensor names in file order."""
-    gen = np.random.default_rng(111)
-    clean_dir, tpl_dir = tmp_path / "clean", tmp_path / "tpl"
-    os.makedirs(clean_dir)
-    os.makedirs(tpl_dir)
-    for i in range(4):
-        save_image(toy_scene(gen, 16), clean_dir / f"c{i}.png")
-    for i in range(2):
-        img = toy_scene(gen, 16)
-        save_image(RgbImage.from_array(np.clip(img.data * [0.3, 0.6, 0.9], 0, 1)), tpl_dir / f"t{i}.png")
-    cfg = tmp_path / "toy.cfg"
-    cfg.write_text(TOY_CONFIG)
+    d = run_cli(write_toy_inputs(tmp_path), tmp_path)
     synth, prompts, model, enhanced, scores = (
-        tmp_path / name for name in ("synth", "prompts", "model", "enhanced", "eval")
+        d[name] for name in ("synth_train", "prompts", "model", "enhanced", "eval_enhanced")
     )
-    for argv in (
-        ["synth", "--clean", clean_dir, "--templates", tpl_dir, "--out", synth],
-        ["train-prompts", "--natural", clean_dir, "--underwater", synth / "degraded", "--out", prompts],
-        ["finetune", "--manifest", synth / "manifest.tsv", "--prompts", prompts / "prompts.ckpt", "--out", model],
-        ["enhance", "--input", synth / "degraded", "--model", model / "model.ckpt",
-         "--prompts", prompts / "prompts.ckpt", "--out", enhanced],
-        ["eval", "--enhanced", enhanced, "--reference", clean_dir, "--out", scores],
-    ):
-        assert cli_main([str(a) for a in argv] + ["--config", str(cfg)]) == 0, argv[0]
-
     found, names = {}, {}
     manifest = DatasetManifest.read(synth / "manifest.tsv")
     found["template_indices"] = [e.template_index for e in manifest.entries]

@@ -22,7 +22,7 @@ from uwdiff.imageio import (
 )
 from uwdiff.images import RgbImage
 
-from oracles import unfilter_loop
+from oracles import png_blob, unfilter_loop
 
 
 def random_image(rng, h=7, w=11):
@@ -49,18 +49,6 @@ def filter_scanlines(rows: np.ndarray, bpp: int, filters) -> bytes:
             raw.append((value - pred) & 0xFF)
         prev = line
     return bytes(raw)
-
-
-def png_blob(width, height, bit_depth, color_type, raw, idat=None) -> bytes:
-    """A PNG of the given header whose IDAT holds compressed `raw` (or `idat` as is)."""
-    ihdr = width.to_bytes(4, "big") + height.to_bytes(4, "big")
-    ihdr += bytes([bit_depth, color_type, 0, 0, 0])
-    blob = bytearray(b"\x89PNG\r\n\x1a\n")
-    idat = zlib.compress(raw) if idat is None else idat
-    for ctype, data in ((b"IHDR", ihdr), (b"IDAT", idat), (b"IEND", b"")):
-        blob += len(data).to_bytes(4, "big") + ctype + data
-        blob += zlib.crc32(ctype + data).to_bytes(4, "big")
-    return bytes(blob)
 
 
 class TestPngRoundTrip:

@@ -28,6 +28,7 @@ from uwdiff.jointnet import (
 )
 
 from oracles import conv2d_loop, logistic_accuracy
+from toy_world import separable_images
 
 SMALL = JointNetConfig(width=8, embed_dim=4, token_count=5, token_width=4, text_hidden=6)
 
@@ -305,23 +306,11 @@ class TestAlignment:
         assert all(t.grad is None for t in params.tensors.values())
 
 
-def separable_dataset(count=60, size=16, seed=11):
-    gen = np.random.default_rng(seed)
-    data = []
-    ramp = np.linspace(0.15, 0.85, size)
-    for label in (1, 0):
-        base = np.tile(ramp[None, :], (size, 1)) if label else np.tile(ramp[:, None], (1, size))
-        for _ in range(count // 2):
-            arr = np.clip(base[:, :, None] + 0.05 * gen.standard_normal((size, size, 3)), 0, 1)
-            data.append((RgbImage.from_array(arr), label))
-    return data
-
-
 class TestTrainPrompts:
     def test_separable_set_reaches_high_accuracy(self):
         config = JointNetConfig(width=16, embed_dim=8, token_count=9, token_width=8, text_hidden=12)
         params = init_params(config, 0)
-        dataset = separable_dataset()
+        dataset = separable_images()
         result = train_prompts(dataset, params, PromptTrainConfig(epochs=200, seed=0))
         assert result.holdout_accuracy >= 0.95
         assert result.trend_monotone
@@ -333,7 +322,7 @@ class TestTrainPrompts:
     def test_zero_learning_rate_is_noop(self, monkeypatch):
         monkeypatch.setattr(jointnet, "_PROMPT_LEARNING_RATE", 0.0)
         params = small_params()
-        dataset = separable_dataset(count=8)
+        dataset = separable_images(count=8)
         result = train_prompts(dataset, params, PromptTrainConfig(epochs=3, seed=4))
         init_n, init_u = init_prompts(SMALL, 4)
         assert np.array_equal(result.prompt_natural.tokens, init_n.tokens)
@@ -341,7 +330,7 @@ class TestTrainPrompts:
 
     def test_same_seed_identical_prompts(self):
         params = small_params()
-        dataset = separable_dataset(count=12)
+        dataset = separable_images(count=12)
         a = train_prompts(dataset, params, PromptTrainConfig(epochs=10, seed=2))
         b = train_prompts(dataset, params, PromptTrainConfig(epochs=10, seed=2))
         assert np.array_equal(a.prompt_natural.tokens, b.prompt_natural.tokens)
@@ -367,6 +356,6 @@ class TestTrainPrompts:
         monkeypatch.setattr(jointnet, "_PROMPT_LEARNING_RATE", 50.0)
         monkeypatch.setattr(jointnet, "_DIVERGENCE_FACTOR", 0.9)
         params = small_params()
-        dataset = separable_dataset(count=8)
+        dataset = separable_images(count=8)
         with pytest.raises(TrainingDivergedError, match="epoch"):
             train_prompts(dataset, params, PromptTrainConfig(epochs=400, seed=0))

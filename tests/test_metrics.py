@@ -30,9 +30,10 @@ from oracles import cpbd_ref, edge_width_loop, eme_ref, psnr_loop, sobel_loop, u
 # recorded before the build.
 SSIM_INVERTED_ORACLE = -0.726186407462
 
-# evaluate(colorful_chart(seed=7, size=250), colorful_chart(seed=8, size=250)),
-# recorded with the per-block loop metrics: 250 px leaves ragged 8 px blocks
-# and a ragged CPBD block row, which the 16 px fingerprint images never reach.
+# evaluate(colorful_chart(seed=7, size=250), colorful_chart(seed=8, size=250)) and
+# uiqm's sub-scores of the first chart, recorded with the per-block loop metrics:
+# 250 px leaves ragged 8 px blocks and a ragged CPBD block row, which the 16 px
+# fingerprint images never reach.
 RTOL = 1e-9
 PINNED_250 = {
     "psnr": 27.453910565510334,
@@ -340,6 +341,9 @@ class TestEvaluate:
             fn(colorful_chart(size=side - 1))
 
     def test_pinned_row_on_ragged_scene(self):
-        report = evaluate(colorful_chart(seed=7, size=250), colorful_chart(seed=8, size=250))
+        img = colorful_chart(seed=7, size=250)
+        report = evaluate(img, colorful_chart(seed=8, size=250))
+        found = {name: getattr(report, name) for name in ALL_METRICS}
+        found.update(zip(("uicm", "uism", "uiconm"), uiqm(img)[1:]))
         for name, expected in PINNED_250.items():
-            assert getattr(report, name) == pytest.approx(expected, rel=RTOL), name
+            assert found[name] == pytest.approx(expected, rel=RTOL), name

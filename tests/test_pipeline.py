@@ -9,20 +9,14 @@ import pytest
 
 from uwdiff import pipeline
 from uwdiff.denoiser import ConditionalDenoiser
-from uwdiff.diffusion import GuidanceConfig, make_linear_schedule, stream_rng
+from uwdiff.diffusion import make_linear_schedule, stream_rng
 from uwdiff.errors import SamplingDivergedError
 from uwdiff.images import RgbImage
 from uwdiff.imageio import load_image, save_image
-from uwdiff.jointnet import JointNetConfig, init_params
-from uwdiff.training import JointContext
+
+from toy_world import tiny_context
 
 SCHED = make_linear_schedule(4, 1e-3, 2e-2)
-
-
-def guided_context(gamma2=1e3):
-    params = init_params(JointNetConfig(width=4, embed_dim=4, token_count=3, token_width=4, text_hidden=4), 0)
-    theta = np.eye(4)
-    return JointContext(params, theta[0], theta[1], GuidanceConfig(gamma2=gamma2))
 
 
 def write_images(directory, sizes, rng):
@@ -42,7 +36,7 @@ def read(path):
 @pytest.mark.parametrize("sizes", [[8, 8, 8, 8], [64, 64, 64]], ids=["8px", "64px"])
 def test_a_batch_writes_the_bytes_of_one_image_at_a_time(tmp_path, rng, sizes, guided):
     names = write_images(tmp_path / "in", sizes, rng)
-    model, context = ConditionalDenoiser(width=2, seed=0), guided_context() if guided else None
+    model, context = ConditionalDenoiser(width=2, seed=0), tiny_context(1e3) if guided else None
     written = pipeline.enhance_directory(tmp_path / "in", tmp_path / "out", model, SCHED, 7, context)
     assert written == [os.path.join(tmp_path / "out", name) for name in names]
     os.makedirs(tmp_path / "alone")
@@ -56,7 +50,7 @@ def test_a_batch_writes_the_bytes_of_one_image_at_a_time(tmp_path, rng, sizes, g
 
 def test_enhance_image_without_a_guidance_argument_guides_by_the_contexts_own(rng):
     image = RgbImage.from_array(rng.uniform(0, 1, (8, 8, 3)))
-    model, context = ConditionalDenoiser(width=2, seed=0), guided_context()
+    model, context = ConditionalDenoiser(width=2, seed=0), tiny_context(1e3)
     own, given, unguided = (
         pipeline.enhance_image(image, model, SCHED, guidance, ctx, stream_rng(0, 0)).data
         for guidance, ctx in ((None, context), (context.guidance, context), (None, None))
@@ -122,7 +116,7 @@ def test_a_run_is_sampled_before_the_next_image_is_decoded(tmp_path, rng, monkey
 
 def test_a_run_shares_one_denoiser_call_per_step(rng):
     images = [RgbImage.from_array(rng.uniform(0, 1, (32, 32, 3))) for _ in range(4)]
-    model, context, shapes = ConditionalDenoiser(width=2, seed=0), guided_context(), []
+    model, context, shapes = ConditionalDenoiser(width=2, seed=0), tiny_context(1e3), []
 
     def spy(x, condition, t, sched):
         shapes.append((x.shape, condition.shape))

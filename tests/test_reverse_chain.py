@@ -11,7 +11,7 @@ from uwdiff.diffusion import AnalyticGaussianWorld, GuidanceConfig, make_linear_
 from uwdiff.errors import ParameterError, SamplingDivergedError
 from uwdiff.images import RgbImage
 
-from test_pipeline import guided_context
+from toy_world import tiny_context
 
 SCHED = make_linear_schedule(6, 1e-3, 2e-2)
 
@@ -39,7 +39,7 @@ def test_each_analytic_chain_is_one_reverse_chain(chains):
 
 def test_each_enhanced_image_or_run_is_one_reverse_chain(chains, rng):
     images = [RgbImage.from_array(rng.uniform(0, 1, (8, 8, 3))) for _ in range(2)]
-    model, context = ConditionalDenoiser(width=2, seed=0), guided_context()
+    model, context = ConditionalDenoiser(width=2, seed=0), tiny_context(1e3)
     rngs = [stream_rng(0, i) for i in range(2)]
     pipeline.enhance_image(images[0], model, SCHED, None, None, rngs[0])
     pipeline.enhance_image(images[0], model, SCHED, None, context, rngs[0])

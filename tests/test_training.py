@@ -12,10 +12,8 @@ from uwdiff.config import RunConfig
 from uwdiff.denoiser import ConditionalDenoiser
 from uwdiff.diffusion import make_linear_schedule, stream_rng
 from uwdiff.errors import ParameterError, ShapeMismatchError, TrainingDivergedError
-from uwdiff.jointnet import JointNetConfig, init_params
 from uwdiff.training import (
     Adam,
-    JointContext,
     LossWeights,
     OptimizerConfig,
     _apply_transform,
@@ -25,6 +23,8 @@ from uwdiff.training import (
     fine_tune,
     grad_check,
 )
+
+from toy_world import tiny_context
 
 
 def unit(vec) -> np.ndarray:
@@ -349,8 +349,7 @@ class TestFineTune:
         # through the module-level name that tracing hooks
         sched = make_linear_schedule(40, 1e-4, 0.2)
         pairs = [(rng.uniform(-1, 1, (3, 8, 8)), rng.uniform(-1, 1, (3, 8, 8))) for _ in range(2)]
-        params = init_params(JointNetConfig(width=4, embed_dim=4, token_count=3, token_width=4, text_hidden=4), 0)
-        context = JointContext(params, np.eye(4)[0], np.eye(4)[1])
+        context = tiny_context(0.0)
         steps, seed = 30, 9
         embed, references = training.embed_image_graph, []
 
